@@ -9,7 +9,7 @@ from .certify import (CAVEAT, CertificationReport, ResidualStats, Tolerances,
                       infinitesimal_commutation_residual, lie_bracket_residual,
                       map_invariance_residual, poisson_bracket,
                       symplecticity_residual)
-from .constructions import (JordanBlockSpec, LiftedMap, affine1d_symmetry,
+from .constructions import (JordanBlockSpec, affine1d_symmetry,
                             cotangent_lift, lift_integral, lift_structure,
                             linear_commutative_family, linear_map)
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
@@ -29,7 +29,7 @@ __all__ = [
     "flow_commutation_residual", "infinitesimal_commutation_residual",
     "lie_bracket_residual", "map_invariance_residual", "poisson_bracket",
     "symplecticity_residual",
-    "JordanBlockSpec", "LiftedMap", "affine1d_symmetry", "cotangent_lift",
+    "JordanBlockSpec", "affine1d_symmetry", "cotangent_lift",
     "lift_integral", "lift_structure", "linear_commutative_family",
     "linear_map",
     "DomainError", "IntegrabilityStructure", "SamplingRegion", "ScalarField",

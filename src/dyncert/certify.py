@@ -1,15 +1,23 @@
 """Residual operations and their aggregation into certification verdicts.
 
-Every check is a residual evaluated at sampled points and normalized by a
-per-point scale ``1 + max(|x|, |f(x)|, ...)``; tolerances are relative to
-that scale.  A PASS verdict means "no counterexample found at these
-tolerances", never a proof.
+Both certifiers share one pipeline: sample once, apply ``f`` once per point
+(a guard failure drops and counts the point), then one ``at_point(x, f(x))``
+call evaluates each field, integral, gradient and Jacobian at most once and
+returns a residual and a scale per condition.  Flow commutation is a second
+phase on the first ``flow_point_cap`` kept points.
+
+Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
+and tolerances are relative to it.  A condition reports the scale at its
+``worst_point``, so ``max_abs * scale`` is the raw residual there; rank and
+empty conditions report 1.0.  The public pointwise residuals below are the
+reference definitions.  A PASS verdict means "no counterexample found at
+these tolerances", never a proof.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -192,16 +200,10 @@ def independence_rank_stats(columns, points, threshold: float = 1e-8):
         raise ValueError("at least one column is required")
     deficient = []
     full = 0
-    want = len(columns)
     for x in points:
-        cols = []
-        for c in columns:
-            if isinstance(c, ScalarField):
-                cols.append(c.gradient_at(x))
-            else:
-                cols.append(c(x))
-        m = np.asarray(cols, dtype=float).T
-        if numerical_rank(m, threshold).rank == want:
+        cols = [c.gradient_at(x) if isinstance(c, ScalarField) else c(x)
+                for c in columns]
+        if _full_rank(cols, threshold):
             full += 1
         else:
             deficient.append(tuple(x))
@@ -231,16 +233,22 @@ def symplecticity_residual(f: SmoothMap, z) -> float:
     return float(np.max(np.abs(m.T @ j @ m - j)))
 
 
-# -- aggregation ----------------------------------------------------------
+# -- the certification pipeline -------------------------------------------
 
 
 def _norm(v) -> float:
     return float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
 
 
-def _stats(name: str, values: list[float], points: list, tol: float,
+def _full_rank(columns, threshold: float) -> bool:
+    """Whether the column vectors have numerical rank equal to their count."""
+    m = np.asarray(columns, dtype=float).T
+    return numerical_rank(m, threshold).rank == len(columns)
+
+
+def _stats(name: str, values, scales, points: list, tol: float,
            skipped: int = 0, skip_fail: bool = False) -> ResidualStats:
-    if not values:
+    if len(values) == 0:
         return ResidualStats(name, 0, 0.0, 0.0, 0.0, None, 1.0,
                              passed=not skip_fail, kind="empty",
                              tolerance=tol, skipped=skipped)
@@ -256,30 +264,72 @@ def _stats(name: str, values: list[float], points: list, tol: float,
         mean_abs=mean,
         p99_abs=p99,
         worst_point=tuple(points[worst]),
-        scale=1.0,
+        scale=float(scales[worst]),
         passed=(float(arr.max()) <= tol) and not skip_fail,
         tolerance=tol,
         skipped=skipped,
     )
 
 
-def _rank_stats(name: str, columns, points, tol: Tolerances) -> ResidualStats:
-    frac, deficient = independence_rank_stats(columns, points,
-                                              tol.rank_threshold)
-    worst = deficient[0] if deficient else None
+def _rank_stats(name: str, deficient: np.ndarray, points: list,
+                tol: Tolerances) -> ResidualStats:
+    full = len(points) - int(np.count_nonzero(deficient))
+    frac = full / len(points) if points else 0.0
+    bad = np.flatnonzero(deficient)
     return ResidualStats(
         condition_name=name,
         count=len(points),
         max_abs=1.0 - frac,
         mean_abs=1.0 - frac,
         p99_abs=1.0 - frac,
-        worst_point=worst,
+        worst_point=tuple(points[bad[0]]) if bad.size else None,
         scale=1.0,
         passed=frac >= tol.ae_fraction,
         kind="rank",
         tolerance=1.0 - tol.ae_fraction,
         full_rank_fraction=frac,
     )
+
+
+def _certify(f: SmoothMap, region: SamplingRegion, tol: Tolerances,
+             samples: int | None, seed: int, conditions: list,
+             at_point: Callable):
+    """The sampling, guard and evaluation loop both certifiers share.
+
+    ``conditions`` lists ``(name, kind)`` in report order, ``kind`` being
+    "residual" or "rank".  ``at_point(x, fx)`` returns one ``(residual,
+    scale)`` pair per condition; a rank condition's residual is 1.0 where
+    the columns are rank-deficient and 0.0 where they are not.  Returns the
+    kept points, the guard failure count, the statistics of every condition
+    and the (conditions x points) table of scales.
+    """
+    raw_points = sample(region, samples, seed)
+    values = np.empty((len(conditions), len(raw_points)))
+    scales = np.empty_like(values)
+    points = []
+    guard_failures = 0
+    for x in raw_points:
+        try:
+            fx = f.apply(x)
+        except DomainError:
+            guard_failures += 1
+            continue
+        col = len(points)
+        for c, (residual, scale) in enumerate(at_point(x, fx)):
+            values[c, col] = residual / scale
+            scales[c, col] = scale
+        points.append(x)
+    values, scales = values[:, :len(points)], scales[:, :len(points)]
+    stats = [_rank_stats(name, values[c], points, tol) if kind == "rank"
+             else _stats(name, values[c], scales[c], points, tol.algebraic_tol)
+             for c, (name, kind) in enumerate(conditions)]
+    return points, guard_failures, stats, scales
+
+
+def _verdict(conditions) -> str:
+    if not conditions:
+        return "UNVERIFIED"
+    return "PASS" if all(c.passed for c in conditions) else "FAIL"
 
 
 def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
@@ -302,112 +352,92 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     tol = tol or Tolerances()
     flow_cfg = flow_cfg or IntegratorConfig()
     seed = region.rng_seed if seed is None else seed
-    raw_points = sample(region, samples, seed)
+    fields, integrals = s.fields, s.integrals
+    pairs = [(j, k) for j in range(len(fields))
+             for k in range(j + 1, len(fields))]
 
-    points = []
-    guard_failures = 0
-    for x in raw_points:
-        try:
-            f.apply(x)
-        except DomainError:
-            guard_failures += 1
-            continue
-        points.append(x)
-
-    conditions: list[ResidualStats] = []
-    fields = s.fields
-    integrals = s.integrals
-    mname = map_name or f.name or "map"
-
-    def scale_at(x, extra=0.0):
-        fx = f.apply(x)
-        return 1.0 + max(_norm(x), _norm(fx), extra)
-
-    # condition (i): pairwise Lie brackets, reported per unordered pair
-    for j in range(len(fields)):
-        for k in range(j + 1, len(fields)):
-            vals = []
-            for x in points:
-                sc = 1.0 + max(_norm(x), _norm(fields[j](x)),
-                               _norm(fields[k](x)))
-                vals.append(_norm(lie_bracket_residual(fields[j], fields[k],
-                                                       x)) / sc)
-            conditions.append(_stats(f"lie_bracket[X{j + 1},X{k + 1}]", vals,
-                                     points, tol.algebraic_tol))
+    # (i) Lie brackets per unordered pair, field rank; (ii) first integrals
+    # of the fields, gradient rank; (iii) commutation, map invariance
+    conditions = [(f"lie_bracket[X{j + 1},X{k + 1}]", "residual")
+                  for j, k in pairs]
     if fields:
-        conditions.append(_rank_stats("field_independence", list(fields),
-                                      points, tol))
-
-    # condition (ii): first integrals of the fields + gradient independence
-    for k, f_int in enumerate(integrals):
-        for j, x_fld in enumerate(fields):
-            vals = []
-            for x in points:
-                sc = 1.0 + max(_norm(x), abs(float(f_int(x))),
-                               _norm(x_fld(x)))
-                vals.append(abs(first_integral_residual(f_int, x_fld, x)) / sc)
-            conditions.append(_stats(f"first_integral[F{k + 1},X{j + 1}]",
-                                     vals, points, tol.algebraic_tol))
+        conditions.append(("field_independence", "rank"))
+    conditions += [(f"first_integral[F{k + 1},X{j + 1}]", "residual")
+                   for k in range(len(integrals)) for j in range(len(fields))]
     if integrals:
-        conditions.append(_rank_stats("gradient_independence", list(integrals),
-                                      points, tol))
+        conditions.append(("gradient_independence", "rank"))
+    commutation_row = len(conditions)
+    conditions += [(f"infinitesimal_commutation[X{j + 1}]", "residual")
+                   for j in range(len(fields))]
+    conditions += [(f"map_invariance[F{k + 1}]", "residual")
+                   for k in range(len(integrals))]
 
-    # condition (iii): infinitesimal commutation and map invariance
-    commuting = []
-    for j, x_fld in enumerate(fields):
-        vals = []
-        for x in points:
-            sc = scale_at(x, _norm(x_fld(x)))
-            vals.append(_norm(infinitesimal_commutation_residual(f, x_fld, x))
-                        / sc)
-        stats = _stats(f"infinitesimal_commutation[X{j + 1}]", vals,
-                       points, tol.algebraic_tol)
-        commuting.append(stats.passed)
-        conditions.append(stats)
-    for k, f_int in enumerate(integrals):
-        vals = []
-        for x in points:
-            sc = scale_at(x, abs(float(f_int(x))))
-            vals.append(abs(map_invariance_residual(f_int, f, x)) / sc)
-        conditions.append(_stats(f"map_invariance[F{k + 1}]", vals, points,
-                                 tol.algebraic_tol))
+    def at_point(x, fx):
+        nx, nfx = _norm(x), _norm(fx)
+        v = [np.asarray(x_fld(x), dtype=float) for x_fld in fields]
+        nv = [_norm(u) for u in v]
+        dv = [np.asarray(x_fld.jacobian_at(x), dtype=float)
+              for x_fld in fields] if pairs else []
+        val = [f_int(x) for f_int in integrals]
+        grad = [np.asarray(f_int.gradient_at(x), dtype=float)
+                for f_int in integrals]
+        out = [(_norm(dv[k] @ v[j] - dv[j] @ v[k]),
+                1.0 + max(nx, nv[j], nv[k])) for j, k in pairs]
+        if fields:
+            out.append((float(not _full_rank(v, tol.rank_threshold)), 1.0))
+        out += [(abs(float(grad[k] @ v[j])),
+                 1.0 + max(nx, abs(float(val[k])), nv[j]))
+                for k in range(len(integrals)) for j in range(len(fields))]
+        if integrals:
+            out.append((float(not _full_rank(grad, tol.rank_threshold)), 1.0))
+        if fields:
+            df = np.asarray(f.jacobian_at(x), dtype=float)
+            out += [(_norm(df @ v[j] - np.asarray(x_fld(fx), dtype=float)),
+                     1.0 + max(nx, nfx, nv[j]))
+                    for j, x_fld in enumerate(fields)]
+        out += [(abs(float(f_int(fx) - val[k])),
+                 1.0 + max(nx, nfx, abs(float(val[k]))))
+                for k, f_int in enumerate(integrals)]
+        return out
 
-    # condition (iii), flow level: spot-check f . phi^t = phi^t . f.
-    # Fields that already failed the pointwise check are not integrated:
-    # the flow check is implied by the infinitesimal one and trajectories
-    # of a non-commuting candidate routinely exhaust the step budget.
+    points, guard_failures, stats, scales = _certify(
+        f, region, tol, samples, seed, conditions, at_point)
+
+    # condition (iii), flow level: spot-check f . phi^t = phi^t . f, with
+    # the scale of the infinitesimal check at the same point.  Fields that
+    # already failed the pointwise check are not integrated: the flow check
+    # is implied by the infinitesimal one and trajectories of a
+    # non-commuting candidate routinely exhaust the step budget.
     flow_points = points[:flow_point_cap]
     for j, x_fld in enumerate(fields):
-        if not commuting[j]:
+        row = commutation_row + j
+        if not stats[row].passed:
             continue
         for t in flow_times:
-            vals, used, skipped = [], [], 0
-            for x in flow_points:
+            vals, used, used_scales, skipped = [], [], [], 0
+            for i, x in enumerate(flow_points):
                 try:
                     r = flow_commutation_residual(f, x_fld, x, t, flow_cfg)
                 except (IntegrationError, DomainError):
                     skipped += 1
                     continue
-                sc = scale_at(x, _norm(x_fld(x)))
-                vals.append(_norm(r) / sc)
+                vals.append(_norm(r) / scales[row, i])
                 used.append(x)
+                used_scales.append(scales[row, i])
             skip_fail = bool(flow_points) and skipped > len(flow_points) / 2
-            conditions.append(_stats(f"flow_commutation[X{j + 1},t={t:g}]",
-                                     vals, used, tol.flow_tol,
-                                     skipped=skipped, skip_fail=skip_fail))
+            stats.append(_stats(f"flow_commutation[X{j + 1},t={t:g}]",
+                                vals, used_scales, used, tol.flow_tol,
+                                skipped=skipped, skip_fail=skip_fail))
 
-    verdict = "PASS" if all(c.passed for c in conditions) else "FAIL"
-    if not conditions:
-        verdict = "UNVERIFIED"
     return CertificationReport(
-        map_name=mname,
+        map_name=map_name or f.name or "map",
         parameters=parameters or {},
         dim=f.dim,
         m=s.m,
         n_integrals=len(integrals),
         complete=s.complete,
-        conditions=tuple(conditions),
-        verdict=verdict,
+        conditions=tuple(stats),
+        verdict=_verdict(stats),
         seed=seed,
         tolerances=tol,
         guard_failures=guard_failures,
@@ -428,59 +458,50 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
     """
     tol = tol or Tolerances()
     seed = region.rng_seed if seed is None else seed
-    raw_points = sample(region, samples, seed)
-    points = []
-    guard_failures = 0
-    for x in raw_points:
-        try:
-            f.apply(x)
-        except DomainError:
-            guard_failures += 1
-            continue
-        points.append(x)
+    if f.dim % 2 != 0:
+        raise ValueError("symplecticity needs an even-dimensional map")
     integrals = tuple(integrals)
-    conditions: list[ResidualStats] = []
+    n = f.dim // 2
+    form = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    pairs = [(j, k) for j in range(len(integrals))
+             for k in range(j + 1, len(integrals))]
 
-    vals = []
-    for z in points:
-        sc = 1.0 + _norm(z)
-        vals.append(symplecticity_residual(f, z) / sc)
-    conditions.append(_stats("symplecticity", vals, points,
-                             tol.algebraic_tol))
-
-    for k, g in enumerate(integrals):
-        vals = []
-        for z in points:
-            sc = 1.0 + max(_norm(z), _norm(f.apply(z)), abs(float(g(z))))
-            vals.append(abs(map_invariance_residual(g, f, z)) / sc)
-        conditions.append(_stats(f"map_invariance[G{k + 1}]", vals, points,
-                                 tol.algebraic_tol))
-
-    for j in range(len(integrals)):
-        for k in range(j + 1, len(integrals)):
-            vals = []
-            for z in points:
-                sc = 1.0 + max(_norm(z), abs(float(integrals[j](z))),
-                               abs(float(integrals[k](z))))
-                vals.append(abs(poisson_bracket(integrals[j], integrals[k], z))
-                            / sc)
-            conditions.append(_stats(f"poisson_bracket[G{j + 1},G{k + 1}]",
-                                     vals, points, tol.algebraic_tol))
-
+    conditions = [("symplecticity", "residual")]
+    conditions += [(f"map_invariance[G{k + 1}]", "residual")
+                   for k in range(len(integrals))]
+    conditions += [(f"poisson_bracket[G{j + 1},G{k + 1}]", "residual")
+                   for j, k in pairs]
     if integrals:
-        conditions.append(_rank_stats("gradient_independence", list(integrals),
-                                      points, tol))
+        conditions.append(("gradient_independence", "rank"))
 
-    verdict = "PASS" if all(c.passed for c in conditions) else "FAIL"
+    def at_point(z, fz):
+        nz, nfz = _norm(z), _norm(fz)
+        m = np.asarray(f.jacobian_at(z), dtype=float)
+        val = [g(z) for g in integrals]
+        grad = [np.asarray(g.gradient_at(z), dtype=float) for g in integrals]
+        out = [(float(np.max(np.abs(m.T @ form @ m - form))), 1.0 + nz)]
+        out += [(abs(float(g(fz) - val[k])),
+                 1.0 + max(nz, nfz, abs(float(val[k]))))
+                for k, g in enumerate(integrals)]
+        out += [(abs(float(grad[j][:n] @ grad[k][n:]
+                           - grad[j][n:] @ grad[k][:n])),
+                 1.0 + max(nz, abs(float(val[j])), abs(float(val[k]))))
+                for j, k in pairs]
+        if integrals:
+            out.append((float(not _full_rank(grad, tol.rank_threshold)), 1.0))
+        return out
+
+    _, guard_failures, stats, _ = _certify(f, region, tol, samples, seed,
+                                           conditions, at_point)
     return CertificationReport(
         map_name=map_name or f.name or "lifted map",
         parameters=parameters or {},
         dim=f.dim,
         m=0,
         n_integrals=len(integrals),
-        complete=len(integrals) == f.dim // 2,
-        conditions=tuple(conditions),
-        verdict=verdict,
+        complete=len(integrals) == n,
+        conditions=tuple(stats),
+        verdict=_verdict(stats),
         seed=seed,
         tolerances=tol,
         guard_failures=guard_failures,

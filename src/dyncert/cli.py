@@ -1,9 +1,10 @@
 """Command-line front end: orchestration and bit-stable report emission.
 
 Exit codes: 0 completed (PASS or pure data), 1 completed with FAIL verdict,
-2 configuration error, 3 runtime failure (guard/integration).  Reports are
-deterministic for a fixed (config, seed, version); wall time goes to
-stderr so the written artifact is byte-stable.
+2 configuration error, 3 runtime failure (guard, integration, a pole or
+domain error in an expression).  Reports are deterministic for a fixed
+(config, seed, version); wall time goes to stderr so the written artifact
+is byte-stable.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -28,6 +28,7 @@ from .dynamics import (ConvergenceError, NonMonotoneMapError, compute_orbit,
                        estimate_translation_vector, find_periodic_points,
                        level_set_drift, lyapunov_spectrum, rotation_number)
 from .expressions import ExpressionError, structure_from_dict
+from .jets import DerivativeError
 from .numerics import IntegrationError, IntegratorConfig
 
 EXIT_OK = 0
@@ -158,14 +159,6 @@ def _build_target(map_name, params, structure_file):
     return f, s, region
 
 
-def _threads() -> int:
-    # worker count may change scheduling, never output
-    try:
-        return max(1, int(os.environ.get("DYNINT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _config_dict(command: str, **kwargs) -> dict:
     cfg = {"command": command}
     for key in sorted(kwargs):
@@ -190,7 +183,8 @@ def _run_guarded(fn):
         _emit_error("config", str(err))
         sys.exit(EXIT_CONFIG)
     except (DomainError, IntegrationError, RegionSamplingError,
-            ConvergenceError, NonMonotoneMapError) as err:
+            ConvergenceError, NonMonotoneMapError, DerivativeError,
+            ArithmeticError) as err:
         _emit_error("runtime", str(err))
         sys.exit(EXIT_RUNTIME)
     sys.exit(code)
@@ -272,7 +266,6 @@ def certify(map_name, params, samples, seed, flow_times, algebraic_tol,
         tol = _tol_from(merged)
         n_samples = int(merged.get("samples") or 1000)
         run_seed = int(merged["seed"]) if merged.get("seed") is not None else 42
-        _threads()
         report = certify_structure(
             f, s, region, tol=tol, flow_times=times, samples=n_samples,
             seed=run_seed, map_name=merged["map_name"], parameters=p)
@@ -331,7 +324,7 @@ def lift_certify(map_name, params, samples, seed, momentum_box, output,
         n_samples = int(merged.get("samples") or 1000)
         run_seed = int(merged["seed"]) if merged.get("seed") is not None else 42
         report = certify_involution(
-            lifted.lifted, integrals, lifted_region,
+            lifted, integrals, lifted_region,
             samples=n_samples, seed=run_seed,
             map_name=merged["map_name"] + "_lift", parameters=p)
         _write_report({

@@ -8,11 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IntegrabilityStructure, ScalarField, SmoothMap, VectorField
-from .jets import float_of, solve_linear, transpose
+from .jets import solve_linear, transpose
 
 __all__ = [
     "JordanBlockSpec",
-    "LiftedMap",
     "linear_map",
     "linear_commutative_family",
     "affine1d_symmetry",
@@ -142,13 +141,7 @@ def affine1d_symmetry(a: float, b: float) -> VectorField:
                        name="affine_symmetry")
 
 
-@dataclass(frozen=True)
-class LiftedMap:
-    base: SmoothMap
-    lifted: SmoothMap
-
-
-def cotangent_lift(f: SmoothMap) -> LiftedMap:
+def cotangent_lift(f: SmoothMap) -> SmoothMap:
     """Symplectic extension (x, p) -> (f(x), Df(x)^{-T} p).
 
     The momentum update solves Df(x)^T q = p with jet-generic elimination,
@@ -182,10 +175,9 @@ def cotangent_lift(f: SmoothMap) -> LiftedMap:
     if f.phase_topology is not None:
         topo = tuple(f.phase_topology) + (None,) * n
 
-    lifted = SmoothMap(dim=2 * n, forward=fwd, inverse=bwd,
-                       domain_guard=guard, phase_topology=topo,
-                       name=(f.name or "map") + "_lift")
-    return LiftedMap(base=f, lifted=lifted)
+    return SmoothMap(dim=2 * n, forward=fwd, inverse=bwd,
+                     domain_guard=guard, phase_topology=topo,
+                     name=(f.name or "map") + "_lift")
 
 
 def lift_integral(v: VectorField, name: str = "") -> ScalarField:

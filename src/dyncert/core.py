@@ -8,13 +8,12 @@ distances.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet, fd_jacobian, float_of, jet_gradient, jet_jacobian
+from .jets import fd_jacobian, float_of, jet_gradient, jet_jacobian
 
 __all__ = [
     "DomainError",
@@ -44,12 +43,6 @@ class DerivativeUnavailable(RuntimeError):
 
 class RegionSamplingError(RuntimeError):
     """The guard rejected too many candidate samples."""
-
-
-def _reduce_value(v, circumference: float):
-    if isinstance(v, Jet):
-        return v % circumference
-    return v % circumference
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class SmoothMap:
             return list(x)
         out = []
         for v, topo in zip(x, self.phase_topology):
-            out.append(v if topo is None else _reduce_value(v, topo))
+            out.append(v if topo is None else v % topo)
         return out
 
     def apply(self, x: Sequence, check_guard: bool = True) -> list:

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, IntegrabilityStructure, SamplingRegion, \
-    ScalarField, SmoothMap, VectorField, sample
-from .numerics import IntegrationError, IntegratorConfig, eigen_moduli, \
-    integrate_flow
+from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
+                   SmoothMap, sample)
+from .numerics import IntegratorConfig, eigen_moduli, integrate_flow
 
 __all__ = [
     "Orbit",

@@ -8,7 +8,7 @@ eigenvalue iteration) are used directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

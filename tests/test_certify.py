@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
                              infinitesimal_commutation_residual,
                              lie_bracket_residual, map_invariance_residual,
                              poisson_bracket, symplecticity_residual)
-from dyncert.core import (IntegrabilityStructure, SamplingRegion, ScalarField,
-                          SmoothMap, VectorField, sample)
+from dyncert.catalog import build
+from dyncert.constructions import lift_structure
+from dyncert.core import (DomainError, IntegrabilityStructure, SamplingRegion,
+                          ScalarField, SmoothMap, VectorField, sample)
 
 E = math.e
 
@@ -339,3 +343,129 @@ class TestCertifyInvolution:
         report = certify_involution(f, (), region, samples=20, seed=42)
         assert report.verdict == "FAIL"
         assert report.conditions[0].condition_name == "symplecticity"
+
+    def test_odd_dimension_rejected(self):
+        f = SmoothMap(dim=1, forward=lambda z: [z[0]])
+        region = SamplingRegion(box=((-1.0, 1.0),))
+        with pytest.raises(ValueError, match="even-dimensional"):
+            certify_involution(f, (), region, samples=5, seed=42)
+
+
+def _counting(counts, key, fn):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def _counted_target(name, **params):
+    """A catalog entry whose map, field and integral callables count calls."""
+    counts = Counter()
+    f, s, region = build(name, **params)
+    f = replace(f, forward=_counting(counts, "map", f.forward))
+    s = replace(s, fields=tuple(
+        replace(v, func=_counting(counts, "field", v.func)) for v in s.fields),
+        integrals=tuple(replace(g, func=_counting(counts, "integral", g.func))
+                        for g in s.integrals))
+    return f, s, region, counts
+
+
+def _lifted_target(name, **params):
+    f, s, region = build(name, **params)
+    lifted, integrals = lift_structure(f, s)
+    box = tuple(region.box) + ((-1.0, 1.0),) * f.dim
+    guard = (lambda z: region.guard(list(z[:f.dim]))) if region.guard else None
+    return lifted, integrals, SamplingRegion(box=box, guard=guard)
+
+
+def _kept(f, region, samples, seed):
+    """The sampled points whose image passes the map's domain guard."""
+    kept = []
+    for x in sample(region, samples, seed):
+        try:
+            f.apply(x)
+        except DomainError:
+            continue
+        kept.append(x)
+    return kept
+
+
+def _condition(report, name):
+    return next(c for c in report.conditions if c.condition_name == name)
+
+
+def _norm(v):
+    return float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
+
+
+class TestPipeline:
+    """One sampling, guard and evaluation pass shared by every condition."""
+
+    @pytest.mark.parametrize("name, params, expected", [
+        ("lyness", {"n": 5}, {"map": 100, "integral": 900}),
+        ("lyness", {"n": 5, "symmetry": 1},
+         {"map": 200, "field": 200, "integral": 900}),
+        ("linear", {"blocks": "2:3"}, {"map": 100, "field": 600}),
+    ])
+    def test_structure_evaluates_each_quantity_once(self, name, params,
+                                                    expected):
+        f, s, region, counts = _counted_target(name, **params)
+        certify_structure(f, s, region, samples=100, flow_times=())
+        assert dict(counts) == expected
+
+    def test_involution_evaluates_the_lift_once(self):
+        lifted, integrals, region = _lifted_target("lyness", n=5)
+        counts = Counter()
+        lifted = replace(lifted,
+                         forward=_counting(counts, "map", lifted.forward))
+        certify_involution(lifted, integrals, region, samples=100)
+        assert dict(counts) == {"map": 200}
+
+    def test_scale_is_the_one_at_the_worst_point(self):
+        f, s, region = build("lyness", n=5, symmetry=1)
+        report = certify_structure(f, s, region, samples=100, flow_times=())
+        inv = _condition(report, "map_invariance[F1]")
+        com = _condition(report, "infinitesimal_commutation[X1]")
+        assert inv.scale > 1.0 and com.scale > 1.0
+        assert inv.max_abs * inv.scale == pytest.approx(abs(
+            map_invariance_residual(s.integrals[0], f, inv.worst_point)),
+            rel=1e-12)
+        assert com.max_abs * com.scale == pytest.approx(_norm(
+            infinitesimal_commutation_residual(f, s.fields[0],
+                                               com.worst_point)), rel=1e-12)
+        for c in report.conditions:
+            if c.kind == "rank":
+                assert c.scale == 1.0
+
+    def test_lie_bracket_agrees_with_reference(self):
+        f, s, region = build("linear", blocks="2:3")
+        report = certify_structure(f, s, region, samples=60, flow_times=())
+        x1, x2 = s.fields[0], s.fields[1]
+        worst = max(_norm(lie_bracket_residual(x1, x2, x))
+                    / (1.0 + max(_norm(x), _norm(x1(x)), _norm(x2(x))))
+                    for x in _kept(f, region, 60, region.rng_seed))
+        assert _condition(report, "lie_bracket[X1,X2]").max_abs == worst
+
+    def test_first_integral_agrees_with_reference(self):
+        f, s, region = build("lyness", n=5, symmetry=1)
+        report = certify_structure(f, s, region, samples=60, flow_times=())
+        g, v = s.integrals[1], s.fields[0]
+        worst = max(abs(first_integral_residual(g, v, x))
+                    / (1.0 + max(_norm(x), abs(float(g(x))), _norm(v(x))))
+                    for x in _kept(f, region, 60, region.rng_seed))
+        assert _condition(report, "first_integral[F2,X1]").max_abs == worst
+
+    def test_involution_agrees_with_reference(self):
+        lifted, integrals, region = _lifted_target("linear", blocks="2:3")
+        report = certify_involution(lifted, integrals, region, samples=40,
+                                    seed=3)
+        kept = _kept(lifted, region, 40, 3)
+        g1, g2 = integrals[0], integrals[1]
+        symp = max(symplecticity_residual(lifted, z) / (1.0 + _norm(z))
+                   for z in kept)
+        bracket = max(abs(poisson_bracket(g1, g2, z))
+                      / (1.0 + max(_norm(z), abs(float(g1(z))),
+                                   abs(float(g2(z)))))
+                      for z in kept)
+        assert _condition(report, "symplecticity").max_abs == symp
+        assert _condition(report, "poisson_bracket[G1,G2]").max_abs == bracket

@@ -86,6 +86,16 @@ class TestCertify:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("integral", ["log(x1 - 5)", "1/(x1 - x1)"])
+    def test_expression_pole_exit_three(self, runner, tmp_path, integral):
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({"dim": 2, "integrals": [integral]}))
+        result = run(runner, ["certify", "--map", "lyness", "--param", "n=2",
+                              "--samples", "20",
+                              "--structure-file", str(struct)])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr.splitlines()[-1])["error"] == "runtime"
+
     def test_structure_dimension_mismatch(self, runner, tmp_path):
         struct = tmp_path / "s.json"
         struct.write_text(json.dumps({"dim": 2, "fields": [["x1", "x2"]]}))

@@ -120,12 +120,12 @@ class TestCotangentLift:
     def test_scaling_map(self):
         f = SmoothMap(dim=1, forward=lambda x: [2.0 * x[0]],
                       inverse=lambda x: [x[0] / 2.0])
-        lifted = cotangent_lift(f).lifted
+        lifted = cotangent_lift(f)
         assert lifted.apply([1.0, 1.0]) == [2.0, 0.5]
 
     def test_identity(self):
         f = SmoothMap(dim=2, forward=lambda x: list(x))
-        lifted = cotangent_lift(f).lifted
+        lifted = cotangent_lift(f)
         z = [0.1, 0.2, 0.3, 0.4]
         assert np.allclose(lifted.apply(z), z)
 
@@ -134,14 +134,14 @@ class TestCotangentLift:
                       forward=lambda x: [x[1], (x[1] + 1.0) / x[0]],
                       inverse=lambda x: [(x[0] + 1.0) / x[1], x[0]],
                       domain_guard=lambda x: all(v > 1e-3 for v in x))
-        lifted = cotangent_lift(f).lifted
+        lifted = cotangent_lift(f)
         z = [1.3, 0.8, -0.4, 0.9]
         assert np.allclose(lifted.apply_inverse(lifted.apply(z)), z,
                            atol=1e-12)
 
     def test_linear_lift_symplectic(self):
         spec = JordanBlockSpec(blocks=((2.0, 3),))
-        lifted = cotangent_lift(linear_map(spec)).lifted
+        lifted = cotangent_lift(linear_map(spec))
         z = [0.3, -0.9, 1.2, 0.5, 0.1, -0.7]
         assert symplecticity_residual(lifted, z) <= 1e-12
 
@@ -150,14 +150,14 @@ class TestCotangentLift:
         f = SmoothMap(dim=2,
                       forward=lambda x: [x[1], (x[1] + 1.0) / x[0]],
                       domain_guard=lambda x: all(v > 1e-3 for v in x))
-        lifted = cotangent_lift(f).lifted
+        lifted = cotangent_lift(f)
         for z in ([1.0, 1.0, 0.2, -0.3], [2.5, 0.7, 1.0, 1.0]):
             assert symplecticity_residual(lifted, z) <= 1e-10
 
     def test_guard_propagates(self):
         f = SmoothMap(dim=1, forward=lambda x: [x[0] ** 3],
                       domain_guard=lambda x: x[0] > 0.0)
-        lifted = cotangent_lift(f).lifted
+        lifted = cotangent_lift(f)
         from dyncert.core import DomainError
         with pytest.raises(DomainError):
             lifted.apply([-1.0, 0.0])
@@ -173,7 +173,7 @@ class TestLiftIntegral:
         v = VectorField(dim=1, func=lambda x: [x[0]])
         g = lift_integral(v)
         f = SmoothMap(dim=1, forward=lambda x: [2.0 * x[0]])
-        lifted = cotangent_lift(f).lifted
+        lifted = cotangent_lift(f)
         z = [1.7, -0.4]
         assert g(lifted.apply(z)) == pytest.approx(g(z), rel=1e-14)
 
@@ -198,7 +198,7 @@ class TestLiftStructure:
         region = SamplingRegion(box=((-2.0, 2.0),) * 4)
         for z in sample(region, 50, seed=42):
             assert abs(poisson_bracket(integrals[0], integrals[1], z)) <= 1e-12
-        report = certify_involution(lifted.lifted, integrals, region,
+        report = certify_involution(lifted, integrals, region,
                                     samples=100, seed=42)
         assert report.verdict == "PASS"
 
@@ -215,7 +215,7 @@ class TestLiftStructure:
         grad = integrals[0].gradient_at([1.0, 2.0, 5.0, 6.0])
         assert grad[2] == 0.0 and grad[3] == 0.0
         z = [1.0, 2.0, 0.3, 0.4]
-        assert integrals[0](lifted.lifted.apply(z)) == pytest.approx(
+        assert integrals[0](lifted.apply(z)) == pytest.approx(
             integrals[0](z), rel=1e-12)
 
     def test_dimension_mismatch(self):

@@ -1,0 +1,78 @@
+"""No module of the package imports a name it never uses.
+
+Stdlib only.  ``symtable`` tells which scopes read a name from the module
+namespace, so a local binding of the same name (a parameter, say) does not
+hide an unused import.  The modules use ``from __future__ import
+annotations``; annotations are then never compiled and ``symtable`` does not
+see them, so names inside annotations are collected from the ``ast``.
+Names listed in ``__all__`` and the package ``__init__`` re-exports are
+exempt.
+"""
+
+import ast
+import symtable
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dyncert"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _global_reads(table) -> set:
+    """Names that a scope or any scope nested in it reads as globals."""
+    names = {s.get_name() for s in table.get_symbols()
+             if s.is_referenced() and s.is_global()}
+    for child in table.get_children():
+        names |= _global_reads(child)
+    return names
+
+
+def _annotation_names(tree) -> set:
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+    return {n.id for root in roots if root is not None
+            for n in ast.walk(root) if isinstance(n, ast.Name)}
+
+
+def _exempt(tree) -> set:
+    """``__future__`` features and the names in ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def unused_imports(source: str, filename: str = "<module>") -> list:
+    table = symtable.symtable(source, filename, "exec")
+    tree = ast.parse(source, filename)
+    imported = {s.get_name() for s in table.get_symbols() if s.is_imported()}
+    used = _global_reads(table) | _annotation_names(tree) | _exempt(tree)
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    path = PACKAGE / module
+    assert unused_imports(path.read_text(), str(path)) == []
+
+
+def test_detector_sees_through_shadowing_and_annotations():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "from typing import Callable, Sequence\n"
+              "from dataclasses import dataclass, field\n"
+              "__all__ = ['dataclass']\n"
+              "def integrate(field, x: Sequence) -> float:\n"
+              "    return field(x)\n")
+    assert unused_imports(source) == ["Callable", "field", "math"]
