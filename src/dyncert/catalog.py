@@ -303,6 +303,9 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
     f = lyness_map(n, a)
     region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
     pts = sample(region, points, seed)
+    # certify's infinitesimal_commutation scale is 1 + max(|x|, |f(x)|,
+    # |v(x)|); the part without v is shared by every variant
+    base = [max(np.linalg.norm(x), np.linalg.norm(f.apply(x))) for x in pts]
     results = []
     combos = []
     for s1 in (1.0, -1.0):
@@ -317,9 +320,9 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
                             func=_lyness_v1_components(n, signs, shift),
                             name="variant")
             worst = 0.0
-            for x in pts:
+            for x, nx in zip(pts, base):
                 r = infinitesimal_commutation_residual(f, v, x)
-                sc = 1.0 + max(np.linalg.norm(x), np.linalg.norm(v(x)))
+                sc = 1.0 + max(nx, np.linalg.norm(v(x)))
                 worst = max(worst, float(np.linalg.norm(r)) / sc)
         except (ZeroDivisionError, ValueError, IndexError):
             continue

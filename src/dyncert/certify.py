@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 CAVEAT = "numerical evidence, not proof"
+# default spot-check times of flow commutation
+FLOW_TIMES = (-1.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,7 @@ def _verdict(conditions) -> str:
 def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
                       region: SamplingRegion,
                       tol: Tolerances | None = None,
-                      flow_times=(-1.0, 0.5, 1.0),
+                      flow_times=FLOW_TIMES,
                       samples: int | None = None,
                       seed: int | None = None,
                       flow_cfg: IntegratorConfig | None = None,

@@ -146,7 +146,8 @@ def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
                 break
         if not converged:
             continue
-        residual = f.distance(_iterate_with_jacobian(f, x, k)[0], x)
+        # fk and jac are (f^k(x), D f^k(x)) at the converged x
+        residual = f.distance(fk, x)
         if residual > 1e-10 * (1.0 + np.linalg.norm(x)):
             continue
         if any(f.distance(x, p.x) <= dedup_radius for p in found):
@@ -158,8 +159,7 @@ def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
                 if f.distance(fd, x) <= dedup_radius:
                     period = d
                     break
-        _, jk = _iterate_with_jacobian(f, x, k)
-        moduli = tuple(float(m) for m in eigen_moduli(jk))
+        moduli = tuple(float(m) for m in eigen_moduli(jac))
         found.append(PeriodicPoint(x=tuple(x), period=period,
                                    multiplier_moduli=moduli,
                                    classification=_classify(moduli)))

@@ -9,9 +9,12 @@ from dyncert.catalog import (ParameterError, build, list_entries,
                              lyness_integral_values, lyness_integrals,
                              lyness_map, lyness_symmetry_field,
                              lyness_symmetry_variants, parse_blocks)
-from dyncert.certify import certify_structure
+from dyncert.certify import (certify_structure,
+                             infinitesimal_commutation_residual)
 from dyncert.cli import main as cli_main
-from dyncert.core import IntegrabilityStructure, iterate, sample
+from dyncert.core import (IntegrabilityStructure, SamplingRegion, iterate,
+                          sample)
+from dyncert.jets import jet_gradient, jet_jacobian
 
 
 class TestRegistry:
@@ -174,6 +177,21 @@ class TestLynessSymmetry:
         scores = [s for _, s in results]
         assert scores == sorted(scores)
 
+    def test_variant_score_uses_certify_scale(self):
+        # the unperturbed variant is the catalog's candidate field; its score
+        # is normalised like certify's infinitesimal_commutation; at a=2
+        # the |f(x)| term changes the score
+        f = lyness_map(3, 2.0)
+        v = lyness_symmetry_field(3, 2.0)
+        pts = sample(SamplingRegion(box=((0.5, 3.0),) * 3), 20, 42)
+        expected = max(
+            np.linalg.norm(infinitesimal_commutation_residual(f, v, x))
+            / (1.0 + max(np.linalg.norm(x), np.linalg.norm(f.apply(x)),
+                         np.linalg.norm(v(x))))
+            for x in pts)
+        scores = dict(lyness_symmetry_variants(3, 2.0, points=20, seed=42))
+        assert scores["signs=(1, 1, 1, 1), mid_product_bound=2"] == expected
+
     def test_variant_search_deterministic(self):
         a = lyness_symmetry_variants(3, 1.0, points=10, seed=7)
         b = lyness_symmetry_variants(3, 1.0, points=10, seed=7)
@@ -213,3 +231,32 @@ class TestOtherEntries:
         f, _, region = build("lyness", n=3, a=1.0)
         for x in sample(region, 100, seed=42):
             assert all(v > 0 for v in f.apply(x))
+
+
+ANALYTIC_CASES = [
+    ("affine1d", {"a": 2.0}),
+    ("affine1d", {"a": 1.0}),
+    ("rigid_rotation", {}),
+    ("linear", {"blocks": "2:3"}),
+    ("linear", {"blocks": "2:2,-0.5:1"}),
+    ("cat_map", {}),
+    ("twist", {"n": 3}),
+]
+
+
+@pytest.mark.parametrize("name,params", ANALYTIC_CASES)
+def test_analytic_derivatives_match_jets(name, params):
+    # a hand-written derivative must agree with the jets it replaces
+    f, s, region = build(name, **params)
+    pairs = [(f.analytic_jacobian, lambda x: jet_jacobian(f.forward, x))]
+    if s is not None:
+        pairs += [(v.analytic_jacobian, lambda x, v=v: jet_jacobian(v.func, x))
+                  for v in s.fields]
+        pairs += [(g.analytic_gradient,
+                   lambda x, g=g: jet_gradient(g.func, x))
+                  for g in s.integrals]
+    assert all(analytic is not None for analytic, _ in pairs)
+    for x in sample(region, 8, 3):
+        for analytic, by_jets in pairs:
+            np.testing.assert_array_equal(np.asarray(analytic(x), float),
+                                          np.asarray(by_jets(x), float))

@@ -103,6 +103,20 @@ class TestCertify:
                               "--structure-file", str(struct)])
         assert result.exit_code == 2
 
+    def test_variant_search_skips_structure_file(self, runner, tmp_path):
+        # the search scores the catalog's own candidate field, not a field
+        # from --structure-file
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({"dim": 2, "fields": [["x1", "x2"]]}))
+        out = tmp_path / "r.json"
+        result = run(runner, ["certify", "--map", "lyness", "--samples", "20",
+                              "--structure-file", str(struct),
+                              "-o", str(out)])
+        assert result.exit_code == 1
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "FAIL"
+        assert "variant_search" not in data
+
     def test_config_file_merged_under_flags(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"map_name": "affine1d",
@@ -114,6 +128,76 @@ class TestCertify:
         data = json.loads(out.read_text())
         assert data["config"]["map"] == "affine1d"
         assert data["config"]["samples"] == 30
+
+
+BAD_INPUTS = [
+    ["certify", "--map", "affine1d", "--samples", "0"],
+    ["certify", "--map", "affine1d", "--samples", "-3"],
+    ["certify", "--map", "affine1d", "--algebraic-tol", "0"],
+    ["certify", "--map", "affine1d", "--flow-tol", "0"],
+    ["certify", "--map", "affine1d", "--flow-tol", "-1"],
+    ["certify", "--map", "affine1d", "--ae-fraction", "0.5"],
+    ["lift-certify", "--map", "affine1d", "--momentum-box", "0"],
+    ["lift-certify", "--map", "affine1d", "--momentum-box", "-1"],
+    ["orbit", "--map", "cat_map", "--x0", "0.1,0.2", "-N", "0"],
+    ["lyapunov", "--map", "cat_map", "--x0", "0.1,0.2", "-N", "10"],
+    ["periodic", "--map", "cat_map", "-k", "0"],
+    ["periodic", "--map", "cat_map", "--seed", "-1"],
+    ["certify", "--map", "affine1d", {"samples": "abc"}],
+    ["certify", "--map", "affine1d", {"flow_times": [0.5]}],
+    ["orbit", "--map", "cat_map", {"x0": 0.5}],
+]
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS,
+                         ids=lambda a: " ".join(map(str, a)))
+def test_bad_input_exit_two(runner, tmp_path, args):
+    if isinstance(args[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(args[-1]))
+        args = args[:-1] + ["--config", str(cfg)]
+    result = run(runner, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "Error: Invalid value" in result.stderr
+
+
+class TestConfig:
+    def write(self, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        return str(cfg)
+
+    def orbit_points(self, runner, tmp_path, extra):
+        out = tmp_path / "orbit.json"
+        cfg = self.write(tmp_path, {"n_steps": 5})
+        result = run(runner, ["orbit", "--map", "lyness", "--param", "n=2",
+                              "--x0", "1,2", "--config", cfg, "-o", str(out),
+                              *extra])
+        assert result.exit_code == 0
+        return json.loads(out.read_text())["points"]
+
+    def test_file_beats_default(self, runner, tmp_path):
+        assert len(self.orbit_points(runner, tmp_path, [])) == 6
+
+    def test_flag_beats_file(self, runner, tmp_path):
+        assert len(self.orbit_points(runner, tmp_path, ["-N", "7"])) == 8
+
+    def test_unknown_key_exit_two(self, runner, tmp_path):
+        cfg = self.write(tmp_path, {"map": "twist"})
+        result = run(runner, ["certify", "--config", cfg])
+        assert result.exit_code == 2
+        assert "unknown keys map" in result.stderr
+
+    def test_rank_threshold_reaches_report(self, runner, tmp_path):
+        cfg = self.write(tmp_path, {"map_name": "affine1d", "samples": 20,
+                                    "rank_threshold": 0.5})
+        out = tmp_path / "r.json"
+        result = run(runner, ["certify", "--config", cfg, "-o", str(out)])
+        assert result.exit_code == 0
+        tol = json.loads(out.read_text())["report"]["tolerances"]
+        assert tol["rank_threshold"] == 0.5
+        assert tol["algebraic_tol"] == 1e-9
 
 
 class TestOrbit:
