@@ -20,7 +20,7 @@ from .dynamics import (Orbit, PeriodicPoint, RotationEstimate,
                        level_set_drift, lyapunov_spectrum, rotation_number)
 from .jets import Jet
 from .numerics import (IntegratorConfig, RankEstimate, eigen_moduli,
-                       integrate_flow, jacobian, numerical_rank)
+                       integrate_flow, numerical_rank)
 
 __all__ = [
     "__version__",
@@ -39,5 +39,5 @@ __all__ = [
     "level_set_drift", "lyapunov_spectrum", "rotation_number",
     "Jet",
     "IntegratorConfig", "RankEstimate", "eigen_moduli", "integrate_flow",
-    "jacobian", "numerical_rank",
+    "numerical_rank",
 ]

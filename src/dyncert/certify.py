@@ -4,7 +4,7 @@ Both certifiers share one pipeline: sample once, apply ``f`` once per point
 (a guard failure drops and counts the point), then one ``at_point(x, f(x))``
 call evaluates each field, integral, gradient and Jacobian at most once and
 returns a residual and a scale per condition.  Flow commutation is a second
-phase on the first ``flow_point_cap`` kept points.
+phase on the first ``FLOW_POINT_CAP`` kept points.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
@@ -44,8 +44,11 @@ __all__ = [
 ]
 
 CAVEAT = "numerical evidence, not proof"
-# default spot-check times of flow commutation
+# default spot-check times of flow commutation, the number of kept points
+# it integrates from and the integrator settings it uses
 FLOW_TIMES = (-1.0, 0.5, 1.0)
+FLOW_POINT_CAP = 50
+FLOW_CONFIG = IntegratorConfig()
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,11 @@ class Tolerances:
     ae_fraction: float = 0.99
 
     def __post_init__(self):
-        if min(self.algebraic_tol, self.flow_tol, self.rank_threshold) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.algebraic_tol < np.inf
+                and 0.0 < self.flow_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.rank_threshold < 1.0:
+            raise ValueError("rank_threshold must lie in (0, 1)")
         if not 0.5 < self.ae_fraction <= 1.0:
             raise ValueError("ae_fraction must lie in (0.5, 1]")
 
@@ -178,7 +184,6 @@ def flow_commutation_residual(f: SmoothMap, x_field: VectorField, x, t: float,
                               cfg: IntegratorConfig | None = None,
                               safe_region=None) -> np.ndarray:
     """f(phi^t(x)) - phi^t(f(x)), wrapped on circle coordinates."""
-    cfg = cfg or IntegratorConfig()
     try:
         phi_x = integrate_flow(x_field, x, t, cfg, safe_region)
     except IntegrationError as err:
@@ -340,19 +345,16 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
                       flow_times=FLOW_TIMES,
                       samples: int | None = None,
                       seed: int | None = None,
-                      flow_cfg: IntegratorConfig | None = None,
-                      flow_point_cap: int = 50,
                       map_name: str = "",
                       parameters: dict | None = None) -> CertificationReport:
     """Run every applicable integrability condition over sampled points.
 
     Pointwise guard failures are excluded from statistics and counted.
     Flow commutation is spot-checked at ``flow_times`` on up to
-    ``flow_point_cap`` of the sampled points; a condition whose trajectories
+    ``FLOW_POINT_CAP`` of the sampled points; a condition whose trajectories
     exit the guard at more than half of the attempted points fails.
     """
     tol = tol or Tolerances()
-    flow_cfg = flow_cfg or IntegratorConfig()
     seed = region.rng_seed if seed is None else seed
     fields, integrals = s.fields, s.integrals
     pairs = [(j, k) for j in range(len(fields))
@@ -410,7 +412,7 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     # already failed the pointwise check are not integrated: the flow check
     # is implied by the infinitesimal one and trajectories of a
     # non-commuting candidate routinely exhaust the step budget.
-    flow_points = points[:flow_point_cap]
+    flow_points = points[:FLOW_POINT_CAP]
     for j, x_fld in enumerate(fields):
         row = commutation_row + j
         if not stats[row].passed:
@@ -419,7 +421,8 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
             vals, used, used_scales, skipped = [], [], [], 0
             for i, x in enumerate(flow_points):
                 try:
-                    r = flow_commutation_residual(f, x_fld, x, t, flow_cfg)
+                    r = flow_commutation_residual(f, x_fld, x, t,
+                                                  FLOW_CONFIG)
                 except (IntegrationError, DomainError):
                     skipped += 1
                     continue

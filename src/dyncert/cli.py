@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 
@@ -41,11 +42,24 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 _TOL = Tolerances()
-_POSITIVE = click.FloatRange(min=0.0, min_open=True)
 
 
 class ConfigError(ValueError):
     pass
+
+
+class _FiniteRange(click.FloatRange):
+    """A float range that also rejects nan and inf (nan passes every
+    comparison a range makes)."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number", param, ctx)
+        return value
+
+
+_POSITIVE = _FiniteRange(min=0.0, min_open=True)
 
 
 def _emit_error(kind: str, message: str):
@@ -110,7 +124,7 @@ def _parse_params(ctx, param, items) -> dict:
 
 
 class _Floats(click.ParamType):
-    """Comma-separated floats, converted to a tuple."""
+    """Comma-separated finite floats, converted to a tuple."""
 
     name = "floats"
 
@@ -118,10 +132,13 @@ class _Floats(click.ParamType):
         if isinstance(value, tuple):  # a declared default
             return value
         try:
-            return tuple(float(v) for v in value.split(",") if v.strip())
+            out = tuple(float(v) for v in value.split(",") if v.strip())
+            if all(map(math.isfinite, out)):
+                return out
         except (AttributeError, ValueError):
-            self.fail(f"expected comma-separated floats, got {value!r}",
-                      param, ctx)
+            pass
+        self.fail(f"expected comma-separated finite floats, got {value!r}",
+                  param, ctx)
 
 
 def _load_config(ctx, param, path):
@@ -145,7 +162,10 @@ def _load_config(ctx, param, path):
     ctx.default_map = data
 
 
-def _build_target(map_name, params, structure_file):
+def _build_target(map_name, params, structure_file=None, x0=None):
+    """The catalog map, its structure (or the structure file's) and its
+    region; a structure or start point of the wrong dimension is a
+    configuration error."""
     try:
         f, s, region = catalog.build(map_name, **params)
     except (catalog.ParameterError, TypeError, ValueError) as err:
@@ -160,6 +180,9 @@ def _build_target(map_name, params, structure_file):
             raise ConfigError(
                 f"structure dimension {s.dim} does not match map "
                 f"dimension {f.dim}")
+    if x0 is not None and len(x0) != f.dim:
+        raise ConfigError(f"--x0 has dimension {len(x0)}, map needs "
+                          f"{f.dim}")
     return f, s, region
 
 
@@ -185,8 +208,9 @@ _map_opt = click.option("--map", "map_name", required=True,
 _param_opt = click.option("--param", "params", multiple=True,
                           callback=_parse_params,
                           help="map parameter key=value (repeatable)")
-_seed_opt = click.option("--seed", type=click.IntRange(min=0), default=42,
-                         help="sampling seed")
+_seed_opt = click.option("--seed",
+                         type=click.IntRange(min=0, max=2**128 - 1),
+                         default=42, help="sampling seed")
 _samples_opt = click.option("--samples", type=click.IntRange(min=1),
                             default=1000, help="sample count")
 _x0_opt = click.option("--x0", type=_Floats(), required=True,
@@ -254,10 +278,12 @@ def list_cmd():
               help="comma-separated flow spot-check times")
 @click.option("--algebraic-tol", type=_POSITIVE, default=_TOL.algebraic_tol)
 @click.option("--flow-tol", type=_POSITIVE, default=_TOL.flow_tol)
-@click.option("--rank-threshold", type=_POSITIVE,
+@click.option("--rank-threshold",
+              type=_FiniteRange(min=0.0, max=1.0, min_open=True,
+                                max_open=True),
               default=_TOL.rank_threshold)
 @click.option("--ae-fraction",
-              type=click.FloatRange(min=0.5, max=1.0, min_open=True),
+              type=_FiniteRange(min=0.5, max=1.0, min_open=True),
               default=_TOL.ae_fraction,
               help="share of points that must have full rank")
 @click.option("--structure-file", default=None,
@@ -304,7 +330,7 @@ def certify(map_name, params, samples, seed, flow_times, algebraic_tol,
 @_reporting
 def lift_certify(map_name, params, samples, seed, momentum_box):
     """Cotangent-lift a map and certify the lifted integral family."""
-    f, s, region = _build_target(map_name, params, None)
+    f, s, region = _build_target(map_name, params)
     if s is None:
         s = IntegrabilityStructure(dim=f.dim)
     lifted, integrals = lift_structure(f, s)
@@ -337,10 +363,7 @@ def lift_certify(map_name, params, samples, seed, momentum_box):
 @_reporting
 def orbit(map_name, params, x0, n_steps, fmt):
     """Compute an orbit (one row per iterate in CSV mode)."""
-    f, _, _ = _build_target(map_name, params, None)
-    if len(x0) != f.dim:
-        raise ConfigError(f"--x0 has dimension {len(x0)}, map needs "
-                          f"{f.dim}")
+    f, _, _ = _build_target(map_name, params, x0=x0)
     orb = compute_orbit(f, x0, n_steps)
     if fmt == "csv":
         return (["k"] + [f"x{i + 1}" for i in range(f.dim)],
@@ -364,7 +387,7 @@ def orbit(map_name, params, x0, n_steps, fmt):
 @_reporting
 def lyapunov(map_name, params, x0, n_steps, fmt):
     """Lyapunov spectrum along an orbit (one row per exponent in CSV)."""
-    f, _, _ = _build_target(map_name, params, None)
+    f, _, _ = _build_target(map_name, params, x0=x0)
     spectrum = lyapunov_spectrum(f, x0, n_steps)
     if fmt == "csv":
         return (["index", "exponent"],
@@ -383,12 +406,17 @@ def lyapunov(map_name, params, x0, n_steps, fmt):
 @_param_opt
 @click.option("--x0", type=_Floats(), default=(0.0,),
               help="comma-separated start point")
-@click.option("-N", "n_steps", type=int, default=10000)
-@click.option("--windows", type=int, default=4)
+@click.option("-N", "n_steps", type=click.IntRange(min=1), default=10000)
+@click.option("--windows", type=click.IntRange(min=1), default=4)
 @_reporting
 def rotation(map_name, params, x0, n_steps, windows):
     """Rotation number of a 1-D circle map."""
-    f, _, _ = _build_target(map_name, params, None)
+    f, _, _ = _build_target(map_name, params, x0=x0)
+    if f.dim != 1 or f.phase_topology is None or f.phase_topology[0] is None:
+        raise ConfigError(f"map {map_name} is not a 1-D circle map")
+    if n_steps < windows:
+        raise ConfigError(f"-N {n_steps} is smaller than --windows "
+                          f"{windows}")
     est = rotation_number(f, x0[0], n_steps, windows)
     return {
         "config": _config_dict("rotation", map=map_name, params=params, x0=x0,
@@ -406,12 +434,12 @@ def rotation(map_name, params, x0, n_steps, windows):
 @_param_opt
 @click.option("-k", "period", type=click.IntRange(min=1), default=1,
               help="iterate whose fixed points are sought")
-@click.option("--seeds", type=int, default=100)
+@click.option("--seeds", type=click.IntRange(min=1), default=100)
 @_seed_opt
 @_reporting
 def periodic(map_name, params, period, seeds, seed):
     """Find periodic points by Newton iteration from sampled seeds."""
-    f, s, region = _build_target(map_name, params, None)
+    f, s, region = _build_target(map_name, params)
     pts = find_periodic_points(f, period, region, seeds, seed=seed)
     return {
         "config": _config_dict("periodic", map=map_name, params=params,
@@ -432,11 +460,11 @@ def periodic(map_name, params, period, seeds, seed):
 @_map_opt
 @_param_opt
 @_x0_opt
-@click.option("-N", "n_steps", type=int, default=10000)
+@click.option("-N", "n_steps", type=click.IntRange(min=1), default=10000)
 @_reporting
 def drift(map_name, params, x0, n_steps):
     """Conservation drift of the catalog integrals along an orbit."""
-    f, s, _ = _build_target(map_name, params, None)
+    f, s, _ = _build_target(map_name, params, x0=x0)
     if s is None or not s.integrals:
         raise ConfigError(f"map {map_name} has no catalog integrals")
     drifts, reached = level_set_drift(f, s.integrals, x0, n_steps)
@@ -458,7 +486,7 @@ def drift(map_name, params, x0, n_steps):
 @_reporting
 def translation(map_name, params, x0):
     """Fit flow times with phi^t(x) = f(x) for the catalog structure."""
-    f, s, _ = _build_target(map_name, params, None)
+    f, s, _ = _build_target(map_name, params, x0=x0)
     if s is None or s.m < 1:
         raise ConfigError(f"map {map_name} has no catalog symmetry fields")
     cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)

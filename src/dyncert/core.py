@@ -13,11 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import fd_jacobian, float_of, jet_gradient, jet_jacobian
+from .jets import float_of, jet_gradient, jet_jacobian
 
 __all__ = [
     "DomainError",
-    "DerivativeUnavailable",
     "RegionSamplingError",
     "SmoothMap",
     "VectorField",
@@ -37,10 +36,6 @@ class DomainError(ValueError):
         self.step = step
 
 
-class DerivativeUnavailable(RuntimeError):
-    """Black-box object with no analytic derivative and FD not opted in."""
-
-
 class RegionSamplingError(RuntimeError):
     """The guard rejected too many candidate samples."""
 
@@ -49,10 +44,11 @@ class RegionSamplingError(RuntimeError):
 class SmoothMap:
     """An evaluable diffeomorphism on a box-with-circle-flags phase space.
 
-    ``forward`` and ``inverse`` take and return sequences and must accept
-    jet entries unless flagged black-box.  ``phase_topology`` holds one
-    entry per coordinate: ``None`` for a line, or the circumference of a
-    circle coordinate.
+    ``forward`` and ``inverse`` take and return sequences; ``forward``
+    must accept jet entries, which give its Jacobian unless
+    ``analytic_jacobian`` is set.  ``phase_topology`` holds one entry per
+    coordinate: ``None`` for a line, or the circumference of a circle
+    coordinate.
     """
 
     dim: int
@@ -61,8 +57,6 @@ class SmoothMap:
     analytic_jacobian: Callable | None = None
     domain_guard: Callable | None = None
     phase_topology: tuple[float | None, ...] | None = None
-    black_box: bool = False
-    allow_fd: bool = False
     name: str = ""
 
     def _check_guard(self, x, step: int | None = None):
@@ -105,12 +99,6 @@ class SmoothMap:
         """Jacobian rows at ``x`` (entries stay jets under nesting)."""
         if self.analytic_jacobian is not None:
             return self.analytic_jacobian(list(x))
-        if self.black_box:
-            if not self.allow_fd:
-                raise DerivativeUnavailable(
-                    f"{self.name or 'map'} is black-box; finite differences "
-                    "were not opted in")
-            return fd_jacobian(lambda z: self.forward(z), x)
         return jet_jacobian(lambda z: self.forward(z), x)
 
     def displacement(self, a: Sequence, b: Sequence) -> np.ndarray:
@@ -131,8 +119,6 @@ class VectorField:
     dim: int
     func: Callable
     analytic_jacobian: Callable | None = None
-    black_box: bool = False
-    allow_fd: bool = False
     name: str = ""
 
     def __call__(self, x: Sequence) -> list:
@@ -145,12 +131,6 @@ class VectorField:
     def jacobian_at(self, x: Sequence):
         if self.analytic_jacobian is not None:
             return self.analytic_jacobian(list(x))
-        if self.black_box:
-            if not self.allow_fd:
-                raise DerivativeUnavailable(
-                    f"field {self.name or '?'} is black-box; finite "
-                    "differences were not opted in")
-            return fd_jacobian(self.func, x)
         return jet_jacobian(self.func, x)
 
 
@@ -159,8 +139,6 @@ class ScalarField:
     dim: int
     func: Callable
     analytic_gradient: Callable | None = None
-    black_box: bool = False
-    allow_fd: bool = False
     name: str = ""
 
     def __call__(self, x: Sequence):
@@ -169,12 +147,6 @@ class ScalarField:
     def gradient_at(self, x: Sequence) -> list:
         if self.analytic_gradient is not None:
             return list(self.analytic_gradient(list(x)))
-        if self.black_box:
-            if not self.allow_fd:
-                raise DerivativeUnavailable(
-                    f"integral {self.name or '?'} is black-box; finite "
-                    "differences were not opted in")
-            return fd_jacobian(lambda z: [self.func(z)], x)[0]
         return jet_gradient(self.func, x)
 
 

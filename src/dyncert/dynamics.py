@@ -204,6 +204,8 @@ def rotation_number(f: SmoothMap, x0: float, n_steps: int,
     """
     if f.dim != 1 or f.phase_topology is None or f.phase_topology[0] is None:
         raise ValueError("rotation_number needs a 1-D circle map")
+    if not 1 <= windows <= n_steps:
+        raise ValueError("need 1 <= windows <= n_steps")
     circumference = f.phase_topology[0]
     # monotonicity spot check: f' > 0 along a coarse grid
     for i in range(16):
@@ -211,8 +213,7 @@ def rotation_number(f: SmoothMap, x0: float, n_steps: int,
         d = float(np.asarray(f.jacobian_at(xs), dtype=float)[0][0])
         if d <= 0.0:
             raise NonMonotoneMapError(f"f'({xs[0]:g}) = {d:g} <= 0")
-    windows = max(1, windows)
-    per_window = max(1, n_steps // windows)
+    per_window = n_steps // windows
     x = float(x0) % circumference
     estimates = []
     for _ in range(windows):
@@ -262,7 +263,6 @@ def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure, x,
     """
     if s.m < 1:
         raise ValueError("at least one symmetry field is required")
-    cfg = cfg or IntegratorConfig()
     fields = s.fields
     m = len(fields)
     x = [float(v) for v in x]

@@ -4,17 +4,22 @@ Grammar (infix, left-associative, ``^`` right-associative):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
+    factor := ('-' | '+') factor | power
     power  := atom ('^' factor)?
     atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
-Variables are ``x1..xn`` and ``p1..pn``; functions are exp, log, sin, cos,
-sqrt and pow; constants pi and e.  Compiled expressions evaluate on floats
-or jets, so parsed fields and integrals are differentiable.
+NUMBER is digits with an optional fraction and exponent (``2``, ``.5``,
+``1.5e-3``); ``**`` is an alias of ``^``.  Variables are ``x1..xn`` and
+``p1..pn``; functions are exp, log, sin, cos, sqrt (one argument) and pow
+(two); constants pi and e.  Python's parser has this precedence and
+associativity, so the text is parsed with ``ast`` and every node outside the
+grammar is rejected.  Compiled expressions evaluate on floats or jets, so
+parsed fields and integrals are differentiable.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from typing import Callable
@@ -29,10 +34,7 @@ class ExpressionError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-                    r"|([A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(\*\*)"
-                    r"|([-+*/^(),]))")
+_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 
 _FUNCTIONS: dict[str, Callable] = {
     "exp": jets.exp,
@@ -45,172 +47,91 @@ _FUNCTIONS: dict[str, Callable] = {
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    text = text.rstrip()
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ExpressionError(f"bad character at position {pos}: "
-                                  f"{text[pos:pos + 10]!r}")
-        number, name, dstar, op = m.groups()
-        if number is not None:
-            tokens.append(m.group(0).strip())
-        elif name is not None:
-            tokens.append(name)
-        elif dstar is not None:
-            tokens.append("^")
-        else:
-            tokens.append(op)
-        pos = m.end()
-    return tokens
+_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+class _Grammar(ast.NodeTransformer):
+    """Reject every node outside the grammar; fold pi and e, turn numbers
+    into floats and ``^`` into ``pow`` calls, so jets go through
+    ``jets.power``."""
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def __init__(self, source: str, names: list[str]):
+        self.source = source
+        self.names = names
 
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        if expected is not None and tok != expected:
-            raise ExpressionError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
+    def generic_visit(self, node):
+        raise ExpressionError(f"unsupported syntax {ast.unparse(node)!r}")
 
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input near {self.peek()!r}")
+    def visit_BinOp(self, node):
+        if not isinstance(node.op, _BINARY):
+            return self.generic_visit(node)
+        left, right = self.visit(node.left), self.visit(node.right)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("pow", ast.Load()), [left, right], [])
+        node.left, node.right = left, right
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (("add" if op == "+" else "sub"), node, rhs)
+    def visit_UnaryOp(self, node):
+        if isinstance(node.op, ast.UAdd):
+            return self.visit(node.operand)
+        if not isinstance(node.op, ast.USub):
+            return self.generic_visit(node)
+        node.operand = self.visit(node.operand)
         return node
 
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = (("mul" if op == "*" else "div"), node, rhs)
+    def visit_Name(self, node):
+        if node.id in _CONSTANTS:
+            return ast.Constant(_CONSTANTS[node.id])
+        if node.id not in self.names:
+            raise ExpressionError(f"unknown variable {node.id!r}; expected "
+                                  f"one of {', '.join(self.names)}")
         return node
 
-    def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.factor())
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        return self.power()
+    def visit_Constant(self, node):
+        text = ast.get_source_segment(self.source, node)
+        if not _NUMBER.fullmatch(text):
+            raise ExpressionError(f"bad number {text!r}")
+        return ast.Constant(float(text))
 
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return ("pow", base, self.factor())
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.take(")")
-            return node
-        if re.fullmatch(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?", tok):
-            return ("num", float(tok))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            if self.peek() == "(":
-                self.take("(")
-                args = [self.expr()]
-                while self.peek() == ",":
-                    self.take(",")
-                    args.append(self.expr())
-                self.take(")")
-                if tok not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok!r}")
-                return ("call", tok, tuple(args))
-            if tok in _CONSTANTS:
-                return ("num", _CONSTANTS[tok])
-            return ("var", tok)
-        raise ExpressionError(f"unexpected token {tok!r}")
-
-
-def _check_vars(node, dim: int, momentum: bool):
-    kind = node[0]
-    if kind == "var":
-        m = re.fullmatch(r"([xp])(\d+)", node[1])
-        if not m or (m.group(1) == "p" and not momentum):
-            raise ExpressionError(f"unknown variable {node[1]!r}")
-        idx = int(m.group(2))
-        if not 1 <= idx <= dim:
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None)
+        if name not in _FUNCTIONS:
             raise ExpressionError(
-                f"variable {node[1]!r} out of range for dimension {dim}")
-    elif kind == "call":
-        for a in node[2]:
-            _check_vars(a, dim, momentum)
-    elif kind in ("add", "sub", "mul", "div", "pow"):
-        _check_vars(node[1], dim, momentum)
-        _check_vars(node[2], dim, momentum)
-    elif kind == "neg":
-        _check_vars(node[1], dim, momentum)
-
-
-def _evaluate(node, env: dict):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -_evaluate(node[1], env)
-    if kind == "add":
-        return _evaluate(node[1], env) + _evaluate(node[2], env)
-    if kind == "sub":
-        return _evaluate(node[1], env) - _evaluate(node[2], env)
-    if kind == "mul":
-        return _evaluate(node[1], env) * _evaluate(node[2], env)
-    if kind == "div":
-        return _evaluate(node[1], env) / _evaluate(node[2], env)
-    if kind == "pow":
-        return jets.power(_evaluate(node[1], env), _evaluate(node[2], env))
-    if kind == "call":
-        return _FUNCTIONS[node[1]](*[_evaluate(a, env) for a in node[2]])
-    raise ExpressionError(f"bad node {kind!r}")
+                f"unknown function {ast.unparse(node.func)!r}")
+        arity = 2 if name == "pow" else 1
+        if node.keywords or len(node.args) != arity:
+            raise ExpressionError(f"{name} takes {arity} positional "
+                                  f"argument{'s' if arity > 1 else ''}")
+        node.args = [self.visit(a) for a in node.args]
+        return node
 
 
 def parse_expression(text: str, dim: int,
                      momentum: bool = False) -> Callable:
     """Compile an expression over x1..xn (and p1..pn when ``momentum``)
     into a callable on points."""
-    node = _Parser(_tokenize(text)).parse()
+    if not isinstance(text, str):
+        raise ExpressionError(f"expected an expression string, got {text!r}")
     half = dim // 2 if momentum else dim
-    _check_vars(node, half, momentum)
-
-    def ev(point):
-        env = {}
-        if momentum:
-            for i in range(half):
-                env[f"x{i + 1}"] = point[i]
-                env[f"p{i + 1}"] = point[half + i]
-        else:
-            for i in range(dim):
-                env[f"x{i + 1}"] = point[i]
-        return _evaluate(node, env)
-
-    return ev
+    names = [f"x{i + 1}" for i in range(half)]
+    if momentum:
+        names += [f"p{i + 1}" for i in range(half)]
+    source = " ".join(text.split()).replace("^", "**")
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    try:
+        tree = ast.parse(source, mode="eval")
+        body = _Grammar(source, names).visit(tree.body)
+        lam = ast.Expression(ast.Lambda(params, body))
+        code = compile(ast.fix_missing_locations(lam), "<expression>", "eval")
+    except SyntaxError as err:
+        raise ExpressionError(f"cannot parse {text!r}: {err.msg}") from err
+    except RecursionError as err:
+        raise ExpressionError(f"expression nested too deeply: "
+                              f"{text[:40]!r}...") from err
+    fn = eval(code, {"__builtins__": {}, **_FUNCTIONS})
+    k = len(names)
+    return lambda point: fn(*point[:k])
 
 
 def structure_from_dict(data: dict) -> IntegrabilityStructure:
@@ -221,11 +142,13 @@ def structure_from_dict(data: dict) -> IntegrabilityStructure:
     except (KeyError, TypeError, ValueError) as err:
         raise ExpressionError("structure file needs an integer 'dim'") from err
     momentum = bool(data.get("momentum", False))
+    if momentum and dim % 2:
+        raise ExpressionError("a momentum structure needs an even 'dim'")
     fields = []
     for i, comps in enumerate(data.get("fields", [])):
-        if len(comps) != dim:
+        if not isinstance(comps, list) or len(comps) != dim:
             raise ExpressionError(
-                f"field {i + 1} has {len(comps)} components, expected {dim}")
+                f"field {i + 1} must be a list of {dim} expressions")
         evs = [parse_expression(c, dim, momentum) for c in comps]
 
         def ev(x, _evs=tuple(evs)):
@@ -236,5 +159,8 @@ def structure_from_dict(data: dict) -> IntegrabilityStructure:
     for i, expr in enumerate(data.get("integrals", [])):
         ev = parse_expression(expr, dim, momentum)
         integrals.append(ScalarField(dim=dim, func=ev, name=f"F{i + 1}"))
-    return IntegrabilityStructure(dim=dim, fields=tuple(fields),
-                                  integrals=tuple(integrals))
+    try:
+        return IntegrabilityStructure(dim=dim, fields=tuple(fields),
+                                      integrals=tuple(integrals))
+    except ValueError as err:  # more fields and integrals than dim
+        raise ExpressionError(str(err)) from err

@@ -12,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import fd_jacobian, jet_jacobian
-
 __all__ = [
     "RankEstimate",
     "IntegratorConfig",
     "IntegrationError",
     "FlowExitedRegion",
-    "jacobian",
     "numerical_rank",
     "eigen_moduli",
     "integrate_flow",
@@ -52,27 +49,12 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_steps: int = 10**6
-    initial_step: float = 0.0
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-
-
-def jacobian(obj, x, use_fd: bool = False) -> np.ndarray:
-    """Jacobian matrix of a map or field at ``x``.
-
-    ``obj`` is either a raw callable (sequence -> sequence) or any object
-    exposing ``jacobian_at``.  Jets are used unless ``use_fd`` requests the
-    central-difference fallback.
-    """
-    if hasattr(obj, "jacobian_at"):
-        return np.asarray(obj.jacobian_at(list(x)), dtype=float)
-    fn = obj
-    rows = fd_jacobian(fn, x) if use_fd else jet_jacobian(fn, x)
-    return np.asarray(rows, dtype=float)
 
 
 def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD) -> RankEstimate:
@@ -148,8 +130,7 @@ def integrate_flow(field, x0, t: float,
 
     direction = 1.0 if t > 0 else -1.0
     t_abs = abs(t)
-    h = cfg.initial_step if cfg.initial_step > 0 else t_abs / 100.0
-    h = min(h, t_abs)
+    h = t_abs / 100.0
     elapsed = 0.0
     steps = 0
     k = [None] * 7

@@ -251,6 +251,13 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(ae_fraction=0.3)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"algebraic_tol": math.nan}, {"flow_tol": math.inf},
+        {"rank_threshold": math.nan}, {"rank_threshold": 1.0}])
+    def test_rejects_non_finite_and_out_of_range(self, kwargs):
+        with pytest.raises(ValueError):
+            Tolerances(**kwargs)
+
 
 class TestCertifyStructure:
     def _lyness2(self):

@@ -96,6 +96,21 @@ class TestCertify:
         assert result.exit_code == 3
         assert json.loads(result.stderr.splitlines()[-1])["error"] == "runtime"
 
+    @pytest.mark.parametrize("structure", [
+        {"dim": 2, "integrals": ["exp(x1, 2)"]},
+        {"dim": 2, "integrals": ["pow(x1)"]},
+        {"dim": 2, "fields": [5]},
+        {"dim": 2, "integrals": ["x1", "x2", "x1 * x2"]},
+        {"dim": 3, "momentum": True, "integrals": ["x1 * p1"]}], ids=str)
+    def test_bad_structure_exit_two(self, runner, tmp_path, structure):
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps(structure))
+        result = run(runner, ["certify", "--map", "lyness", "--param", "n=2",
+                              "--samples", "20",
+                              "--structure-file", str(struct)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr.splitlines()[-1])["error"] == "config"
+
     def test_structure_dimension_mismatch(self, runner, tmp_path):
         struct = tmp_path / "s.json"
         struct.write_text(json.dumps({"dim": 2, "fields": [["x1", "x2"]]}))
@@ -146,6 +161,20 @@ BAD_INPUTS = [
     ["certify", "--map", "affine1d", {"samples": "abc"}],
     ["certify", "--map", "affine1d", {"flow_times": [0.5]}],
     ["orbit", "--map", "cat_map", {"x0": 0.5}],
+    ["certify", "--map", "affine1d", "--algebraic-tol", "nan"],
+    ["certify", "--map", "affine1d", "--flow-tol", "inf"],
+    ["certify", "--map", "affine1d", "--rank-threshold", "nan"],
+    ["certify", "--map", "affine1d", "--rank-threshold", "2"],
+    ["certify", "--map", "affine1d", "--ae-fraction", "nan"],
+    ["certify", "--map", "affine1d", "--flow-times", "0.5,inf"],
+    ["certify", "--map", "affine1d", {"flow_tol": math.nan}],
+    ["lift-certify", "--map", "affine1d", "--momentum-box", "inf"],
+    ["orbit", "--map", "cat_map", "--x0", "nan,0.2"],
+    ["certify", "--map", "affine1d", "--seed", str(2**128)],
+    ["rotation", "--map", "rigid_rotation", "-N", "0"],
+    ["rotation", "--map", "rigid_rotation", "--windows", "-3"],
+    ["drift", "--map", "lyness", "--x0", "1,2", "-N", "0"],
+    ["periodic", "--map", "cat_map", "--seeds", "-4"],
 ]
 
 
@@ -160,6 +189,25 @@ def test_bad_input_exit_two(runner, tmp_path, args):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "Error: Invalid value" in result.stderr
+
+
+# inputs click accepts that the command rejects with a JSON config line
+CONFIG_ERRORS = [
+    ["lyapunov", "--map", "cat_map", "--x0", "0.1"],
+    ["drift", "--map", "lyness", "--x0", "1"],
+    ["translation", "--map", "affine1d", "--x0", "1,2"],
+    ["rotation", "--map", "rigid_rotation", "--x0", ","],
+    ["rotation", "--map", "cat_map"],
+    ["rotation", "--map", "rigid_rotation", "-N", "3", "--windows", "4"],
+]
+
+
+@pytest.mark.parametrize("args", CONFIG_ERRORS, ids=" ".join)
+def test_config_error_exit_two(runner, args):
+    result = run(runner, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert json.loads(result.stderr.splitlines()[-1])["error"] == "config"
 
 
 class TestConfig:

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dyncert.core import (DerivativeUnavailable, DomainError,
-                          IntegrabilityStructure, RegionSamplingError,
-                          SamplingRegion, ScalarField, SmoothMap, VectorField,
-                          iterate, sample)
+from dyncert.core import (DomainError, IntegrabilityStructure,
+                          RegionSamplingError, SamplingRegion, ScalarField,
+                          SmoothMap, VectorField, iterate, sample)
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,15 +65,6 @@ class TestSmoothMap:
         j = np.asarray(f.jacobian_at([1.0, 1.0]), dtype=float)
         assert np.allclose(j, [[0, 1], [-2, 1]])
 
-    def test_black_box_requires_fd_opt_in(self):
-        f = SmoothMap(dim=1, forward=lambda x: [math.exp(x[0])],
-                      black_box=True)
-        with pytest.raises(DerivativeUnavailable):
-            f.jacobian_at([0.0])
-        g = SmoothMap(dim=1, forward=lambda x: [math.exp(x[0])],
-                      black_box=True, allow_fd=True)
-        assert g.jacobian_at([0.0])[0][0] == pytest.approx(1.0, abs=1e-8)
-
 
 class TestFields:
     def test_vector_field_dimension_check(self):
@@ -89,11 +79,6 @@ class TestFields:
     def test_scalar_field_gradient(self):
         g = ScalarField(dim=2, func=lambda x: x[0] ** 2 + x[1])
         assert g.gradient_at([3.0, 0.0]) == [6.0, 1.0]
-
-    def test_black_box_scalar(self):
-        g = ScalarField(dim=1, func=lambda x: math.sin(x[0]), black_box=True)
-        with pytest.raises(DerivativeUnavailable):
-            g.gradient_at([0.0])
 
 
 class TestStructure:

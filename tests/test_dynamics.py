@@ -137,6 +137,12 @@ class TestRotationNumber:
         with pytest.raises(ValueError):
             rotation_number(f, 0.0, 100)
 
+    @pytest.mark.parametrize("n_steps, windows", [(0, 4), (3, 4), (100, 0)])
+    def test_window_count_checked(self, n_steps, windows):
+        f, _, _ = catalog.build("rigid_rotation", a=1.0)
+        with pytest.raises(ValueError):
+            rotation_number(f, 0.0, n_steps, windows)
+
 
 class TestLevelSetDrift:
     def test_identity_map_zero_drift(self):

@@ -7,43 +7,7 @@ from hypothesis import strategies as st
 
 from dyncert.numerics import (FlowExitedRegion, IntegrationError,
                               IntegratorConfig, eigen_moduli, integrate_flow,
-                              jacobian, numerical_rank)
-
-
-class TestJacobianDispatch:
-    def test_identity(self):
-        j = jacobian(lambda x: list(x), [0.1, 0.2, 0.3, 0.4])
-        assert np.allclose(j, np.eye(4))
-
-    def test_cat_map_matrix(self):
-        j = jacobian(lambda x: [2 * x[0] + x[1], x[0] + x[1]], [0.3, 0.7])
-        assert np.allclose(j, [[2, 1], [1, 1]])
-
-    def test_lyness_n2_hand_derivative(self):
-        # f(x) = (x2, (x2+1)/x1) at (1,1)
-        def f(x):
-            return [x[1], (x[1] + 1.0) / x[0]]
-
-        j = jacobian(f, [1.0, 1.0])
-        assert np.allclose(j, [[0, 1], [-2, 1]])
-
-    def test_fd_fallback_close_to_jets(self):
-        def f(x):
-            return [math.exp(x[0]) * x[1], x[0] ** 3]
-
-        a = jacobian(f, [0.5, 2.0], use_fd=True)
-        def fj(x):
-            from dyncert import jets
-            return [jets.exp(x[0]) * x[1], x[0] ** 3]
-        b = jacobian(fj, [0.5, 2.0])
-        assert np.max(np.abs(a - b)) <= 1e-6
-
-    def test_object_with_jacobian_at(self):
-        class Obj:
-            def jacobian_at(self, x):
-                return [[7.0]]
-
-        assert jacobian(Obj(), [0.0])[0, 0] == 7.0
+                              numerical_rank)
 
 
 class TestNumericalRank:
