@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -294,11 +295,11 @@ def lyness_symmetry_field(n: int, a: float) -> VectorField:
 
 
 def lyness_symmetry_variants(n: int, a: float, points: int = 50,
-                             seed: int = 42, limit: int = 100):
+                             seed: int = 42):
     """Score sign/index-bound perturbations of the candidate symmetry field.
 
-    Returns (descriptor, max normalized commutation residual) pairs sorted
-    best first; at most ``limit`` variants are evaluated.
+    Returns (descriptor, max normalized commutation residual) pairs for the
+    48 variants that evaluate, sorted best first.
     """
     f = lyness_map(n, a)
     region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
@@ -307,14 +308,7 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
     # |v(x)|); the part without v is shared by every variant
     base = [max(np.linalg.norm(x), np.linalg.norm(f.apply(x))) for x in pts]
     results = []
-    combos = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            for s3 in (1.0, -1.0):
-                for s4 in (1.0, -1.0):
-                    for shift in (0, -1, 1):
-                        combos.append(((s1, s2, s3, s4), shift))
-    for signs, shift in combos[:limit]:
+    for signs, shift in product(product((1.0, -1.0), repeat=4), (0, -1, 1)):
         try:
             v = VectorField(dim=n,
                             func=_lyness_v1_components(n, signs, shift),

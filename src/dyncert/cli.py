@@ -24,8 +24,8 @@ import click
 import numpy as np
 
 from . import __version__, catalog
-from .certify import (CAVEAT, FLOW_TIMES, Tolerances, certify_involution,
-                      certify_structure)
+from .certify import (CAVEAT, FLOW_TIMES, MAX_FLOW_TIME, Tolerances,
+                      certify_involution, certify_structure)
 from .constructions import lift_structure
 from .core import (DomainError, IntegrabilityStructure, RegionSamplingError,
                    SamplingRegion)
@@ -124,20 +124,26 @@ def _parse_params(ctx, param, items) -> dict:
 
 
 class _Floats(click.ParamType):
-    """Comma-separated finite floats, converted to a tuple."""
+    """Comma-separated finite floats, converted to a tuple; each must lie
+    in [-bound, bound]."""
 
     name = "floats"
+
+    def __init__(self, bound: float = math.inf):
+        self.bound = bound
+        self.expected = ("finite floats" if bound == math.inf
+                         else f"floats in [-{bound:g}, {bound:g}]")
 
     def convert(self, value, param, ctx):
         if isinstance(value, tuple):  # a declared default
             return value
         try:
             out = tuple(float(v) for v in value.split(",") if v.strip())
-            if all(map(math.isfinite, out)):
+            if all(math.isfinite(v) and abs(v) <= self.bound for v in out):
                 return out
         except (AttributeError, ValueError):
             pass
-        self.fail(f"expected comma-separated finite floats, got {value!r}",
+        self.fail(f"expected comma-separated {self.expected}, got {value!r}",
                   param, ctx)
 
 
@@ -274,8 +280,10 @@ def list_cmd():
 @_param_opt
 @_samples_opt
 @_seed_opt
-@click.option("--flow-times", type=_Floats(), default=FLOW_TIMES,
-              help="comma-separated flow spot-check times")
+@click.option("--flow-times", type=_Floats(MAX_FLOW_TIME),
+              default=FLOW_TIMES,
+              help="comma-separated flow spot-check times, each of "
+                   f"absolute value at most {MAX_FLOW_TIME:g}")
 @click.option("--algebraic-tol", type=_POSITIVE, default=_TOL.algebraic_tol)
 @click.option("--flow-tol", type=_POSITIVE, default=_TOL.flow_tol)
 @click.option("--rank-threshold",

@@ -46,7 +46,11 @@ class SmoothMap:
 
     ``forward`` and ``inverse`` take and return sequences; ``forward``
     must accept jet entries, which give its Jacobian unless
-    ``analytic_jacobian`` is set.  ``phase_topology`` holds one entry per
+    ``analytic_jacobian`` is set.  A set ``analytic_jacobian`` replaces jets
+    everywhere, also inside :func:`~dyncert.constructions.cotangent_lift`,
+    whose Jacobian differentiates it once more; one that returns floats
+    drops those second derivatives, so it is exact only for an affine map.
+    Nothing checks it against jets.  ``phase_topology`` holds one entry per
     coordinate: ``None`` for a line, or the circumference of a circle
     coordinate.
     """
@@ -116,6 +120,12 @@ class SmoothMap:
 
 @dataclass(frozen=True)
 class VectorField:
+    """A vector field; ``func`` must accept jet entries, which give its
+    Jacobian unless ``analytic_jacobian`` is set.  As for
+    :class:`SmoothMap`, a set ``analytic_jacobian`` replaces jets everywhere
+    and, returning floats, is exact under nested jets only for an affine
+    field."""
+
     dim: int
     func: Callable
     analytic_jacobian: Callable | None = None
@@ -136,6 +146,12 @@ class VectorField:
 
 @dataclass(frozen=True)
 class ScalarField:
+    """A scalar function; ``func`` must accept jet entries, which give its
+    gradient unless ``analytic_gradient`` is set.  A set
+    ``analytic_gradient`` replaces jets everywhere (``lift_structure`` hands
+    it on to the lifted integral) and, returning floats, is exact under
+    nested jets only for an affine function."""
+
     dim: int
     func: Callable
     analytic_gradient: Callable | None = None

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 HYPERBOLICITY_TOL = 1e-6
+NEWTON_ITERATIONS = 50  # per start point of either Newton search
+PERIODIC_TOL = 1e-12  # |f^k(x) - x| relative to 1 + |x|
+DEDUP_RADIUS = 1e-6  # periodic points closer than this are one point
+TRANSLATION_TOL = 1e-11  # shooting residual relative to 1 + |f(x)|
 
 
 class ConvergenceError(RuntimeError):
@@ -111,9 +115,6 @@ def _classify(moduli) -> str:
 
 def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
                          seed_count: int = 100,
-                         newton_tol: float = 1e-12,
-                         max_iterations: int = 50,
-                         dedup_radius: float = 1e-6,
                          seed: int | None = None) -> list[PeriodicPoint]:
     """Newton search for roots of f^k(x) - x from sampled starting points.
 
@@ -128,13 +129,13 @@ def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
     for x0 in starts:
         x = list(x0)
         converged = False
-        for _ in range(max_iterations):
+        for _ in range(NEWTON_ITERATIONS):
             try:
                 fk, jac = _iterate_with_jacobian(f, x, k)
             except DomainError:
                 break
             g = f.displacement(fk, x)
-            if np.linalg.norm(g) <= newton_tol * (1.0 + np.linalg.norm(x)):
+            if np.linalg.norm(g) <= PERIODIC_TOL * (1.0 + np.linalg.norm(x)):
                 converged = True
                 break
             try:
@@ -146,17 +147,14 @@ def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
                 break
         if not converged:
             continue
-        # fk and jac are (f^k(x), D f^k(x)) at the converged x
-        residual = f.distance(fk, x)
-        if residual > 1e-10 * (1.0 + np.linalg.norm(x)):
-            continue
-        if any(f.distance(x, p.x) <= dedup_radius for p in found):
+        # jac is D f^k(x) at the converged x
+        if any(f.distance(x, p.x) <= DEDUP_RADIUS for p in found):
             continue
         period = k
         for d in range(1, k):
             if k % d == 0:
                 fd, _ = _iterate_with_jacobian(f, x, d)
-                if f.distance(fd, x) <= dedup_radius:
+                if f.distance(fd, x) <= DEDUP_RADIUS:
                     period = d
                     break
         moduli = tuple(float(m) for m in eigen_moduli(jac))
@@ -252,56 +250,43 @@ def level_set_drift(f: SmoothMap, integrals, x0, n_steps: int):
 
 
 def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure, x,
-                                cfg: IntegratorConfig | None = None,
-                                tol: float = 1e-11,
-                                max_iterations: int = 50,
-                                fd_step: float = 1e-6) -> TranslationEstimate:
+                                cfg: IntegratorConfig | None = None
+                                ) -> TranslationEstimate:
     """Shooting for times t with phi_1^{t_1} o ... o phi_m^{t_m}(x) = f(x).
 
-    Newton iteration from t = 0; the shooting Jacobian uses forward
-    differences in each flow time.
+    Newton iteration from t = 0.  When the flows commute, the derivative of
+    the composition in t_j is X_j at the composed point, so that is the
+    shooting Jacobian's column j; each step is one least-squares solve.  On
+    fields that do not commute the iteration need not converge, and where
+    the fields are dependent the times are not unique; both end in
+    :class:`ConvergenceError`.
     """
     if s.m < 1:
         raise ValueError("at least one symmetry field is required")
-    fields = s.fields
-    m = len(fields)
     x = [float(v) for v in x]
-    target = np.asarray(f.apply(x), dtype=float)
-
-    def compose(ts):
-        y = np.asarray(x, dtype=float)
-        for j in range(m - 1, -1, -1):
-            if ts[j] != 0.0:
-                y = integrate_flow(fields[j], y, float(ts[j]), cfg)
-        return y
-
-    def residual(ts):
-        return np.asarray(
-            f.displacement(list(compose(ts)), list(target)))
-
-    ts = np.zeros(m)
-    r = residual(ts)
-    for _ in range(max_iterations):
-        if np.linalg.norm(r) <= tol * (1.0 + np.linalg.norm(target)):
+    target = f.apply(x)
+    tol = TRANSLATION_TOL * (1.0 + np.linalg.norm(target))
+    ts = np.zeros(s.m)
+    for _ in range(NEWTON_ITERATIONS):
+        y = np.asarray(x)
+        for fld, t in zip(reversed(s.fields), reversed(ts)):
+            if t != 0.0:
+                y = integrate_flow(fld, y, float(t), cfg)
+        y = list(y)
+        r = f.displacement(y, target)
+        if np.linalg.norm(r) <= tol:
             return TranslationEstimate(t0=tuple(float(v) for v in ts),
                                        residual=float(np.linalg.norm(r)))
-        cols = []
-        for j in range(m):
-            tp = ts.copy()
-            tp[j] += fd_step
-            cols.append((residual(tp) - r) / fd_step)
-        jac = np.column_stack(cols) if f.dim > 1 or m > 1 else \
-            np.asarray([[cols[0][0]]])
+        jac = np.column_stack([fld(y) for fld in s.fields])
         try:
-            delta = np.linalg.lstsq(jac, -r, rcond=None)[0] if jac.shape[0] != jac.shape[1] \
-                else np.linalg.solve(jac, -r)
+            step, _, rank, _ = np.linalg.lstsq(jac, r, rcond=None)
         except np.linalg.LinAlgError as err:
-            raise ConvergenceError(f"singular shooting Jacobian: {err}") from err
-        ts = ts + delta
-        r = residual(ts)
-    if np.linalg.norm(r) <= tol * (1.0 + np.linalg.norm(target)):
-        return TranslationEstimate(t0=tuple(float(v) for v in ts),
-                                   residual=float(np.linalg.norm(r)))
+            raise ConvergenceError(f"shooting step failed: {err}") from err
+        if rank < s.m:
+            raise ConvergenceError(
+                f"the symmetry fields have rank {rank} < {s.m} at "
+                f"{[float(v) for v in y]}; the flow times are not unique")
+        ts = ts - step
     raise ConvergenceError(
-        f"no convergence in {max_iterations} iterations "
+        f"no convergence in {NEWTON_ITERATIONS} iterations "
         f"(|residual| = {np.linalg.norm(r):.3e})")

@@ -77,23 +77,10 @@ def eigen_moduli(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eigen_moduli needs a square matrix")
-    if a.shape[0] == 2:
-        # quadratic characteristic polynomial, exact up to rounding
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        disc = tr * tr - 4.0 * det
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            mods = [abs((tr + r) / 2.0), abs((tr - r) / 2.0)]
-        else:
-            # complex-conjugate pair: |lambda|^2 = det
-            mods = [math.sqrt(det)] * 2
-        return np.sort(np.asarray(mods))[::-1]
     return np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
 
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     [],
     [1 / 5],

@@ -167,6 +167,8 @@ BAD_INPUTS = [
     ["certify", "--map", "affine1d", "--rank-threshold", "2"],
     ["certify", "--map", "affine1d", "--ae-fraction", "nan"],
     ["certify", "--map", "affine1d", "--flow-times", "0.5,inf"],
+    ["certify", "--map", "affine1d", "--samples", "5", "--flow-times",
+     "1e308"],
     ["certify", "--map", "affine1d", {"flow_tol": math.nan}],
     ["lift-certify", "--map", "affine1d", "--momentum-box", "inf"],
     ["orbit", "--map", "cat_map", "--x0", "nan,0.2"],
@@ -329,6 +331,27 @@ class TestDataCommands:
         assert result.exit_code == 0
         data = json.loads(out.read_text())
         assert data["t0"][0] == pytest.approx(math.log(2.0), abs=1e-8)
+
+    def test_translation_three_fields(self, runner, tmp_path):
+        # fields A x, N x, N^2 x with A = 2I + N on one 3x3 Jordan block;
+        # log A = ln2 I + N/2 - N^2/8 gives the flow times
+        out = tmp_path / "t.json"
+        result = run(runner, ["translation", "--map", "linear",
+                              "--param", "blocks=2:3", "--x0", "1,0.5,-0.3",
+                              "-o", str(out)])
+        assert result.exit_code == 0
+        ln2 = math.log(2.0)
+        assert json.loads(out.read_text())["t0"] == pytest.approx(
+            [ln2 / 2, (1 - ln2) / 2, -1 / 8], abs=1e-9)
+        # the Lyness candidate field does not commute with the map, and
+        # N^2 x vanishes where x1 = 0, so t3 is not determined there
+        for args in (["lyness", "--param", "n=3", "--param", "symmetry=1",
+                      "--x0", "1,1,1"],
+                     ["linear", "--param", "blocks=2:3", "--x0", "0,0.5,0.3"]):
+            result = run(runner, ["translation", "--map", *args])
+            assert result.exit_code == 3
+            error = json.loads(result.stderr.splitlines()[-1])
+            assert error["error"] == "runtime"
 
 
 class TestLiftCertify:

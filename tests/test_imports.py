@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no module
+defines a private (leading ``_``) module-level name that it never reads.
 
 Stdlib only.  ``symtable`` tells which scopes read a name from the module
 namespace, so a local binding of the same name (a parameter, say) does not
@@ -53,12 +54,26 @@ def _exempt(tree) -> set:
     return names
 
 
-def unused_imports(source: str, filename: str = "<module>") -> list:
+def _unread(source: str, filename: str, picked) -> list:
+    """Module-level names ``picked(symbol)`` selects that nothing in the
+    module reads."""
     table = symtable.symtable(source, filename, "exec")
     tree = ast.parse(source, filename)
-    imported = {s.get_name() for s in table.get_symbols() if s.is_imported()}
+    names = {s.get_name() for s in table.get_symbols() if picked(s)}
     used = _global_reads(table) | _annotation_names(tree) | _exempt(tree)
-    return sorted(imported - used)
+    return sorted(names - used)
+
+
+def unused_imports(source: str, filename: str = "<module>") -> list:
+    return _unread(source, filename, lambda s: s.is_imported())
+
+
+def unused_private_names(source: str, filename: str = "<module>") -> list:
+    """Unread module-level ``_name`` bindings; dunders are exempt."""
+    return _unread(source, filename,
+                   lambda s: s.get_name().startswith("_")
+                   and not s.get_name().endswith("__")
+                   and (s.is_assigned() or s.is_imported()))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -76,3 +91,21 @@ def test_detector_sees_through_shadowing_and_annotations():
               "def integrate(field, x: Sequence) -> float:\n"
               "    return field(x)\n")
     assert unused_imports(source) == ["Callable", "field", "math"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_private_names(module):
+    path = PACKAGE / module
+    assert unused_private_names(path.read_text(), str(path)) == []
+
+
+def test_private_name_detector():
+    source = ("from __future__ import annotations\n"
+              "import math as _math\n"
+              "_A = 1\n_B = 2\n_C = 3\n_D = 4\n"
+              "x: _D = _A\n"
+              "def _f():\n    return _B\n"
+              "class _K:\n    __slots__ = ()\n"
+              "def g(_C):\n    return _C\n"
+              "__all__ = ['x', '_K']\n")
+    assert unused_private_names(source) == ["_C", "_f", "_math"]
