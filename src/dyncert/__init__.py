@@ -19,8 +19,8 @@ from .dynamics import (Orbit, PeriodicPoint, RotationEstimate,
                        estimate_translation_vector, find_periodic_points,
                        level_set_drift, lyapunov_spectrum, rotation_number)
 from .jets import Jet
-from .numerics import (IntegratorConfig, RankEstimate, eigen_moduli,
-                       integrate_flow, numerical_rank)
+from .numerics import (RankEstimate, eigen_moduli, integrate_flow,
+                       numerical_rank)
 
 __all__ = [
     "__version__",
@@ -38,6 +38,5 @@ __all__ = [
     "compute_orbit", "estimate_translation_vector", "find_periodic_points",
     "level_set_drift", "lyapunov_spectrum", "rotation_number",
     "Jet",
-    "IntegratorConfig", "RankEstimate", "eigen_moduli", "integrate_flow",
-    "numerical_rank",
+    "RankEstimate", "eigen_moduli", "integrate_flow", "numerical_rank",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
                    ScalarField, SmoothMap, VectorField, sample)
-from .numerics import (IntegrationError, IntegratorConfig, integrate_flow,
+from .numerics import (FLOW_TOL, IntegrationError, integrate_flow,
                        numerical_rank)
 
 __all__ = [
@@ -44,14 +44,13 @@ __all__ = [
 ]
 
 CAVEAT = "numerical evidence, not proof"
-# default spot-check times of flow commutation, the number of kept points
-# it integrates from and the integrator settings it uses
+# default spot-check times of flow commutation and the number of kept points
+# it integrates from
 FLOW_TIMES = (-1.0, 0.5, 1.0)
-# largest |t| the CLI accepts as a spot-check time: the flow of a unit-rate
-# linear field overflows a double near t = 709
+# largest |t| accepted as a spot-check time: the flow of a unit-rate linear
+# field overflows a double near t = 709
 MAX_FLOW_TIME = 1e3
 FLOW_POINT_CAP = 50
-FLOW_CONFIG = IntegratorConfig()
 
 
 @dataclass(frozen=True)
@@ -184,17 +183,16 @@ def infinitesimal_commutation_residual(f: SmoothMap, x_field: VectorField,
 
 
 def flow_commutation_residual(f: SmoothMap, x_field: VectorField, x, t: float,
-                              cfg: IntegratorConfig | None = None
-                              ) -> np.ndarray:
+                              tol: float = FLOW_TOL) -> np.ndarray:
     """f(phi^t(x)) - phi^t(f(x)), wrapped on circle coordinates."""
     try:
-        phi_x = integrate_flow(x_field, x, t, cfg)
+        phi_x = integrate_flow(x_field, x, t, tol)
     except IntegrationError as err:
         raise IntegrationError(f"flow branch phi^t(x) failed: {err}") from err
     left = f.apply(list(phi_x))
     fx = f.apply(x)
     try:
-        right = integrate_flow(x_field, fx, t, cfg)
+        right = integrate_flow(x_field, fx, t, tol)
     except IntegrationError as err:
         raise IntegrationError(f"flow branch phi^t(f(x)) failed: {err}") from err
     return f.displacement(left, list(right))
@@ -355,8 +353,12 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     Pointwise guard failures are excluded from statistics and counted.
     Flow commutation is spot-checked at ``flow_times`` on up to
     ``FLOW_POINT_CAP`` of the sampled points; a condition whose trajectories
-    exit the guard at more than half of the attempted points fails.
+    exit the guard or blow up at more than half of the attempted points
+    fails.  Every flow time must be finite with ``|t| <= MAX_FLOW_TIME``.
     """
+    if not all(abs(t) <= MAX_FLOW_TIME for t in flow_times):
+        raise ValueError(f"flow times must be finite with |t| <= "
+                         f"{MAX_FLOW_TIME:g}, got {tuple(flow_times)}")
     tol = tol or Tolerances()
     seed = region.rng_seed if seed is None else seed
     fields, integrals = s.fields, s.integrals
@@ -424,8 +426,7 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
             vals, used, used_scales, skipped = [], [], [], 0
             for i, x in enumerate(flow_points):
                 try:
-                    r = flow_commutation_residual(f, x_fld, x, t,
-                                                  FLOW_CONFIG)
+                    r = flow_commutation_residual(f, x_fld, x, t)
                 except (IntegrationError, DomainError):
                     skipped += 1
                     continue

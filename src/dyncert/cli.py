@@ -34,7 +34,7 @@ from .dynamics import (ConvergenceError, NonMonotoneMapError, compute_orbit,
                        level_set_drift, lyapunov_spectrum, rotation_number)
 from .expressions import ExpressionError, structure_from_dict
 from .jets import DerivativeError
-from .numerics import IntegrationError, IntegratorConfig
+from .numerics import IntegrationError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -497,8 +497,7 @@ def translation(map_name, params, x0):
     f, s, _ = _build_target(map_name, params, x0=x0)
     if s is None or s.m < 1:
         raise ConfigError(f"map {map_name} has no catalog symmetry fields")
-    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    est = estimate_translation_vector(f, s, x0, cfg)
+    est = estimate_translation_vector(f, s, x0)
     return {
         "config": _config_dict("translation", map=map_name, params=params,
                                x0=x0),

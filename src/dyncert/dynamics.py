@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
                    SmoothMap, sample)
-from .numerics import IntegratorConfig, eigen_moduli, integrate_flow
+from .numerics import eigen_moduli, integrate_flow
 
 __all__ = [
     "Orbit",
@@ -32,6 +32,7 @@ NEWTON_ITERATIONS = 50  # per start point of either Newton search
 PERIODIC_TOL = 1e-12  # |f^k(x) - x| relative to 1 + |x|
 DEDUP_RADIUS = 1e-6  # periodic points closer than this are one point
 TRANSLATION_TOL = 1e-11  # shooting residual relative to 1 + |f(x)|
+TRANSLATION_FLOW_TOL = 1e-12  # integrator tolerance of the shooting flows
 
 
 class ConvergenceError(RuntimeError):
@@ -249,9 +250,8 @@ def level_set_drift(f: SmoothMap, integrals, x0, n_steps: int):
     return drifts, reached
 
 
-def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure, x,
-                                cfg: IntegratorConfig | None = None
-                                ) -> TranslationEstimate:
+def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure,
+                                x) -> TranslationEstimate:
     """Shooting for times t with phi_1^{t_1} o ... o phi_m^{t_m}(x) = f(x).
 
     Newton iteration from t = 0.  When the flows commute, the derivative of
@@ -271,7 +271,7 @@ def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure, x,
         y = np.asarray(x)
         for fld, t in zip(reversed(s.fields), reversed(ts)):
             if t != 0.0:
-                y = integrate_flow(fld, y, float(t), cfg)
+                y = integrate_flow(fld, y, float(t), TRANSLATION_FLOW_TOL)
         y = list(y)
         r = f.displacement(y, target)
         if np.linalg.norm(r) <= tol:

@@ -3,6 +3,10 @@
 Matrices here are plain ``numpy`` arrays; everything is sized for phase
 spaces of dimension <= 16, so backward-stable LAPACK routines (SVD, QR
 eigenvalue iteration) are used directly.
+
+``integrate_flow`` is Dormand-Prince 5(4) with one tolerance, used as both
+the absolute and the relative error bound.  It reuses each accepted step's
+last stage as the next step's first, so a step costs six field evaluations.
 """
 
 from __future__ import annotations
@@ -14,27 +18,19 @@ import numpy as np
 
 __all__ = [
     "RankEstimate",
-    "IntegratorConfig",
     "IntegrationError",
-    "FlowExitedRegion",
     "numerical_rank",
     "eigen_moduli",
     "integrate_flow",
 ]
 
 DEFAULT_RANK_THRESHOLD = 1e-8
+FLOW_TOL = 1e-10  # default absolute and relative tolerance of integrate_flow
+MAX_STEPS = 10**6  # steps integrate_flow takes before it gives up
 
 
 class IntegrationError(RuntimeError):
     """Adaptive integration could not reach the requested time."""
-
-
-class FlowExitedRegion(IntegrationError):
-    """Trajectory left the declared safe region."""
-
-    def __init__(self, message: str, exit_time: float):
-        super().__init__(message)
-        self.exit_time = exit_time
 
 
 @dataclass(frozen=True)
@@ -42,19 +38,6 @@ class RankEstimate:
     rank: int
     singular_values: tuple[float, ...]  # descending
     threshold: float
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_steps: int = 10**6
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD) -> RankEstimate:
@@ -80,7 +63,8 @@ def eigen_moduli(m) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau.  Its last row is the fifth-order weights, so
+# the seventh stage is the derivative at the fifth-order solution.
 _A = [
     [],
     [1 / 5],
@@ -90,22 +74,21 @@ _A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def integrate_flow(field, x0, t: float,
-                   cfg: IntegratorConfig | None = None,
-                   safe_region=None) -> np.ndarray:
+def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
     """Flow of an autonomous field from ``x0`` for time ``t`` (DOPRI 5(4)).
 
-    ``field`` is a callable or a vector field object; negative ``t``
-    integrates backwards.  ``safe_region`` is an optional predicate; leaving
-    it raises :class:`FlowExitedRegion` with the time reached.
+    ``field`` maps a list of coordinates to the field's components; negative
+    ``t`` integrates backwards.  ``tol`` is both the absolute and the
+    relative error tolerance per step.  Raises :class:`IntegrationError`
+    when the trajectory turns non-finite, when the step no longer advances
+    time (finite-time blow-up) or after ``MAX_STEPS`` steps.
     """
-    cfg = cfg or IntegratorConfig()
-    f = field if callable(field) else field.__call__
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     y = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if t == 0.0:
         return y
@@ -113,41 +96,41 @@ def integrate_flow(field, x0, t: float,
         raise ValueError("integration time must be finite")
 
     def rhs(state):
-        return np.asarray(f(list(state)), dtype=float)
+        return np.asarray(field(list(state)), dtype=float)
 
     direction = 1.0 if t > 0 else -1.0
     t_abs = abs(t)
     h = t_abs / 100.0
     elapsed = 0.0
     steps = 0
-    k = [None] * 7
+    k = [rhs(y)] + [None] * 6
     while elapsed < t_abs:
-        if steps >= cfg.max_steps:
+        if steps >= MAX_STEPS:
             raise IntegrationError(
-                f"step limit {cfg.max_steps} exhausted at t={direction * elapsed:g}")
+                f"step limit {MAX_STEPS} exhausted at t={direction * elapsed:g}")
         steps += 1
         h = min(h, t_abs - elapsed)
+        if elapsed + h <= elapsed:
+            raise IntegrationError(
+                f"step size underflow near t={direction * elapsed:g}")
         hd = direction * h
-        k[0] = rhs(y)
         for i in range(1, 7):
             yi = y + hd * sum(_A[i][j] * k[j] for j in range(i))
             k[i] = rhs(yi)
-        y5 = y + hd * sum(_B5[i] * k[i] for i in range(7))
+        y5 = yi  # the last stage's point is the fifth-order solution
         y4 = y + hd * sum(_B4[i] * k[i] for i in range(7))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
         err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0:
             y = y5
+            k[0] = k[6]
             elapsed += h
-            if safe_region is not None and not safe_region(list(y)):
-                raise FlowExitedRegion(
-                    f"trajectory left the safe region near t={direction * elapsed:g}",
-                    exit_time=direction * elapsed)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(
                     f"trajectory diverged near t={direction * elapsed:g}")
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+        if err > 0.0:
+            factor = 0.9 * (1.0 / err) ** 0.2
+        else:  # a zero error grows the step, a NaN one shrinks it
+            factor = 5.0 if err == 0.0 else 0.2
         h *= min(5.0, max(0.2, factor))
-        if h <= 0.0 or not math.isfinite(h):
-            raise IntegrationError("step size collapsed")
     return y

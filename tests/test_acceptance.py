@@ -32,7 +32,7 @@ from dyncert.dynamics import (estimate_translation_vector,
                               find_periodic_points, level_set_drift,
                               lyapunov_spectrum, rotation_number)
 from dyncert.jets import jet_gradient
-from dyncert.numerics import IntegrationError, IntegratorConfig
+from dyncert.numerics import IntegrationError
 
 
 _CAPSYS = None
@@ -136,7 +136,6 @@ def test_criterion_02_linear_families():
 
 def test_criterion_03_affine_1d():
     rng = np.random.default_rng(42)
-    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
     worst_inf = worst_flow = 0.0
     for _ in range(50):
         a = 0.0
@@ -149,10 +148,10 @@ def test_criterion_03_affine_1d():
             worst_inf = max(worst_inf, abs(float(
                 infinitesimal_commutation_residual(f, v, x)[0])))
         for t in (-1.0, 0.5, 2.0):
-            r = flow_commutation_residual(f, v, [0.7], t, cfg)
+            r = flow_commutation_residual(f, v, [0.7], t, 1e-12)
             worst_flow = max(worst_flow, abs(float(r[0])))
     f, s, _ = catalog.build("affine1d", a=2.0, b=3.0)
-    est = estimate_translation_vector(f, s, [1.0], cfg)
+    est = estimate_translation_vector(f, s, [1.0])
     t0_err = abs(est.t0[0] - math.log(2.0))
     ok = worst_inf <= 1e-12 and worst_flow <= 1e-9 and t0_err <= 1e-8
     _report(3, "affine 1-D symmetries", ok,

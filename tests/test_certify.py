@@ -331,6 +331,21 @@ class TestCertifyStructure:
         assert report.guard_failures > 0
         assert report.guard_failures + report.conditions[0].count == 100
 
+    @pytest.mark.parametrize("t", [1e308, -1e308, 1000.5, math.inf,
+                                   math.nan])
+    def test_flow_times_checked_before_sampling(self, t):
+        f, s, region = build("affine1d")
+        calls = Counter()
+
+        def forward(x, _forward=f.forward):
+            calls["map"] += 1
+            return _forward(x)
+
+        with pytest.raises(ValueError, match="flow times"):
+            certify_structure(replace(f, forward=forward), s, region,
+                              flow_times=(0.5, t), samples=5)
+        assert calls["map"] == 0
+
 
 class TestCertifyInvolution:
     def test_twist_like_lift(self):

@@ -86,6 +86,22 @@ class TestCertify:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["verdict"] == "PASS"
 
+    def test_flow_blow_up_is_a_skipped_point(self, runner, tmp_path):
+        # x1' = x1^2 / x2 commutes with the map but blows up in finite time
+        # from some points; such a trajectory is skipped, not run to the
+        # integrator's step limit
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({"dim": 2,
+                                      "fields": [["x1^2/x2", "0"]]}))
+        result = run(runner, ["certify", "--map", "linear",
+                              "--param", "blocks=2:1,2:1", "--samples", "5",
+                              "--flow-times", "1",
+                              "--structure-file", str(struct)])
+        assert result.exit_code == 0
+        flow = json.loads(result.stdout)["report"]["conditions"][-1]
+        assert flow["name"] == "flow_commutation[X1,t=1]"
+        assert (flow["pass"], flow["count"], flow["skipped"]) == (True, 4, 1)
+
     @pytest.mark.parametrize("integral", ["log(x1 - 5)", "1/(x1 - x1)"])
     def test_expression_pole_exit_three(self, runner, tmp_path, integral):
         struct = tmp_path / "s.json"

@@ -9,7 +9,6 @@ from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               compute_orbit, estimate_translation_vector,
                               find_periodic_points, level_set_drift,
                               lyapunov_spectrum, rotation_number)
-from dyncert.numerics import IntegratorConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,8 +174,7 @@ class TestLevelSetDrift:
 class TestTranslationVector:
     def test_affine_log_two(self):
         f, s, _ = catalog.build("affine1d", a=2.0, b=3.0)
-        est = estimate_translation_vector(
-            f, s, [1.0], IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12))
+        est = estimate_translation_vector(f, s, [1.0])
         assert est.t0[0] == pytest.approx(math.log(2.0), abs=1e-8)
 
     def test_rigid_rotation_angle(self):

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncert.numerics import (FlowExitedRegion, IntegrationError,
-                              IntegratorConfig, eigen_moduli, integrate_flow,
+from dyncert import numerics
+from dyncert.numerics import (IntegrationError, eigen_moduli, integrate_flow,
                               numerical_rank)
+
+
+def counting(fld):
+    """``fld`` with a ``calls`` attribute counting its evaluations."""
+    def counted(x):
+        counted.calls += 1
+        return fld(x)
+    counted.calls = 0
+    return counted
 
 
 class TestNumericalRank:
@@ -106,35 +115,58 @@ class TestIntegrateFlow:
                              0.8)
         assert np.allclose(one, two, atol=1e-8)
 
-    def test_safe_region_exit(self):
-        with pytest.raises(FlowExitedRegion) as exc:
-            integrate_flow(lambda x: [1.0], [0.0], 10.0,
-                           safe_region=lambda x: x[0] < 2.0)
-        assert 0.0 < exc.value.exit_time <= 10.0
-
-    def test_step_budget(self):
-        cfg = IntegratorConfig(max_steps=3)
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_STEPS", 3)
         with pytest.raises(IntegrationError):
             integrate_flow(lambda x: [math.sin(50.0 * x[0]) + 2.0], [0.0],
-                           50.0, cfg)
+                           50.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
         # finite-time blow-up of x' = x^2: either the trajectory is flagged
         # non-finite or the step budget runs out near the singularity
-        cfg = IntegratorConfig(max_steps=20000)
+        monkeypatch.setattr(numerics, "MAX_STEPS", 20000)
         with pytest.raises(IntegrationError):
-            integrate_flow(lambda x: [x[0] ** 2], [1.0], 5.0, cfg)
+            integrate_flow(lambda x: [x[0] ** 2], [1.0], 5.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fld, x0, t", [
+        (lambda x: [x[0] ** 2], 1.0, 5.0),  # blows up at t = 1
+        (lambda x: [np.exp(x[0])], 700.0, 1.0),  # at t = exp(-700)
+    ])
+    def test_blow_up_stops_early(self, fld, x0, t):
+        # near the blow-up the step shrinks until it no longer advances
+        # time; the cap fails fast where the loop would run to MAX_STEPS
+        def capped(x):
+            if capped.calls >= 200_000:
+                raise AssertionError("integration did not stop at the blow-up")
+            capped.calls += 1
+            return fld(x)
+        capped.calls = 0
+        with pytest.raises(IntegrationError):
+            integrate_flow(capped, [x0], t)
+
+    def test_first_stage_reuses_the_last(self):
+        # 4 steps of a constant field, 72 attempted steps of a rotation:
+        # one seed evaluation plus 6 per step, not 7 per step
+        const = counting(lambda x: [1.0])
+        integrate_flow(const, [0.0], 1.0)
+        assert const.calls == 25
+        rot = counting(lambda x: [-x[1], x[0]])
+        integrate_flow(rot, [1.0, 0.5], 3.0)
+        assert rot.calls == 433
 
     def test_nonfinite_time_rejected(self):
         with pytest.raises(ValueError):
             integrate_flow(lambda x: [1.0], [0.0], math.inf)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_steps=0)
+    def test_config_validation(self, monkeypatch):
+        for tol in (0.0, -1e-10, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                integrate_flow(lambda x: [1.0], [0.0], 1.0, tol)
+        monkeypatch.setattr(numerics, "MAX_STEPS", 0)
+        with pytest.raises(IntegrationError):
+            integrate_flow(lambda x: [1.0], [0.0], 1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=-1.5, max_value=1.5),
