@@ -19,8 +19,7 @@ from .dynamics import (Orbit, PeriodicPoint, RotationEstimate,
                        estimate_translation_vector, find_periodic_points,
                        level_set_drift, lyapunov_spectrum, rotation_number)
 from .jets import Jet
-from .numerics import (RankEstimate, eigen_moduli, integrate_flow,
-                       numerical_rank)
+from .numerics import eigen_moduli, integrate_flow, numerical_rank
 
 __all__ = [
     "__version__",
@@ -38,5 +37,5 @@ __all__ = [
     "compute_orbit", "estimate_translation_vector", "find_periodic_points",
     "level_set_drift", "lyapunov_spectrum", "rotation_number",
     "Jet",
-    "RankEstimate", "eigen_moduli", "integrate_flow", "numerical_rank",
+    "eigen_moduli", "integrate_flow", "numerical_rank",
 ]

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .certify import infinitesimal_commutation_residual
+from .certify import _commutation, _norms, _stack
 from .constructions import (JordanBlockSpec, affine1d_symmetry,
                             linear_commutative_family, linear_map)
 from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
@@ -303,23 +303,24 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
     """
     f = lyness_map(n, a)
     region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
-    pts = sample(region, points, seed)
+    pts = np.reshape(sample(region, points, seed), (points, n))
+    images = _stack(f.apply, pts, (n,))
+    df = _stack(f.jacobian_at, pts, (n, n))
     # certify's infinitesimal_commutation scale is 1 + max(|x|, |f(x)|,
     # |v(x)|); the part without v is shared by every variant
-    base = [max(np.linalg.norm(x), np.linalg.norm(f.apply(x))) for x in pts]
+    base = np.maximum(_norms(pts), _norms(images))
     results = []
     for signs, shift in product(product((1.0, -1.0), repeat=4), (0, -1, 1)):
         try:
             v = VectorField(dim=n,
                             func=_lyness_v1_components(n, signs, shift),
                             name="variant")
-            worst = 0.0
-            for x, nx in zip(pts, base):
-                r = infinitesimal_commutation_residual(f, v, x)
-                sc = 1.0 + max(nx, np.linalg.norm(v(x)))
-                worst = max(worst, float(np.linalg.norm(r)) / sc)
+            vx = _stack(v, pts, (n,))
+            residual = _norms(_commutation(df, vx, _stack(v, images, (n,))))
         except (ZeroDivisionError, ValueError, IndexError):
             continue
+        worst = float(np.max(residual / (1.0 + np.maximum(base, _norms(vx))),
+                             initial=0.0))
         desc = (f"signs={tuple(int(s) for s in signs)}, "
                 f"mid_product_bound={n - 1 + shift}")
         results.append((desc, worst))

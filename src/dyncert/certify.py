@@ -1,17 +1,18 @@
 """Residual operations and their aggregation into certification verdicts.
 
-Both certifiers share one pipeline: sample once, apply ``f`` once per point
-(a guard failure drops and counts the point), then one ``at_point(x, f(x))``
-call evaluates each field, integral, gradient and Jacobian at most once and
-returns a residual and a scale per condition.  Flow commutation is a second
-phase on the first ``FLOW_POINT_CAP`` kept points.
+Both certifiers share one pipeline.  A guard pass samples once and applies
+``f`` once per point; a guard failure drops and counts the point.  Each
+field, integral, gradient and Jacobian is then evaluated once per kept point
+into a float stack whose first axis runs over the points, and each condition
+is one formula over those stacks, reported in the order it is computed.  The
+public pointwise residuals call the same formulas on a stack of one.  Flow
+commutation is a second phase on the first ``FLOW_POINT_CAP`` kept points.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
 ``worst_point``, so ``max_abs * scale`` is the raw residual there; rank and
-empty conditions report 1.0.  The public pointwise residuals below are the
-reference definitions.  A PASS verdict means "no counterexample found at
-these tolerances", never a proof.
+empty conditions report 1.0.  A PASS verdict means "no counterexample found
+at these tolerances", never a proof.
 """
 
 from __future__ import annotations
@@ -145,6 +146,65 @@ class CertificationReport:
         }
 
 
+# -- formulas over stacks whose first axis runs over points -----------------
+#
+# Products, dot products and norms (sqrt(v . v)) use batched ``@``, which
+# rounds each point exactly like a pointwise ``@`` or ``np.linalg.norm``;
+# ``np.einsum`` and sums along an axis do not.
+
+
+def _dot(a, b) -> np.ndarray:
+    """a_i . b_i for (points, n) stacks."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norms(v) -> np.ndarray:
+    return np.sqrt(_dot(v, v))
+
+
+def _matvec(m, v) -> np.ndarray:
+    """M_i v_i for a (points, n, n) and a (points, n) stack."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+def _lie_bracket(vj, vk, dj, dk) -> np.ndarray:
+    return _matvec(dk, vj) - _matvec(dj, vk)
+
+
+def _commutation(df, v, v_image) -> np.ndarray:
+    return _matvec(df, v) - v_image
+
+
+def _poisson(gf, gg) -> np.ndarray:
+    n = gf.shape[1] // 2
+    return _dot(gf[:, :n], gg[:, n:]) - _dot(gf[:, n:], gg[:, :n])
+
+
+def _symplecticity(m) -> np.ndarray:
+    n = m.shape[1] // 2
+    form = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    return np.max(np.abs(m.mT @ form @ m - form), axis=(1, 2))
+
+
+def _stack(evaluate: Callable, points: np.ndarray, shape=()) -> np.ndarray:
+    """``evaluate`` at each row of ``points``, passed as a list of plain
+    floats, as a float stack of ``shape`` per point."""
+    out = np.empty((len(points), *shape))
+    for i, x in enumerate(points):
+        out[i] = evaluate(x.tolist())
+    return out
+
+
+def _one(*values) -> list[np.ndarray]:
+    """Each value as a float stack of one point."""
+    return [np.asarray(v, dtype=float)[None] for v in values]
+
+
+def _full_rank(columns, threshold: float) -> np.ndarray:
+    """Per point, whether the (points, n) column stacks have full rank."""
+    return numerical_rank(np.stack(columns, axis=-1), threshold) == len(columns)
+
+
 # -- pointwise residuals -------------------------------------------------
 
 
@@ -152,20 +212,15 @@ def lie_bracket_residual(xj: VectorField, xk: VectorField, x) -> np.ndarray:
     """[Xj, Xk](x) = DXk(x) Xj(x) - DXj(x) Xk(x)."""
     if xj.dim != xk.dim:
         raise ValueError("field dimension mismatch")
-    vj = np.asarray(xj(x), dtype=float)
-    vk = np.asarray(xk(x), dtype=float)
-    dj = np.asarray(xj.jacobian_at(x), dtype=float)
-    dk = np.asarray(xk.jacobian_at(x), dtype=float)
-    return dk @ vj - dj @ vk
+    return _lie_bracket(*_one(xj(x), xk(x), xj.jacobian_at(x),
+                              xk.jacobian_at(x)))[0]
 
 
 def first_integral_residual(f_int: ScalarField, x_field: VectorField, x) -> float:
     """Directional derivative DF(x) . X(x)."""
     if f_int.dim != x_field.dim:
         raise ValueError("dimension mismatch")
-    g = np.asarray(f_int.gradient_at(x), dtype=float)
-    v = np.asarray(x_field(x), dtype=float)
-    return float(g @ v)
+    return float(_dot(*_one(f_int.gradient_at(x), x_field(x)))[0])
 
 
 def map_invariance_residual(f_int: ScalarField, f: SmoothMap, x) -> float:
@@ -177,9 +232,7 @@ def infinitesimal_commutation_residual(f: SmoothMap, x_field: VectorField,
                                        x) -> np.ndarray:
     """Df(x) X(x) - X(f(x)); zero iff the flow of X commutes with f."""
     fx = f.apply(x)
-    df = np.asarray(f.jacobian_at(x), dtype=float)
-    v = np.asarray(x_field(x), dtype=float)
-    return df @ v - np.asarray(x_field(fx), dtype=float)
+    return _commutation(*_one(f.jacobian_at(x), x_field(x), x_field(fx)))[0]
 
 
 def flow_commutation_residual(f: SmoothMap, x_field: VectorField, x, t: float,
@@ -206,72 +259,50 @@ def independence_rank_stats(columns, points, threshold: float = 1e-8):
     """
     if not columns:
         raise ValueError("at least one column is required")
-    deficient = []
-    full = 0
-    for x in points:
-        cols = [c.gradient_at(x) if isinstance(c, ScalarField) else c(x)
-                for c in columns]
-        if _full_rank(cols, threshold):
-            full += 1
-        else:
-            deficient.append(tuple(x))
-    frac = full / len(points) if points else 0.0
-    return frac, deficient
+    xs = np.asarray(points, dtype=float).reshape(len(points), columns[0].dim)
+    full = _full_rank([_stack(c.gradient_at if isinstance(c, ScalarField)
+                              else c, xs, (c.dim,)) for c in columns],
+                      threshold)
+    frac = int(np.count_nonzero(full)) / len(points) if points else 0.0
+    return frac, [tuple(x) for x, ok in zip(points, full) if not ok]
 
 
 def poisson_bracket(f_int: ScalarField, g_int: ScalarField, z) -> float:
     """Canonical {F, G} at z = (q_1..q_n, p_1..p_n)."""
     if f_int.dim % 2 != 0 or f_int.dim != g_int.dim:
         raise ValueError("Poisson bracket needs matching even dimensions")
-    n = f_int.dim // 2
-    gf = np.asarray(f_int.gradient_at(z), dtype=float)
-    gg = np.asarray(g_int.gradient_at(z), dtype=float)
-    return float(gf[:n] @ gg[n:] - gf[n:] @ gg[:n])
+    return float(_poisson(*_one(f_int.gradient_at(z), g_int.gradient_at(z)))[0])
 
 
 def symplecticity_residual(f: SmoothMap, z) -> float:
     """max |M^T J M - J| with M = Df(z) and J the canonical form matrix."""
     if f.dim % 2 != 0:
         raise ValueError("symplecticity needs an even-dimensional map")
-    n = f.dim // 2
-    m = np.asarray(f.jacobian_at(z), dtype=float)
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return float(np.max(np.abs(m.T @ j @ m - j)))
+    return float(_symplecticity(*_one(f.jacobian_at(z)))[0])
 
 
 # -- the certification pipeline -------------------------------------------
 
 
-def _norm(v) -> float:
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
-
-
-def _full_rank(columns, threshold: float) -> bool:
-    """Whether the column vectors have numerical rank equal to their count."""
-    m = np.asarray(columns, dtype=float).T
-    return numerical_rank(m, threshold).rank == len(columns)
-
-
-def _stats(name: str, values, scales, points: list, tol: float,
+def _stats(name: str, residuals, scales, points: np.ndarray, tol: float,
            skipped: int = 0, skip_fail: bool = False) -> ResidualStats:
-    if len(values) == 0:
+    """Statistics of ``residuals / scales`` over ``points``."""
+    if len(residuals) == 0:
         return ResidualStats(name, 0, 0.0, 0.0, 0.0, None, 1.0,
                              passed=not skip_fail, kind="empty",
                              tolerance=tol, skipped=skipped)
-    arr = np.asarray(values)
+    arr = residuals / scales
     worst = int(np.argmax(arr))
     mean = float(np.mean(arr))
     p99 = float(np.percentile(arr, 99))
     p99 = min(max(p99, mean), float(arr.max()))
     return ResidualStats(
         condition_name=name,
-        count=len(values),
+        count=len(arr),
         max_abs=float(arr.max()),
         mean_abs=mean,
         p99_abs=p99,
-        worst_point=tuple(points[worst]),
+        worst_point=tuple(points[worst].tolist()),
         scale=float(scales[worst]),
         passed=(float(arr.max()) <= tol) and not skip_fail,
         tolerance=tol,
@@ -279,18 +310,18 @@ def _stats(name: str, values, scales, points: list, tol: float,
     )
 
 
-def _rank_stats(name: str, deficient: np.ndarray, points: list,
+def _rank_stats(name: str, columns, points: np.ndarray,
                 tol: Tolerances) -> ResidualStats:
-    full = len(points) - int(np.count_nonzero(deficient))
-    frac = full / len(points) if points else 0.0
-    bad = np.flatnonzero(deficient)
+    full = _full_rank(columns, tol.rank_threshold)
+    frac = int(np.count_nonzero(full)) / len(points) if len(points) else 0.0
+    bad = np.flatnonzero(~full)
     return ResidualStats(
         condition_name=name,
         count=len(points),
         max_abs=1.0 - frac,
         mean_abs=1.0 - frac,
         p99_abs=1.0 - frac,
-        worst_point=tuple(points[bad[0]]) if bad.size else None,
+        worst_point=tuple(points[bad[0]].tolist()) if bad.size else None,
         scale=1.0,
         passed=frac >= tol.ae_fraction,
         kind="rank",
@@ -299,39 +330,23 @@ def _rank_stats(name: str, deficient: np.ndarray, points: list,
     )
 
 
-def _certify(f: SmoothMap, region: SamplingRegion, tol: Tolerances,
-             samples: int | None, seed: int, conditions: list,
-             at_point: Callable):
-    """The sampling, guard and evaluation loop both certifiers share.
-
-    ``conditions`` lists ``(name, kind)`` in report order, ``kind`` being
-    "residual" or "rank".  ``at_point(x, fx)`` returns one ``(residual,
-    scale)`` pair per condition; a rank condition's residual is 1.0 where
-    the columns are rank-deficient and 0.0 where they are not.  Returns the
-    kept points, the guard failure count, the statistics of every condition
-    and the (conditions x points) table of scales.
-    """
+def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int | None,
+                seed: int):
+    """Sample once and apply ``f`` once per point; a guard failure drops
+    and counts the point.  Returns the kept points and their images as
+    (points, n) float stacks, and the failure count."""
     raw_points = sample(region, samples, seed)
-    values = np.empty((len(conditions), len(raw_points)))
-    scales = np.empty_like(values)
-    points = []
-    guard_failures = 0
+    points = np.empty((len(raw_points), f.dim))
+    images = np.empty_like(points)
+    kept = 0
     for x in raw_points:
         try:
-            fx = f.apply(x)
+            images[kept] = f.apply(x)
         except DomainError:
-            guard_failures += 1
             continue
-        col = len(points)
-        for c, (residual, scale) in enumerate(at_point(x, fx)):
-            values[c, col] = residual / scale
-            scales[c, col] = scale
-        points.append(x)
-    values, scales = values[:, :len(points)], scales[:, :len(points)]
-    stats = [_rank_stats(name, values[c], points, tol) if kind == "rank"
-             else _stats(name, values[c], scales[c], points, tol.algebraic_tol)
-             for c, (name, kind) in enumerate(conditions)]
-    return points, guard_failures, stats, scales
+        points[kept] = x
+        kept += 1
+    return points[:kept], images[:kept], len(raw_points) - kept
 
 
 def _verdict(conditions) -> str:
@@ -364,53 +379,48 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     fields, integrals = s.fields, s.integrals
     pairs = [(j, k) for j in range(len(fields))
              for k in range(j + 1, len(fields))]
+    dim = f.dim
+    points, images, guard_failures = _guard_pass(f, region, samples, seed)
+    nx, nfx = _norms(points), _norms(images)
+    v = [_stack(x_fld, points, (dim,)) for x_fld in fields]
+    nv = [_norms(u) for u in v]
+    dv = [_stack(x_fld.jacobian_at, points, (dim, dim))
+          for x_fld in fields] if pairs else []
+    val = [_stack(f_int, points) for f_int in integrals]
+    grad = [_stack(f_int.gradient_at, points, (dim,)) for f_int in integrals]
+    df = _stack(f.jacobian_at, points, (dim, dim)) if fields else None
+    stats = []
 
-    # (i) Lie brackets per unordered pair, field rank; (ii) first integrals
-    # of the fields, gradient rank; (iii) commutation, map invariance
-    conditions = [(f"lie_bracket[X{j + 1},X{k + 1}]", "residual")
-                  for j, k in pairs]
+    def report(name, residuals, scales):
+        stats.append(_stats(name, residuals, scales, points, tol.algebraic_tol))
+
+    # (i) Lie brackets per unordered pair, field rank
+    for j, k in pairs:
+        report(f"lie_bracket[X{j + 1},X{k + 1}]",
+               _norms(_lie_bracket(v[j], v[k], dv[j], dv[k])),
+               1.0 + np.maximum(nx, np.maximum(nv[j], nv[k])))
     if fields:
-        conditions.append(("field_independence", "rank"))
-    conditions += [(f"first_integral[F{k + 1},X{j + 1}]", "residual")
-                   for k in range(len(integrals)) for j in range(len(fields))]
+        stats.append(_rank_stats("field_independence", v, points, tol))
+    # (ii) first integrals of the fields, gradient rank
+    for k in range(len(integrals)):
+        for j in range(len(fields)):
+            report(f"first_integral[F{k + 1},X{j + 1}]",
+                   np.abs(_dot(grad[k], v[j])),
+                   1.0 + np.maximum(nx, np.maximum(np.abs(val[k]), nv[j])))
     if integrals:
-        conditions.append(("gradient_independence", "rank"))
-    commutation_row = len(conditions)
-    conditions += [(f"infinitesimal_commutation[X{j + 1}]", "residual")
-                   for j in range(len(fields))]
-    conditions += [(f"map_invariance[F{k + 1}]", "residual")
-                   for k in range(len(integrals))]
-
-    def at_point(x, fx):
-        nx, nfx = _norm(x), _norm(fx)
-        v = [np.asarray(x_fld(x), dtype=float) for x_fld in fields]
-        nv = [_norm(u) for u in v]
-        dv = [np.asarray(x_fld.jacobian_at(x), dtype=float)
-              for x_fld in fields] if pairs else []
-        val = [f_int(x) for f_int in integrals]
-        grad = [np.asarray(f_int.gradient_at(x), dtype=float)
-                for f_int in integrals]
-        out = [(_norm(dv[k] @ v[j] - dv[j] @ v[k]),
-                1.0 + max(nx, nv[j], nv[k])) for j, k in pairs]
-        if fields:
-            out.append((float(not _full_rank(v, tol.rank_threshold)), 1.0))
-        out += [(abs(float(grad[k] @ v[j])),
-                 1.0 + max(nx, abs(float(val[k])), nv[j]))
-                for k in range(len(integrals)) for j in range(len(fields))]
-        if integrals:
-            out.append((float(not _full_rank(grad, tol.rank_threshold)), 1.0))
-        if fields:
-            df = np.asarray(f.jacobian_at(x), dtype=float)
-            out += [(_norm(df @ v[j] - np.asarray(x_fld(fx), dtype=float)),
-                     1.0 + max(nx, nfx, nv[j]))
-                    for j, x_fld in enumerate(fields)]
-        out += [(abs(float(f_int(fx) - val[k])),
-                 1.0 + max(nx, nfx, abs(float(val[k]))))
-                for k, f_int in enumerate(integrals)]
-        return out
-
-    points, guard_failures, stats, scales = _certify(
-        f, region, tol, samples, seed, conditions, at_point)
+        stats.append(_rank_stats("gradient_independence", grad, points, tol))
+    # (iii) infinitesimal commutation, map invariance
+    commutation = []
+    for j, x_fld in enumerate(fields):
+        scales = 1.0 + np.maximum(np.maximum(nx, nfx), nv[j])
+        report(f"infinitesimal_commutation[X{j + 1}]",
+               _norms(_commutation(df, v[j], _stack(x_fld, images, (dim,)))),
+               scales)
+        commutation.append((stats[-1].passed, scales))
+    for k, f_int in enumerate(integrals):
+        report(f"map_invariance[F{k + 1}]",
+               np.abs(_stack(f_int, images) - val[k]),
+               1.0 + np.maximum(np.maximum(nx, nfx), np.abs(val[k])))
 
     # condition (iii), flow level: spot-check f . phi^t = phi^t . f, with
     # the scale of the infinitesimal check at the same point.  Fields that
@@ -418,25 +428,25 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     # is implied by the infinitesimal one and trajectories of a
     # non-commuting candidate routinely exhaust the step budget.
     flow_points = points[:FLOW_POINT_CAP]
-    for j, x_fld in enumerate(fields):
-        row = commutation_row + j
-        if not stats[row].passed:
+    for j, (x_fld, (passed, scales)) in enumerate(zip(fields, commutation)):
+        if not passed:
             continue
         for t in flow_times:
-            vals, used, used_scales, skipped = [], [], [], 0
+            rows, used = [], []
             for i, x in enumerate(flow_points):
                 try:
-                    r = flow_commutation_residual(f, x_fld, x, t)
+                    rows.append(flow_commutation_residual(f, x_fld,
+                                                          x.tolist(), t))
                 except (IntegrationError, DomainError):
-                    skipped += 1
                     continue
-                vals.append(_norm(r) / scales[row, i])
-                used.append(x)
-                used_scales.append(scales[row, i])
-            skip_fail = bool(flow_points) and skipped > len(flow_points) / 2
+                used.append(i)
+            skipped = len(flow_points) - len(used)
+            skip_fail = skipped > len(flow_points) / 2
             stats.append(_stats(f"flow_commutation[X{j + 1},t={t:g}]",
-                                vals, used_scales, used, tol.flow_tol,
-                                skipped=skipped, skip_fail=skip_fail))
+                                _norms(np.reshape(rows, (len(used), dim))),
+                                scales[used], flow_points[used],
+                                tol.flow_tol, skipped=skipped,
+                                skip_fail=skip_fail))
 
     return CertificationReport(
         map_name=map_name or f.name or "map",
@@ -471,37 +481,32 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
         raise ValueError("symplecticity needs an even-dimensional map")
     integrals = tuple(integrals)
     n = f.dim // 2
-    form = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
     pairs = [(j, k) for j in range(len(integrals))
              for k in range(j + 1, len(integrals))]
+    points, images, guard_failures = _guard_pass(f, region, samples, seed)
+    nz, nfz = _norms(points), _norms(images)
+    val = [_stack(g, points) for g in integrals]
+    grad = [_stack(g.gradient_at, points, (f.dim,)) for g in integrals]
+    stats = []
 
-    conditions = [("symplecticity", "residual")]
-    conditions += [(f"map_invariance[G{k + 1}]", "residual")
-                   for k in range(len(integrals))]
-    conditions += [(f"poisson_bracket[G{j + 1},G{k + 1}]", "residual")
-                   for j, k in pairs]
+    def report(name, residuals, scales):
+        stats.append(_stats(name, residuals, scales, points, tol.algebraic_tol))
+
+    # one point at a time: a (points, 2n, 2n) stack of the lift's Jacobians
+    # would set the run's peak memory
+    report("symplecticity",
+           _stack(lambda z: _symplecticity(*_one(f.jacobian_at(z)))[0],
+                  points),
+           1.0 + nz)
+    for k, g in enumerate(integrals):
+        report(f"map_invariance[G{k + 1}]", np.abs(_stack(g, images) - val[k]),
+               1.0 + np.maximum(np.maximum(nz, nfz), np.abs(val[k])))
+    for j, k in pairs:
+        report(f"poisson_bracket[G{j + 1},G{k + 1}]",
+               np.abs(_poisson(grad[j], grad[k])),
+               1.0 + np.maximum(nz, np.maximum(np.abs(val[j]), np.abs(val[k]))))
     if integrals:
-        conditions.append(("gradient_independence", "rank"))
-
-    def at_point(z, fz):
-        nz, nfz = _norm(z), _norm(fz)
-        m = np.asarray(f.jacobian_at(z), dtype=float)
-        val = [g(z) for g in integrals]
-        grad = [np.asarray(g.gradient_at(z), dtype=float) for g in integrals]
-        out = [(float(np.max(np.abs(m.T @ form @ m - form))), 1.0 + nz)]
-        out += [(abs(float(g(fz) - val[k])),
-                 1.0 + max(nz, nfz, abs(float(val[k]))))
-                for k, g in enumerate(integrals)]
-        out += [(abs(float(grad[j][:n] @ grad[k][n:]
-                           - grad[j][n:] @ grad[k][:n])),
-                 1.0 + max(nz, abs(float(val[j])), abs(float(val[k]))))
-                for j, k in pairs]
-        if integrals:
-            out.append((float(not _full_rank(grad, tol.rank_threshold)), 1.0))
-        return out
-
-    _, guard_failures, stats, _ = _certify(f, region, tol, samples, seed,
-                                           conditions, at_point)
+        stats.append(_rank_stats("gradient_independence", grad, points, tol))
     return CertificationReport(
         map_name=map_name or f.name or "lifted map",
         parameters=parameters or {},

@@ -109,8 +109,9 @@ class Jet:
             for _ in range(exponent - 1):
                 out = out * self
             return out
-        dv = exponent * self.value ** (exponent - 1)
-        return Jet(self.value ** exponent, tuple(dv * a for a in self.partials))
+        dv = exponent * power(self.value, exponent - 1)
+        return Jet(power(self.value, exponent),
+                   tuple(dv * a for a in self.partials))
 
     def __mod__(self, modulus):
         # constant shift per branch; derivative unchanged
@@ -163,13 +164,16 @@ def sqrt(x):
 
 
 def power(x, y):
-    """x**y for jets or numbers; y may be a jet."""
+    """x**y for jets or numbers; y may be a jet.  A negative x needs an
+    integer y: its fractional powers are not real."""
     if isinstance(x, Jet) or isinstance(y, Jet):
         if isinstance(x, Jet):
             return x ** y
         if x <= 0:
             raise DerivativeError("power with non-positive base and jet exponent")
         return exp(y * math.log(x))
+    if x < 0 and not float(y).is_integer():
+        raise DerivativeError("fractional power of a negative value")
     return x ** y
 
 

@@ -2,7 +2,8 @@
 
 Matrices here are plain ``numpy`` arrays; everything is sized for phase
 spaces of dimension <= 16, so backward-stable LAPACK routines (SVD, QR
-eigenvalue iteration) are used directly.
+eigenvalue iteration) are used directly.  ``numerical_rank`` also takes a
+stack of matrices, one per sample point, and ranks them in one SVD call.
 
 ``integrate_flow`` is Dormand-Prince 5(4) with one tolerance, used as both
 the absolute and the relative error bound.  It reuses each accepted step's
@@ -12,12 +13,10 @@ last stage as the next step's first, so a step costs six field evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RankEstimate",
     "IntegrationError",
     "numerical_rank",
     "eigen_moduli",
@@ -33,26 +32,17 @@ class IntegrationError(RuntimeError):
     """Adaptive integration could not reach the requested time."""
 
 
-@dataclass(frozen=True)
-class RankEstimate:
-    rank: int
-    singular_values: tuple[float, ...]  # descending
-    threshold: float
-
-
-def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD) -> RankEstimate:
-    """Rank via SVD with a threshold relative to the largest singular value."""
+def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD):
+    """Rank of a matrix, or of each matrix in a stack, via SVD: the number
+    of singular values above ``threshold`` times the largest one."""
     a = np.asarray(m, dtype=float)
-    if a.size == 0:
+    if 0 in a.shape[-2:]:
         raise ValueError("empty matrix")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    sv = np.linalg.svd(a, compute_uv=False)
-    sv = np.sort(sv)[::-1]
-    cut = threshold * sv[0] if sv[0] > 0 else 0.0
-    rank = int(np.count_nonzero(sv > cut)) if sv[0] > 0 else 0
-    return RankEstimate(rank=rank, singular_values=tuple(float(s) for s in sv),
-                        threshold=threshold)
+    sv = np.linalg.svd(a, compute_uv=False)  # descending
+    rank = np.count_nonzero(sv > threshold * sv[..., :1], axis=-1)
+    return int(rank) if a.ndim == 2 else rank
 
 
 def eigen_moduli(m) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyncert import certify
 from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
                              certify_structure, first_integral_residual,
                              flow_commutation_residual,
@@ -184,6 +185,12 @@ class TestRankStats:
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
             independence_rank_stats([], [[0.0]])
+
+    def test_no_points(self):
+        v = VectorField(dim=2, func=lambda x: [x[0], x[1]])
+        g = ScalarField(dim=2, func=lambda x: x[0])
+        assert independence_rank_stats([v, v], []) == (0.0, [])
+        assert independence_rank_stats([g], []) == (0.0, [])
 
 
 class TestPoissonBracket:
@@ -491,3 +498,53 @@ class TestPipeline:
                       for z in kept)
         assert _condition(report, "symplecticity").max_abs == symp
         assert _condition(report, "poisson_bracket[G1,G2]").max_abs == bracket
+
+
+def _table(stack):
+    """Point i = (i, 0, ..., 0) of a given dimension looks up row i."""
+    return lambda x: stack[int(x[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=-6.0, max_value=6.0))
+def test_stacked_formulas_equal_pointwise_residuals(n, count, seed, exponent):
+    """Row i of each stacked formula is the public residual at point i,
+    bit for bit: batched ``@`` rounds like the pointwise ``@`` and norm."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=(count, *shape)) * 10.0 ** exponent
+
+    vj, vk, v_image, g = draw(n), draw(n), draw(n), draw(n)
+    dj, dk, df = draw(n, n), draw(n, n), draw(n, n)
+    xj = VectorField(dim=n, func=_table(np.concatenate([vj, v_image])),
+                     analytic_jacobian=_table(dj))
+    xk = VectorField(dim=n, func=_table(vk), analytic_jacobian=_table(dk))
+    # f moves point i to point count + i, where xj holds v_image
+    f = SmoothMap(dim=n, forward=lambda x: [x[0] + count] + list(x[1:]),
+                  analytic_jacobian=_table(df))
+    grad = ScalarField(dim=n, func=lambda x: 0.0, analytic_gradient=_table(g))
+    even = 2 * ((n + 1) // 2)
+    g1, g2, m = draw(even), draw(even), draw(even, even)
+    h1 = ScalarField(dim=even, func=lambda z: 0.0, analytic_gradient=_table(g1))
+    h2 = ScalarField(dim=even, func=lambda z: 0.0, analytic_gradient=_table(g2))
+    lift = SmoothMap(dim=even, forward=list, analytic_jacobian=_table(m))
+
+    bracket = certify._lie_bracket(vj, vk, dj, dk)
+    directional = certify._dot(g, vj)
+    commutation = certify._commutation(df, vj, v_image)
+    poisson = certify._poisson(g1, g2)
+    symplectic = certify._symplecticity(m)
+    for i in range(count):
+        x = [float(i)] + [0.0] * (n - 1)
+        z = [float(i)] + [0.0] * (even - 1)
+        assert np.array_equal(bracket[i], lie_bracket_residual(xj, xk, x))
+        assert certify._norms(bracket)[i] == np.linalg.norm(bracket[i])
+        assert directional[i] == first_integral_residual(grad, xj, x)
+        assert np.array_equal(commutation[i],
+                              infinitesimal_commutation_residual(f, xj, x))
+        assert poisson[i] == poisson_bracket(h1, h2, z)
+        assert symplectic[i] == symplecticity_residual(lift, z)

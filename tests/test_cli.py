@@ -102,11 +102,26 @@ class TestCertify:
         assert flow["name"] == "flow_commutation[X1,t=1]"
         assert (flow["pass"], flow["count"], flow["skipped"]) == (True, 4, 1)
 
-    @pytest.mark.parametrize("integral", ["log(x1 - 5)", "1/(x1 - x1)"])
-    def test_expression_pole_exit_three(self, runner, tmp_path, integral):
+    @pytest.mark.parametrize("entry, structure", [
+        pytest.param(("lyness", "n=2"), {"integrals": ["log(x1 - 5)"]},
+                     id="log(x1 - 5)"),
+        pytest.param(("lyness", "n=2"), {"integrals": ["1/(x1 - x1)"]},
+                     id="1/(x1 - x1)"),
+        # fractional powers of the linear map's negative coordinates
+        pytest.param(("linear", "blocks=2:2"), {"integrals": ["x1^0.5"]},
+                     id="x1^0.5"),
+        pytest.param(("linear", "blocks=2:2"),
+                     {"integrals": ["pow(x1, 1.5) + x2"]},
+                     id="pow(x1, 1.5) + x2"),
+        pytest.param(("linear", "blocks=2:2"), {"fields": [["x2^0.5", "0"]]},
+                     id="field x2^0.5"),
+    ])
+    def test_expression_pole_exit_three(self, runner, tmp_path, entry,
+                                        structure):
         struct = tmp_path / "s.json"
-        struct.write_text(json.dumps({"dim": 2, "integrals": [integral]}))
-        result = run(runner, ["certify", "--map", "lyness", "--param", "n=2",
+        struct.write_text(json.dumps({"dim": 2, **structure}))
+        name, params = entry
+        result = run(runner, ["certify", "--map", name, "--param", params,
                               "--samples", "20",
                               "--structure-file", str(struct)])
         assert result.exit_code == 3

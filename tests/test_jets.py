@@ -104,6 +104,17 @@ class TestElementaryFunctions:
         assert jets.sin(0.0) == 0.0
         assert jets.power(2.0, 10) == 1024.0
 
+    def test_fractional_power_of_negative_value(self):
+        for base in (-2.0, scalar_jet(-2.0)):
+            with pytest.raises(DerivativeError):
+                jets.power(base, 0.5)
+        with pytest.raises(DerivativeError):
+            scalar_jet(-2.0) ** 1.5
+        assert jets.power(-2.0, 2.0) == 4.0
+        assert jets.power(-2.0, -1) == -0.5
+        y = scalar_jet(-2.0) ** 3.0
+        assert (float_of(y), y.partials[0]) == (-8.0, 12.0)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-2.0, max_value=2.0),

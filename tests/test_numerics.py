@@ -21,19 +21,28 @@ def counting(fld):
 
 class TestNumericalRank:
     def test_identity_full_rank(self):
-        r = numerical_rank(np.eye(3))
-        assert r.rank == 3
-        assert r.singular_values == (1.0, 1.0, 1.0)
+        assert numerical_rank(np.eye(3)) == 3
 
     def test_equal_columns(self):
-        assert numerical_rank([[1.0, 1.0], [2.0, 2.0]]).rank == 1
+        assert numerical_rank([[1.0, 1.0], [2.0, 2.0]]) == 1
 
     def test_linear_family_point(self):
         # columns (2x1, x1+2x2) and (0, x1) at (1,1)
-        assert numerical_rank([[2.0, 0.0], [3.0, 1.0]]).rank == 2
+        assert numerical_rank([[2.0, 0.0], [3.0, 1.0]]) == 2
 
     def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((3, 3))).rank == 0
+        assert numerical_rank(np.zeros((3, 3))) == 0
+
+    def test_stack_ranks_each_matrix(self):
+        rng = np.random.default_rng(3)
+        full = rng.normal(size=(4, 3))
+        deficient = np.column_stack([full[:, 0], 2.0 * full[:, 0], full[:, 2]])
+        stack = np.stack([full, deficient, np.zeros((4, 3)),
+                          np.outer(full[:, 1], [1.0, -1.0, 0.5])])
+        ranks = numerical_rank(stack)
+        assert ranks.tolist() == [numerical_rank(m) for m in stack]
+        assert ranks.tolist() == [3, 2, 0, 1]
+        assert numerical_rank(np.zeros((0, 4, 3))).shape == (0,)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -51,10 +60,10 @@ class TestNumericalRank:
     def test_scaling_and_permutation_invariance(self, shift, scale):
         rng = np.random.default_rng(shift)
         m = rng.normal(size=(4, 3))
-        base = numerical_rank(m).rank
-        assert numerical_rank(scale * m).rank == base
+        base = numerical_rank(m)
+        assert numerical_rank(scale * m) == base
         perm = rng.permutation(4)
-        assert numerical_rank(m[perm]).rank == base
+        assert numerical_rank(m[perm]) == base
 
 
 class TestEigenModuli:
