@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .certify import _commutation, _norms, _stack
+from .certify import commutation_residuals
 from .constructions import (JordanBlockSpec, affine1d_symmetry,
                             linear_commutative_family, linear_map)
 from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
@@ -304,26 +304,25 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
     f = lyness_map(n, a)
     region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
     pts = np.reshape(sample(region, points, seed), (points, n))
-    images = _stack(f.apply, pts, (n,))
-    df = _stack(f.jacobian_at, pts, (n, n))
-    # certify's infinitesimal_commutation scale is 1 + max(|x|, |f(x)|,
-    # |v(x)|); the part without v is shared by every variant
-    base = np.maximum(_norms(pts), _norms(images))
-    results = []
+    images = np.array([f.apply(x) for x in pts.tolist()])
+    descs, values, image_values = [], [], []
     for signs, shift in product(product((1.0, -1.0), repeat=4), (0, -1, 1)):
+        v = VectorField(dim=n,
+                        func=_lyness_v1_components(n, signs, shift),
+                        name="variant")
         try:
-            v = VectorField(dim=n,
-                            func=_lyness_v1_components(n, signs, shift),
-                            name="variant")
-            vx = _stack(v, pts, (n,))
-            residual = _norms(_commutation(df, vx, _stack(v, images, (n,))))
+            vx = [v(x) for x in pts.tolist()]
+            vfx = [v(y) for y in images.tolist()]
         except (ZeroDivisionError, ValueError, IndexError):
             continue
-        worst = float(np.max(residual / (1.0 + np.maximum(base, _norms(vx))),
-                             initial=0.0))
-        desc = (f"signs={tuple(int(s) for s in signs)}, "
-                f"mid_product_bound={n - 1 + shift}")
-        results.append((desc, worst))
+        descs.append(f"signs={tuple(int(s) for s in signs)}, "
+                     f"mid_product_bound={n - 1 + shift}")
+        values.append(np.array(vx, dtype=float))
+        image_values.append(np.array(vfx, dtype=float))
+    # scored like certify's infinitesimal_commutation, Df once per point
+    scored = commutation_residuals(f, values, image_values, pts, images)
+    results = [(desc, float(np.max(residual / scale, initial=0.0)))
+               for desc, (residual, scale) in zip(descs, scored)]
     results.sort(key=lambda item: item[1])
     return results
 

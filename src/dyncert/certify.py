@@ -2,11 +2,14 @@
 
 Both certifiers share one pipeline.  A guard pass samples once and applies
 ``f`` once per point; a guard failure drops and counts the point.  Each
-field, integral, gradient and Jacobian is then evaluated once per kept point
-into a float stack whose first axis runs over the points, and each condition
-is one formula over those stacks, reported in the order it is computed.  The
-public pointwise residuals call the same formulas on a stack of one.  Flow
-commutation is a second phase on the first ``FLOW_POINT_CAP`` kept points.
+field, integral and gradient is then evaluated once per kept point into a
+float stack whose first axis runs over the points, and each condition is
+one formula over those stacks, reported in the order it is computed.
+Jacobians are evaluated once per point too but never stacked: of the map's
+only the products Df X are kept, of the fields' only the Lie bracket norms
+and of the lift's only its symplecticity residual.  The public pointwise
+residuals call the same formulas.  Flow commutation is a second phase on
+the first ``FLOW_POINT_CAP`` kept points.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
@@ -18,6 +21,7 @@ at these tolerances", never a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "first_integral_residual",
     "map_invariance_residual",
     "infinitesimal_commutation_residual",
+    "commutation_residuals",
     "flow_commutation_residual",
     "independence_rank_stats",
     "poisson_bracket",
@@ -148,9 +153,10 @@ class CertificationReport:
 
 # -- formulas over stacks whose first axis runs over points -----------------
 #
-# Products, dot products and norms (sqrt(v . v)) use batched ``@``, which
-# rounds each point exactly like a pointwise ``@`` or ``np.linalg.norm``;
-# ``np.einsum`` and sums along an axis do not.
+# Dot products and norms (sqrt(v . v)) use batched ``@``, which rounds each
+# point exactly like a pointwise ``@`` or ``np.linalg.norm``; ``np.einsum``
+# and sums along an axis do not.  The Lie bracket and commutation take one
+# point, because their Jacobians are evaluated per point and never stacked.
 
 
 def _dot(a, b) -> np.ndarray:
@@ -162,17 +168,14 @@ def _norms(v) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
-def _matvec(m, v) -> np.ndarray:
-    """M_i v_i for a (points, n, n) and a (points, n) stack."""
-    return (m @ v[:, :, None])[:, :, 0]
-
-
 def _lie_bracket(vj, vk, dj, dk) -> np.ndarray:
-    return _matvec(dk, vj) - _matvec(dj, vk)
+    """[Xj, Xk] = DXk Xj - DXj Xk at one point."""
+    return dk @ vj - dj @ vk
 
 
 def _commutation(df, v, v_image) -> np.ndarray:
-    return _matvec(df, v) - v_image
+    """Df X - X o f at one point."""
+    return df @ v - v_image
 
 
 def _poisson(gf, gg) -> np.ndarray:
@@ -183,7 +186,8 @@ def _poisson(gf, gg) -> np.ndarray:
 def _symplecticity(m) -> np.ndarray:
     n = m.shape[1] // 2
     form = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
-    return np.max(np.abs(m.mT @ form @ m - form), axis=(1, 2))
+    return np.max(np.abs(np.swapaxes(m, -1, -2) @ form @ m - form),
+                  axis=(1, 2))
 
 
 def _stack(evaluate: Callable, points: np.ndarray, shape=()) -> np.ndarray:
@@ -200,6 +204,21 @@ def _one(*values) -> list[np.ndarray]:
     return [np.asarray(v, dtype=float)[None] for v in values]
 
 
+def _bracket_norms(fields, values, points: np.ndarray, pairs) -> np.ndarray:
+    """|[Xj, Xk]| for each pair (j, k) of ``fields`` at each point, as a
+    (pairs, points) array, from the fields' (points, n) value stacks.  Each
+    field's Jacobian is evaluated once per point, and only the norms outlive
+    the point: memory grows with the pairs, not with fields x n x n."""
+    out = np.empty((len(pairs), len(points)))
+    for i, x in enumerate(points if pairs else ()):
+        jac = [np.asarray(x_fld.jacobian_at(x.tolist()), dtype=float)
+               for x_fld in fields]
+        out[:, i] = _norms(np.array([_lie_bracket(values[j][i], values[k][i],
+                                                  jac[j], jac[k])
+                                     for j, k in pairs]))
+    return out
+
+
 def _full_rank(columns, threshold: float) -> np.ndarray:
     """Per point, whether the (points, n) column stacks have full rank."""
     return numerical_rank(np.stack(columns, axis=-1), threshold) == len(columns)
@@ -212,8 +231,8 @@ def lie_bracket_residual(xj: VectorField, xk: VectorField, x) -> np.ndarray:
     """[Xj, Xk](x) = DXk(x) Xj(x) - DXj(x) Xk(x)."""
     if xj.dim != xk.dim:
         raise ValueError("field dimension mismatch")
-    return _lie_bracket(*_one(xj(x), xk(x), xj.jacobian_at(x),
-                              xk.jacobian_at(x)))[0]
+    return _lie_bracket(*(np.asarray(u, dtype=float) for u in (
+        xj(x), xk(x), xj.jacobian_at(x), xk.jacobian_at(x))))
 
 
 def first_integral_residual(f_int: ScalarField, x_field: VectorField, x) -> float:
@@ -231,8 +250,24 @@ def map_invariance_residual(f_int: ScalarField, f: SmoothMap, x) -> float:
 def infinitesimal_commutation_residual(f: SmoothMap, x_field: VectorField,
                                        x) -> np.ndarray:
     """Df(x) X(x) - X(f(x)); zero iff the flow of X commutes with f."""
-    fx = f.apply(x)
-    return _commutation(*_one(f.jacobian_at(x), x_field(x), x_field(fx)))[0]
+    return _commutation(*(np.asarray(u, dtype=float) for u in (
+        f.jacobian_at(x), x_field(x), x_field(f.apply(x)))))
+
+
+def commutation_residuals(f: SmoothMap, values, image_values,
+                          points: np.ndarray, images: np.ndarray) -> list:
+    """Infinitesimal commutation of ``f`` with several fields, from (points,
+    n) stacks of their ``values`` at ``points`` and ``image_values`` at the
+    ``images`` f(x): per field, the norms |Df(x) X(x) - X(f(x))| and their
+    scales 1 + max(|x|, |f(x)|, |X(x)|).  Df is evaluated once per point."""
+    norms = np.empty((len(values), len(points)))
+    for i, x in enumerate(points if values else ()):
+        df = np.asarray(f.jacobian_at(x.tolist()), dtype=float)
+        norms[:, i] = _norms(np.array([_commutation(df, v[i], w[i])
+                                       for v, w in zip(values, image_values)]))
+    base = np.maximum(_norms(points), _norms(images))
+    return [(r, 1.0 + np.maximum(base, _norms(v)))
+            for r, v in zip(norms, values)]
 
 
 def flow_commutation_residual(f: SmoothMap, x_field: VectorField, x, t: float,
@@ -377,50 +412,48 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     tol = tol or Tolerances()
     seed = region.rng_seed if seed is None else seed
     fields, integrals = s.fields, s.integrals
-    pairs = [(j, k) for j in range(len(fields))
-             for k in range(j + 1, len(fields))]
+    pairs = list(combinations(range(len(fields)), 2))
     dim = f.dim
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
     nx, nfx = _norms(points), _norms(images)
     v = [_stack(x_fld, points, (dim,)) for x_fld in fields]
     nv = [_norms(u) for u in v]
-    dv = [_stack(x_fld.jacobian_at, points, (dim, dim))
-          for x_fld in fields] if pairs else []
+    brackets = _bracket_norms(fields, v, points, pairs)
     val = [_stack(f_int, points) for f_int in integrals]
     grad = [_stack(f_int.gradient_at, points, (dim,)) for f_int in integrals]
-    df = _stack(f.jacobian_at, points, (dim, dim)) if fields else None
     stats = []
 
-    def report(name, residuals, scales):
-        stats.append(_stats(name, residuals, scales, points, tol.algebraic_tol))
-
     # (i) Lie brackets per unordered pair, field rank
-    for j, k in pairs:
-        report(f"lie_bracket[X{j + 1},X{k + 1}]",
-               _norms(_lie_bracket(v[j], v[k], dv[j], dv[k])),
-               1.0 + np.maximum(nx, np.maximum(nv[j], nv[k])))
+    for (j, k), residuals in zip(pairs, brackets):
+        stats.append(_stats(f"lie_bracket[X{j + 1},X{k + 1}]", residuals,
+                            1.0 + np.maximum(nx, np.maximum(nv[j], nv[k])),
+                            points, tol.algebraic_tol))
     if fields:
         stats.append(_rank_stats("field_independence", v, points, tol))
     # (ii) first integrals of the fields, gradient rank
     for k in range(len(integrals)):
         for j in range(len(fields)):
-            report(f"first_integral[F{k + 1},X{j + 1}]",
-                   np.abs(_dot(grad[k], v[j])),
-                   1.0 + np.maximum(nx, np.maximum(np.abs(val[k]), nv[j])))
+            stats.append(_stats(
+                f"first_integral[F{k + 1},X{j + 1}]",
+                np.abs(_dot(grad[k], v[j])),
+                1.0 + np.maximum(nx, np.maximum(np.abs(val[k]), nv[j])),
+                points, tol.algebraic_tol))
     if integrals:
         stats.append(_rank_stats("gradient_independence", grad, points, tol))
     # (iii) infinitesimal commutation, map invariance
     commutation = []
-    for j, x_fld in enumerate(fields):
-        scales = 1.0 + np.maximum(np.maximum(nx, nfx), nv[j])
-        report(f"infinitesimal_commutation[X{j + 1}]",
-               _norms(_commutation(df, v[j], _stack(x_fld, images, (dim,)))),
-               scales)
+    for j, (residuals, scales) in enumerate(commutation_residuals(
+            f, v, [_stack(x_fld, images, (dim,)) for x_fld in fields],
+            points, images)):
+        stats.append(_stats(f"infinitesimal_commutation[X{j + 1}]",
+                            residuals, scales, points, tol.algebraic_tol))
         commutation.append((stats[-1].passed, scales))
     for k, f_int in enumerate(integrals):
-        report(f"map_invariance[F{k + 1}]",
-               np.abs(_stack(f_int, images) - val[k]),
-               1.0 + np.maximum(np.maximum(nx, nfx), np.abs(val[k])))
+        stats.append(_stats(
+            f"map_invariance[F{k + 1}]",
+            np.abs(_stack(f_int, images) - val[k]),
+            1.0 + np.maximum(np.maximum(nx, nfx), np.abs(val[k])),
+            points, tol.algebraic_tol))
 
     # condition (iii), flow level: spot-check f . phi^t = phi^t . f, with
     # the scale of the infinitesimal check at the same point.  Fields that
@@ -480,31 +513,27 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
     if f.dim % 2 != 0:
         raise ValueError("symplecticity needs an even-dimensional map")
     integrals = tuple(integrals)
-    n = f.dim // 2
-    pairs = [(j, k) for j in range(len(integrals))
-             for k in range(j + 1, len(integrals))]
+    pairs = list(combinations(range(len(integrals)), 2))
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
     nz, nfz = _norms(points), _norms(images)
     val = [_stack(g, points) for g in integrals]
     grad = [_stack(g.gradient_at, points, (f.dim,)) for g in integrals]
-    stats = []
-
-    def report(name, residuals, scales):
-        stats.append(_stats(name, residuals, scales, points, tol.algebraic_tol))
-
-    # one point at a time: a (points, 2n, 2n) stack of the lift's Jacobians
-    # would set the run's peak memory
-    report("symplecticity",
-           _stack(lambda z: _symplecticity(*_one(f.jacobian_at(z)))[0],
-                  points),
-           1.0 + nz)
+    stats = [_stats("symplecticity",
+                    # one point at a time: a (points, 2n, 2n) stack of the
+                    # lift's Jacobians would set the run's peak memory
+                    _stack(lambda z: symplecticity_residual(f, z), points),
+                    1.0 + nz, points, tol.algebraic_tol)]
     for k, g in enumerate(integrals):
-        report(f"map_invariance[G{k + 1}]", np.abs(_stack(g, images) - val[k]),
-               1.0 + np.maximum(np.maximum(nz, nfz), np.abs(val[k])))
+        stats.append(_stats(
+            f"map_invariance[G{k + 1}]", np.abs(_stack(g, images) - val[k]),
+            1.0 + np.maximum(np.maximum(nz, nfz), np.abs(val[k])),
+            points, tol.algebraic_tol))
     for j, k in pairs:
-        report(f"poisson_bracket[G{j + 1},G{k + 1}]",
-               np.abs(_poisson(grad[j], grad[k])),
-               1.0 + np.maximum(nz, np.maximum(np.abs(val[j]), np.abs(val[k]))))
+        stats.append(_stats(
+            f"poisson_bracket[G{j + 1},G{k + 1}]",
+            np.abs(_poisson(grad[j], grad[k])),
+            1.0 + np.maximum(nz, np.maximum(np.abs(val[j]), np.abs(val[k]))),
+            points, tol.algebraic_tol))
     if integrals:
         stats.append(_rank_stats("gradient_independence", grad, points, tol))
     return CertificationReport(
@@ -513,7 +542,7 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
         dim=f.dim,
         m=0,
         n_integrals=len(integrals),
-        complete=len(integrals) == n,
+        complete=len(integrals) == f.dim // 2,
         conditions=tuple(stats),
         verdict=_verdict(stats),
         seed=seed,

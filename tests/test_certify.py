@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dyncert import certify
 from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
-                             certify_structure, first_integral_residual,
+                             certify_structure, commutation_residuals,
+                             first_integral_residual,
                              flow_commutation_residual,
                              independence_rank_stats,
                              infinitesimal_commutation_residual,
@@ -533,18 +534,27 @@ def test_stacked_formulas_equal_pointwise_residuals(n, count, seed, exponent):
     h2 = ScalarField(dim=even, func=lambda z: 0.0, analytic_gradient=_table(g2))
     lift = SmoothMap(dim=even, forward=list, analytic_jacobian=_table(m))
 
-    bracket = certify._lie_bracket(vj, vk, dj, dk)
+    points = np.zeros((count, n))
+    points[:, 0] = np.arange(count)
+    images = points.copy()
+    images[:, 0] += count
+
+    (bracket,) = certify._bracket_norms([xj, xk], [vj, vk], points, [(0, 1)])
     directional = certify._dot(g, vj)
-    commutation = certify._commutation(df, vj, v_image)
+    [(commutation, scale)] = commutation_residuals(f, [vj], [v_image],
+                                                   points, images)
     poisson = certify._poisson(g1, g2)
     symplectic = certify._symplecticity(m)
     for i in range(count):
         x = [float(i)] + [0.0] * (n - 1)
         z = [float(i)] + [0.0] * (even - 1)
-        assert np.array_equal(bracket[i], lie_bracket_residual(xj, xk, x))
-        assert certify._norms(bracket)[i] == np.linalg.norm(bracket[i])
+        assert certify._norms(vj)[i] == np.linalg.norm(vj[i])
+        assert bracket[i] == np.linalg.norm(lie_bracket_residual(xj, xk, x))
         assert directional[i] == first_integral_residual(grad, xj, x)
-        assert np.array_equal(commutation[i],
-                              infinitesimal_commutation_residual(f, xj, x))
+        assert commutation[i] == np.linalg.norm(
+            infinitesimal_commutation_residual(f, xj, x))
+        assert scale[i] == 1.0 + max(np.linalg.norm(x),
+                                     np.linalg.norm(images[i]),
+                                     np.linalg.norm(vj[i]))
         assert poisson[i] == poisson_bracket(h1, h2, z)
         assert symplectic[i] == symplecticity_residual(lift, z)
