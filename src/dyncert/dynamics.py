@@ -33,6 +33,9 @@ PERIODIC_TOL = 1e-12  # |f^k(x) - x| relative to 1 + |x|
 DEDUP_RADIUS = 1e-6  # periodic points closer than this are one point
 TRANSLATION_TOL = 1e-11  # shooting residual relative to 1 + |f(x)|
 TRANSLATION_FLOW_TOL = 1e-12  # integrator tolerance of the shooting flows
+QR_CONDITION = 1e6  # about the largest R_11 / R_nn of a block product
+QR_GROWTH = 1e60  # |R_ii| of a block product within this factor of 1
+QR_MAX_BLOCK = 64  # Jacobian products between two QR factorisations
 
 
 class ConvergenceError(RuntimeError):
@@ -166,17 +169,46 @@ def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
     return found
 
 
+def _qr_block_length(logs, steps: int, rate: float) -> tuple[int, float]:
+    """(Jacobian products to chain before the next QR, rate) from ``logs``
+    = log|diag R| of the last block of ``steps`` products and ``rate``, the
+    largest growth rate per step of the blocks before it.
+
+    The logs' spread keeps the product's condition number near QR_CONDITION
+    at most, their size keeps its entries within QR_GROWTH of 1 (in 1-D the
+    spread is 0).  Where the Jacobian varies along the orbit, one block's
+    rate can fall far below the next one's, so the rate is the largest seen
+    so far and a block at most doubles.  A non-finite log (a singular
+    Jacobian) gives a block of 1.
+    """
+    if not all(map(math.isfinite, logs)):
+        return 1, rate
+    lo, hi = min(logs), max(logs)
+    rate = max(rate, (hi - lo) / math.log(QR_CONDITION) / steps,
+               max(-lo, hi) / math.log(QR_GROWTH) / steps)
+    longest = min(QR_MAX_BLOCK, 2 * steps)
+    if rate * longest <= 1.0:
+        return longest, rate
+    return max(1, int(1.0 / rate)), rate
+
+
 def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
     """Lyapunov exponents along the orbit of x0, descending.
 
-    Jacobian products with QR re-orthonormalization at every step; the
-    averaged logs of the R diagonal converge to the exponents.
+    Chains the Jacobians into a product ``J_s ... J_1 Q`` and
+    re-orthonormalizes it by one QR per block of steps (Geist, Parlitz &
+    Lauterborn 1990); the diagonal of R for the block is the product of
+    the per-step diagonals, so the averaged logs of the R diagonals
+    converge to the exponents.  Each block's length follows from the logs
+    of the blocks before it (:func:`_qr_block_length`), at most
+    QR_MAX_BLOCK.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be >= 100")
     x = f.reduce([float(v) for v in x0])
-    q = np.eye(f.dim)
+    product = np.eye(f.dim)
     sums = np.zeros(f.dim)
+    chained, block, rate = 0, 1, 0.0
     for step in range(n_steps):
         try:
             jac = np.asarray(f.jacobian_at(x), dtype=float)
@@ -184,12 +216,19 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
         except DomainError as err:
             raise DomainError(f"orbit left the domain at step {step}: {err}",
                               step=step) from err
-        q, r = np.linalg.qr(jac @ q)
-        diag = np.abs(np.diag(r))
-        signs = np.sign(np.diag(r))
+        product = jac.dot(product)
+        chained += 1
+        if chained < block and step < n_steps - 1:
+            continue
+        q, r = np.linalg.qr(product)
+        diag = r.diagonal()
+        signs = np.sign(diag)
         signs[signs == 0] = 1.0
-        q = q * signs  # keep R diagonal positive
-        sums += np.log(diag)
+        product = q * signs  # keep R diagonal positive
+        logs = np.log(np.abs(diag))
+        sums += logs
+        block, rate = _qr_block_length(logs.tolist(), chained, rate)
+        chained = 0
     return np.sort(sums / n_steps)[::-1]
 
 

@@ -74,8 +74,8 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
     ``field`` maps a list of coordinates to the field's components; negative
     ``t`` integrates backwards.  ``tol`` is both the absolute and the
     relative error tolerance per step.  Raises :class:`IntegrationError`
-    when the trajectory turns non-finite, when the step no longer advances
-    time (finite-time blow-up) or after ``MAX_STEPS`` steps.
+    when the trajectory turns non-finite, when the step falls below the
+    rounding of ``t`` (finite-time blow-up) or after ``MAX_STEPS`` steps.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -99,10 +99,12 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
             raise IntegrationError(
                 f"step limit {MAX_STEPS} exhausted at t={direction * elapsed:g}")
         steps += 1
-        h = min(h, t_abs - elapsed)
-        if elapsed + h <= elapsed:
+        if t_abs + h == t_abs:  # the step no longer resolves time
             raise IntegrationError(
                 f"step size underflow near t={direction * elapsed:g}")
+        last = h >= t_abs - elapsed
+        if last:
+            h = t_abs - elapsed
         hd = direction * h
         for i in range(1, 7):
             yi = y + hd * sum(_A[i][j] * k[j] for j in range(i))
@@ -114,7 +116,7 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
         if err <= 1.0:
             y = y5
             k[0] = k[6]
-            elapsed += h
+            elapsed = t_abs if last else elapsed + h
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(
                     f"trajectory diverged near t={direction * elapsed:g}")

@@ -2,9 +2,7 @@
 
 ``perfbench/`` judges each report against ``perfbench/expected.json``; this
 runs the same commands through click's ``CliRunner`` so tier-1 catches a
-changed verdict before a benchmark run does.  ``lyapunov cat_map`` at
-N = 1e5 is left out for time; ``test_acceptance`` checks the cat map's
-exponents.
+changed verdict before a benchmark run does.
 """
 
 import sys
@@ -20,8 +18,7 @@ import gate  # noqa: E402
 import workloads  # noqa: E402
 
 COMMANDS = [(key, argv) for name in workloads.WORKLOADS
-            for key, argv in workloads.commands(name, 1)
-            if key != "lyapunov cat_map"]
+            for key, argv in workloads.commands(name, 1)]
 
 
 @pytest.mark.parametrize("key, argv", COMMANDS, ids=[k for k, _ in COMMANDS])

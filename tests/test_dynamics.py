@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dyncert import catalog
-from dyncert.core import SamplingRegion, ScalarField, SmoothMap, VectorField
+from dyncert import catalog, jets
+from dyncert.core import (DomainError, SamplingRegion, ScalarField, SmoothMap,
+                          VectorField)
 from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               compute_orbit, estimate_translation_vector,
                               find_periodic_points, level_set_drift,
@@ -81,7 +82,75 @@ class TestPeriodicPoints:
             find_periodic_points(f, 0, region)
 
 
+def per_step_spectrum(f, x0, n_steps):
+    """Lyapunov exponents with one QR per step: the reference the blocked
+    loop of ``lyapunov_spectrum`` must reproduce."""
+    x = f.reduce([float(v) for v in x0])
+    q = np.eye(f.dim)
+    sums = np.zeros(f.dim)
+    for _ in range(n_steps):
+        jac = np.asarray(f.jacobian_at(x), dtype=float)
+        x = f.apply(x)
+        q, r = np.linalg.qr(jac @ q)
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        q = q * signs
+        sums += np.log(np.abs(np.diag(r)))
+    return np.sort(sums / n_steps)[::-1]
+
+
+def standard_map(k):
+    """Chirikov's standard map on the 2-torus: chaotic, and its Jacobian
+    varies from point to point."""
+    def fwd(z):
+        p = z[1] + k * jets.sin(z[0])
+        return [z[0] + p, p]
+    return SmoothMap(dim=2, forward=fwd, phase_topology=(TWO_PI, TWO_PI))
+
+
 class TestLyapunov:
+    @pytest.mark.parametrize("f, x0", [
+        (catalog.build("cat_map")[0], [0.3, 0.7]),
+        (catalog.build("twist", n=2)[0], [0.1, 0.2, 0.3, 0.4]),
+        (catalog.build("lyness", n=3)[0], [1.0, 2.0, 1.5]),
+        (catalog.build("warned_circle", k=1, eps=0.5)[0], [0.4]),
+        (standard_map(1.5), [1.0, 0.5]),
+        (standard_map(3.0), [2.0, 0.01]),
+    ], ids=["cat_map", "twist", "lyness", "warned_circle", "standard_map_k1.5",
+            "standard_map_k3"])
+    def test_blocked_matches_per_step_qr(self, f, x0):
+        spec = lyapunov_spectrum(f, x0, 2000)
+        assert np.max(np.abs(spec - per_step_spectrum(f, x0, 2000))) <= 1e-9
+
+    @pytest.mark.parametrize("scales", [(1e200,), (1e200, 1e-200)],
+                             ids=["1-D", "2-D"])
+    def test_extreme_rates_stay_finite(self, scales):
+        # a block of two such steps would already overflow to 1e400; in
+        # 1-D only the size of the logs, not their spread, can show it
+        f = SmoothMap(dim=len(scales),
+                      forward=lambda x: [c * v for c, v in zip(scales, x)])
+        spec = lyapunov_spectrum(f, [0.0] * len(scales), 200)
+        assert np.all(np.isfinite(spec))
+        assert list(spec) == pytest.approx([math.log(c) for c in scales],
+                                           rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_singular_jacobian_gives_minus_infinity(self):
+        f = SmoothMap(dim=2, forward=lambda x: [2.0 * x[0], 0.0 * x[1]])
+        spec = lyapunov_spectrum(f, [0.1, 0.2], 200)
+        assert spec[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert spec[1] == -math.inf
+
+    def test_domain_error_reports_its_step(self):
+        # f' = 1 doubles the blocks up to 64 steps: step 50 lies inside
+        # the block of steps 31 to 62, where the orbit 0, 1, 2, ... leaves
+        # x < 50.5
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] + 1.0],
+                      domain_guard=lambda x: x[0] < 50.5)
+        with pytest.raises(DomainError, match="at step 50:") as err:
+            lyapunov_spectrum(f, [0.0], 200)
+        assert err.value.step == 50
+
     def test_cat_map_constant_jacobian(self):
         f, _, _ = catalog.build("cat_map")
         spec = lyapunov_spectrum(f, [0.3, 0.7], 3000)
@@ -124,7 +193,6 @@ class TestRotationNumber:
         assert est.value == pytest.approx(0.25, abs=1e-3)
 
     def test_non_monotone_rejected(self):
-        from dyncert import jets
         f = SmoothMap(dim=1,
                       forward=lambda x: [x[0] + 2.0 * jets.sin(x[0])],
                       phase_topology=(TWO_PI,))

@@ -144,10 +144,11 @@ class TestIntegrateFlow:
         (lambda x: [np.exp(x[0])], 700.0, 1.0),  # at t = exp(-700)
     ])
     def test_blow_up_stops_early(self, fld, x0, t):
-        # near the blow-up the step shrinks until it no longer advances
-        # time; the cap fails fast where the loop would run to MAX_STEPS
+        # near the blow-up the step shrinks until it no longer resolves t:
+        # x' = x^2 stops after about 8,000 evaluations, exp after about 120
+        # (not only once the step stops advancing the elapsed time ~1e-304)
         def capped(x):
-            if capped.calls >= 200_000:
+            if capped.calls >= 10_000:
                 raise AssertionError("integration did not stop at the blow-up")
             capped.calls += 1
             return fld(x)
