@@ -25,7 +25,6 @@ __all__ = [
     "list_entries",
     "lyness_map",
     "lyness_integrals",
-    "lyness_integral_values",
     "lyness_symmetry_field",
     "lyness_symmetry_variants",
     "parse_blocks",
@@ -240,13 +239,6 @@ def lyness_integrals(n: int, a: float) -> tuple[ScalarField, ...]:
 
         out.append(ScalarField(dim=n, func=f3, name="F3"))
     return tuple(out)
-
-
-def lyness_integral_values(n: int, a: float, x) -> list[float]:
-    """Values of every applicable conserved quantity at x."""
-    if any(v <= 0 for v in x):
-        raise ParameterError("lyness integrals need the positive orthant")
-    return [float(g(list(x))) for g in lyness_integrals(n, a)]
 
 
 def _lyness_v1_components(n: int, signs=(1.0, 1.0, 1.0, 1.0),

@@ -8,8 +8,9 @@ one formula over those stacks, reported in the order it is computed.
 Jacobians are evaluated once per point too but never stacked: of the map's
 only the products Df X are kept, of the fields' only the Lie bracket norms
 and of the lift's only its symplecticity residual.  The public pointwise
-residuals call the same formulas.  Flow commutation is a second phase on
-the first ``FLOW_POINT_CAP`` kept points.
+residuals call the same formulas.  Flow commutation is a second phase: per
+field and flow time, one integration of the first ``FLOW_POINT_CAP`` kept
+points stacked over their images.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
@@ -459,22 +460,28 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     # the scale of the infinitesimal check at the same point.  Fields that
     # already failed the pointwise check are not integrated: the flow check
     # is implied by the infinitesimal one and trajectories of a
-    # non-commuting candidate routinely exhaust the step budget.
+    # non-commuting candidate routinely exhaust the step budget.  Each
+    # (field, t) is one integration of the flow points stacked over their
+    # images from the guard pass; a failed branch comes back NaN.
     flow_points = points[:FLOW_POINT_CAP]
+    q = len(flow_points)
+    starts = np.concatenate([flow_points, images[:q]])
     for j, (x_fld, (passed, scales)) in enumerate(zip(fields, commutation)):
         if not passed:
             continue
         for t in flow_times:
+            ends = integrate_flow(x_fld, starts, t)
+            finite = np.all(np.isfinite(ends), axis=1)
             rows, used = [], []
-            for i, x in enumerate(flow_points):
+            for i in np.flatnonzero(finite[:q] & finite[q:]):
                 try:
-                    rows.append(flow_commutation_residual(f, x_fld,
-                                                          x.tolist(), t))
-                except (IntegrationError, DomainError):
+                    left = f.apply(list(ends[i]))
+                except DomainError:
                     continue
+                rows.append(f.displacement(left, list(ends[q + i])))
                 used.append(i)
-            skipped = len(flow_points) - len(used)
-            skip_fail = skipped > len(flow_points) / 2
+            skipped = q - len(used)
+            skip_fail = skipped > q / 2
             stats.append(_stats(f"flow_commutation[X{j + 1},t={t:g}]",
                                 _norms(np.reshape(rows, (len(used), dim))),
                                 scales[used], flow_points[used],

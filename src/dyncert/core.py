@@ -124,7 +124,10 @@ class VectorField:
     Jacobian unless ``analytic_jacobian`` is set.  As for
     :class:`SmoothMap`, a set ``analytic_jacobian`` replaces jets everywhere
     and, returning floats, is exact under nested jets only for an affine
-    field."""
+    field.  The flow integrator may pass ``func`` coordinate columns, one
+    array per coordinate over many points; it must then give each point
+    the value it gives that point alone.  A ``func`` that raises on
+    columns, or returns another shape, is called once per point."""
 
     dim: int
     func: Callable

@@ -22,7 +22,6 @@ __all__ = [
     "seed_jets",
     "float_of",
     "jet_jacobian",
-    "fd_jacobian",
     "jet_gradient",
     "exp",
     "log",
@@ -212,26 +211,6 @@ def jet_gradient(f: Callable, x: Sequence) -> list:
     if isinstance(y, Jet):
         return list(y.partials)
     return [0.0] * len(jx)
-
-
-_FD_CBRT_EPS = 6.055454452393343e-06  # eps**(1/3)
-
-
-def fd_jacobian(f: Callable, x: Sequence, step: float | None = None) -> list[list]:
-    """O(h^2) central-difference Jacobian for black-box callables."""
-    x = [float(v) for v in x]
-    n = len(x)
-    cols = []
-    for i in range(n):
-        h = step if step is not None else _FD_CBRT_EPS * max(1.0, abs(x[i]))
-        xp = list(x)
-        xm = list(x)
-        xp[i] += h
-        xm[i] -= h
-        yp = f(xp)
-        ym = f(xm)
-        cols.append([(a - b) / (2.0 * h) for a, b in zip(yp, ym)])
-    return [[cols[j][i] for j in range(n)] for i in range(len(cols[0]))]
 
 
 # -- small generic linear algebra ----------------------------------------

@@ -8,6 +8,8 @@ stack of matrices, one per sample point, and ranks them in one SVD call.
 ``integrate_flow`` is Dormand-Prince 5(4) with one tolerance, used as both
 the absolute and the relative error bound.  It reuses each accepted step's
 last stage as the next step's first, so a step costs six field evaluations.
+On a stack of points it calls the field on coordinate columns, but each
+row keeps its own step size and ends bit for bit where it would alone.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .core import DomainError
 
 __all__ = [
     "IntegrationError",
@@ -69,60 +73,111 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 
 def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
-    """Flow of an autonomous field from ``x0`` for time ``t`` (DOPRI 5(4)).
+    """Flow of an autonomous field for time ``t`` (DOPRI 5(4)) from a point
+    ``x0`` of shape (n,), or from each row of a (points, n) stack.
 
-    ``field`` maps a list of coordinates to the field's components; negative
-    ``t`` integrates backwards.  ``tol`` is both the absolute and the
-    relative error tolerance per step.  Raises :class:`IntegrationError`
-    when the trajectory turns non-finite, when the step falls below the
-    rounding of ``t`` (finite-time blow-up) or after ``MAX_STEPS`` steps.
+    Negative ``t`` integrates backwards; ``tol`` is both the absolute and
+    the relative error tolerance per step.  The rows of a stack advance in
+    lockstep, each with its own step size: every stage calls ``field`` once
+    on the n coordinate columns of the running rows (a constant component
+    is broadcast).  A field that raises on columns or returns another
+    shape, and a single running row, get one list of floats per row.
+
+    A row fails when it turns non-finite, when its step falls below the
+    rounding of ``t`` (finite-time blow-up), after ``MAX_STEPS`` steps, or
+    when ``field`` raises :class:`DomainError` at one of its points.  A
+    stack returns a failed row as NaN; a point raises the error instead,
+    :class:`IntegrationError` for the first three.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    y = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    single = np.ndim(x0) < 2
+    out = np.array(x0, dtype=float, ndmin=2)
     if t == 0.0:
-        return y
+        return out[0] if single else out
     if not math.isfinite(t):
         raise ValueError("integration time must be finite")
+    errors = {}  # row -> the error that ended it
+    columns = True  # until the field fails on columns
 
-    def rhs(state):
-        return np.asarray(field(list(state)), dtype=float)
+    def rhs(state, rows):  # a row that has failed reads NaN
+        nonlocal columns
+        values = np.empty_like(state)
+        if columns and len(rows) > 1:
+            try:
+                for column, c in zip(values.T, field(list(state.T)),
+                                     strict=True):
+                    column[...] = c  # broadcasts a constant component
+                return values
+            except Exception:  # a real error recurs in the per-row call
+                columns = False
+        for r, i in enumerate(rows):
+            try:
+                values[r] = np.nan if i in errors else field(list(state[r]))
+            except DomainError as err:
+                errors[i] = err
+                values[r] = np.nan
+        return values
+
+    def fail(mask, message):
+        for i, e in zip(rows[mask], elapsed[mask]):
+            errors[i] = IntegrationError(f"{message} t={direction * e:g}")
 
     direction = 1.0 if t > 0 else -1.0
     t_abs = abs(t)
-    h = t_abs / 100.0
-    elapsed = 0.0
+    # the rows still running, and their state, step size and elapsed time;
+    # every running row has attempted ``steps`` steps
+    rows = np.arange(len(out))
+    y = out.copy()
+    h = np.full(len(y), t_abs / 100.0)
+    elapsed = np.zeros(len(y))
     steps = 0
-    k = [rhs(y)] + [None] * 6
-    while elapsed < t_abs:
+    first = rhs(y, rows)  # each row's first stage (FSAL)
+    while True:
+        running = elapsed < t_abs
+        if errors:
+            running &= [i not in errors for i in rows]
         if steps >= MAX_STEPS:
-            raise IntegrationError(
-                f"step limit {MAX_STEPS} exhausted at t={direction * elapsed:g}")
+            fail(running, f"step limit {MAX_STEPS} exhausted at")
+            running[:] = False
+        under = running & (t_abs + h == t_abs)  # h no longer resolves time
+        if under.any():
+            fail(under, "step size underflow near")
+            running &= ~under
+        if not running.all():
+            out[rows[~running]] = y[~running]
+            rows, y, first, h, elapsed = (
+                v[running] for v in (rows, y, first, h, elapsed))
+        if not rows.size:
+            break
         steps += 1
-        if t_abs + h == t_abs:  # the step no longer resolves time
-            raise IntegrationError(
-                f"step size underflow near t={direction * elapsed:g}")
         last = h >= t_abs - elapsed
-        if last:
-            h = t_abs - elapsed
-        hd = direction * h
+        h = np.where(last, t_abs - elapsed, h)
+        hd = direction * h[:, None]
+        k = [first] + [None] * 6
         for i in range(1, 7):
             yi = y + hd * sum(_A[i][j] * k[j] for j in range(i))
-            k[i] = rhs(yi)
-        y5 = yi  # the last stage's point is the fifth-order solution
+            k[i] = rhs(yi, rows)
+        # the last stage's point yi is the fifth-order solution
         y4 = y + hd * sum(_B4[i] * k[i] for i in range(7))
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
-        if err <= 1.0:
-            y = y5
-            k[0] = k[6]
-            elapsed = t_abs if last else elapsed + h
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError(
-                    f"trajectory diverged near t={direction * elapsed:g}")
-        if err > 0.0:
-            factor = 0.9 * (1.0 / err) ** 0.2
-        else:  # a zero error grows the step, a NaN one shrinks it
-            factor = 5.0 if err == 0.0 else 0.2
-        h *= min(5.0, max(0.2, factor))
-    return y
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(yi))
+        err = np.sqrt(np.mean(((yi - y4) / scale) ** 2, axis=1))
+        ok = err <= 1.0
+        y = np.where(ok[:, None], yi, y)
+        first = np.where(ok[:, None], k[6], first)
+        elapsed = np.where(ok, np.where(last, t_abs, elapsed + h), elapsed)
+        if not np.isfinite(yi[ok]).all():
+            fail(ok & ~np.all(np.isfinite(yi), axis=1),
+                 "trajectory diverged near")
+        factors = []
+        for e in err.tolist():  # Python's **: np.power may round otherwise
+            if e > 0.0:
+                factor = 0.9 * (1.0 / e) ** 0.2
+            else:  # a zero error grows the step, a NaN one shrinks it
+                factor = 5.0 if e == 0.0 else 0.2
+            factors.append(min(5.0, max(0.2, factor)))
+        h = h * factors
+    if single and errors:
+        raise errors[0]
+    out[list(errors)] = np.nan
+    return out[0] if single else out

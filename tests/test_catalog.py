@@ -6,15 +6,16 @@ from click.testing import CliRunner
 
 from dyncert import catalog
 from dyncert.catalog import (ParameterError, build, list_entries,
-                             lyness_integral_values, lyness_integrals,
-                             lyness_map, lyness_symmetry_field,
-                             lyness_symmetry_variants, parse_blocks)
+                             lyness_integrals, lyness_map,
+                             lyness_symmetry_field, lyness_symmetry_variants,
+                             parse_blocks)
 from dyncert.certify import (certify_structure,
                              infinitesimal_commutation_residual)
 from dyncert.cli import main as cli_main
 from dyncert.core import (IntegrabilityStructure, SamplingRegion, iterate,
                           sample)
 from dyncert.jets import jet_gradient, jet_jacobian
+from helpers import lyness_integral_values
 
 
 class TestRegistry:

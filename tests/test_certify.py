@@ -20,6 +20,7 @@ from dyncert.catalog import build
 from dyncert.constructions import lift_structure
 from dyncert.core import (DomainError, IntegrabilityStructure, SamplingRegion,
                           ScalarField, SmoothMap, VectorField, sample)
+from dyncert.numerics import integrate_flow
 
 E = math.e
 
@@ -442,6 +443,28 @@ class TestPipeline:
         f, s, region, counts = _counted_target(name, **params)
         certify_structure(f, s, region, samples=100, flow_times=())
         assert dict(counts) == expected
+
+    @pytest.mark.parametrize("samples", [30, 200])
+    def test_flow_phase_integrates_one_stack_per_field_and_time(
+            self, monkeypatch, samples):
+        # the flow points and their images go to the integrator together,
+        # once per (field passing the infinitesimal check, flow time)
+        shapes = []
+
+        def counted(field, x0, t, *args):
+            shapes.append(np.shape(x0))
+            return integrate_flow(field, x0, t, *args)
+
+        monkeypatch.setattr(certify, "integrate_flow", counted)
+        f, s, region = build("linear", blocks="2:3")
+        report = certify_structure(f, s, region, samples=samples)
+        passing = sum(c.passed for c in report.conditions if c.condition_name
+                      .startswith("infinitesimal_commutation"))
+        assert passing == 3
+        kept = samples - report.guard_failures
+        rows = 2 * min(certify.FLOW_POINT_CAP, kept)
+        assert shapes == [(rows, f.dim)] * (passing * len(certify.FLOW_TIMES))
+        assert report.verdict == "PASS"
 
     def test_involution_evaluates_the_lift_once(self):
         lifted, integrals, region = _lifted_target("lyness", n=5)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dyncert.expressions import (ExpressionError, parse_expression,
                                  structure_from_dict)
-from dyncert.jets import fd_jacobian, jet_gradient
+from dyncert.jets import jet_gradient
+from helpers import fd_jacobian
 
 
 class TestParsing:

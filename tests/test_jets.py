@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncert import jets
-from dyncert.jets import (DerivativeError, Jet, fd_jacobian, float_of,
-                          jet_gradient, jet_jacobian, seed_jets, solve_linear,
-                          transpose)
+from dyncert.jets import (DerivativeError, Jet, float_of, jet_gradient,
+                          jet_jacobian, seed_jets, solve_linear, transpose)
+from helpers import fd_jacobian
 
 
 def scalar_jet(v, dv=1.0):

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncert import numerics
+from dyncert.constructions import _linear_field
+from dyncert.core import DomainError
+from dyncert.expressions import structure_from_dict
 from dyncert.numerics import (IntegrationError, eigen_moduli, integrate_flow,
                               numerical_rank)
 
@@ -17,6 +20,103 @@ def counting(fld):
         return fld(x)
     counted.calls = 0
     return counted
+
+
+def _reference_flow(field, x0, t, tol=numerics.FLOW_TOL):
+    """One point at a time: the scalar Dormand-Prince loop that the stacked
+    integrator replaced, with the field called on lists of floats."""
+    a, b4 = numerics._A, numerics._B4
+    y = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if t == 0.0:
+        return y
+
+    def rhs(state):
+        return np.asarray(field(list(state)), dtype=float)
+
+    direction = 1.0 if t > 0 else -1.0
+    t_abs = abs(t)
+    h = t_abs / 100.0
+    elapsed = 0.0
+    steps = 0
+    k = [rhs(y)] + [None] * 6
+    while elapsed < t_abs:
+        if steps >= numerics.MAX_STEPS:
+            raise IntegrationError(f"step limit {numerics.MAX_STEPS} "
+                                   f"exhausted at t={direction * elapsed:g}")
+        steps += 1
+        if t_abs + h == t_abs:
+            raise IntegrationError(
+                f"step size underflow near t={direction * elapsed:g}")
+        last = h >= t_abs - elapsed
+        if last:
+            h = t_abs - elapsed
+        hd = direction * h
+        for i in range(1, 7):
+            yi = y + hd * sum(a[i][j] * k[j] for j in range(i))
+            k[i] = rhs(yi)
+        y5 = yi
+        y4 = y + hd * sum(b4[i] * k[i] for i in range(7))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
+        if err <= 1.0:
+            y = y5
+            k[0] = k[6]
+            elapsed = t_abs if last else elapsed + h
+            if not np.all(np.isfinite(y)):
+                raise IntegrationError(
+                    f"trajectory diverged near t={direction * elapsed:g}")
+        if err > 0.0:
+            factor = 0.9 * (1.0 / err) ** 0.2
+        else:
+            factor = 5.0 if err == 0.0 else 0.2
+        h *= min(5.0, max(0.2, factor))
+    return y
+
+
+def _field(kind, n, rng):
+    """A field of dimension ``n`` of one kind; expression fields and the
+    branching one cannot take columns and are called per point, and the
+    late one falls back to that during the integration."""
+    if kind == "linear":  # sparse, with an all-zero row (component 0)
+        m = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        m[rng.integers(n)] = 0.0
+        return _linear_field(m, "linear")
+    if kind == "constant":
+        c = rng.uniform(-2.0, 2.0, n).tolist()
+        return lambda x: list(c)
+    if kind == "rotation":  # coordinate pairs rotate, an odd last one drifts
+        return lambda x: [-x[i + 1] if i % 2 == 0 else x[i - 1]
+                          for i in range(n - n % 2)] + [1.0] * (n % 2)
+    if kind == "expression":
+        comps = [("sin(x{i}) + 1.5", "exp(-x{i}^2) * x{j}",
+                  "pow(cos(x{j}), 2) - x{i}")[i % 3].format(
+                      i=i + 1, j=(i + 1) % n + 1) for i in range(n)]
+        return structure_from_dict({"dim": n, "fields": [comps]}).fields[0]
+    if kind == "late":  # takes columns until a coordinate passes 2.5
+        def late(x):
+            if np.ndim(x[0]) and np.max(np.abs(x)) > 2.5:
+                raise ValueError("the columns left the box")
+            return [v + 1.0 for v in x]
+        return late
+    return lambda x: [x[i] if x[0] > 0 else -0.5 * x[i] for i in range(n)]
+
+
+def _mixed(z):
+    """By the selector z[0]: 0 decays, 1 is x' = x^2, 2 is x' = e^x and 3
+    is x' = sin(50 x) + 2, which needs about 2,400 steps over t = 5."""
+    s, x = z
+    with np.errstate(all="ignore"):
+        return [0.0, np.where(s == 1.0, x * x, np.where(
+            s == 2.0, np.exp(x), np.where(s == 3.0, np.sin(50.0 * x) + 2.0,
+                                          -x)))]
+
+
+def _mixed_per_point(z):
+    """``_mixed`` branching in Python, so it cannot take columns; selector
+    4 leaves the field's domain."""
+    if z[0] == 4.0:
+        raise DomainError("outside the field's domain")
+    return [float(v) for v in _mixed([float(v) for v in z])]
 
 
 class TestNumericalRank:
@@ -165,6 +265,64 @@ class TestIntegrateFlow:
         rot = counting(lambda x: [-x[1], x[0]])
         integrate_flow(rot, [1.0, 0.5], 3.0)
         assert rot.calls == 433
+
+    def test_stack_steps_in_lockstep(self):
+        # each stage is one call on the columns of every running row
+        rot = counting(lambda x: [-x[1], x[0]])
+        ends = integrate_flow(rot, [[1.0, 0.5]] * 5, 3.0)
+        assert rot.calls == 433
+        assert np.array_equal(ends, [integrate_flow(lambda x: [-x[1], x[0]],
+                                                    [1.0, 0.5], 3.0)] * 5)
+
+    def test_stack_of_zero_time_and_no_rows(self):
+        x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(integrate_flow(lambda x: [9.0, 9.0], x0, 0.0),
+                              x0)
+        assert integrate_flow(lambda x: [1.0], np.zeros((0, 1)),
+                              1.0).shape == (0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["linear", "constant", "rotation", "expression",
+                            "late", "branching"]),
+           st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=6),
+           st.floats(min_value=-2.0, max_value=2.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_stack_rows_equal_the_scalar_loop(self, kind, p, n, t, seed):
+        rng = np.random.default_rng(seed)
+        fld = _field(kind, n, rng)
+        x0 = rng.uniform(-2.0, 2.0, (p, n))
+        ends = integrate_flow(fld, x0, t)
+        assert ends.shape == (p, n)
+        for row, end in zip(x0, ends):
+            try:  # a subnormal t underflows the first step
+                ref = _reference_flow(fld, row, t)
+            except IntegrationError:
+                ref = np.full(n, np.nan)
+            assert np.array_equal(end, ref, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fld, domain_row", [
+        (_mixed, []), (_mixed_per_point, [[4.0, 1.0]])])
+    def test_failed_rows_are_nan(self, monkeypatch, fld, domain_row):
+        monkeypatch.setattr(numerics, "MAX_STEPS", 2000)
+        starts = [[0.0, 1.0], [1.0, 1.0], [2.0, 700.0], [3.0, 0.0],
+                  [0.0, -2.0]] + domain_row
+        ends = integrate_flow(fld, starts, 5.0)
+        failures = [None, "step size underflow near t=1",
+                    "step size underflow near t=0",
+                    "step limit 2000 exhausted", None]
+        for x0, end, message in zip(starts, ends, failures):
+            if message is None:
+                assert np.array_equal(end, integrate_flow(fld, x0, 5.0))
+                continue
+            assert np.all(np.isnan(end))
+            with pytest.raises(IntegrationError, match=message):
+                integrate_flow(fld, x0, 5.0)
+        if domain_row:
+            assert np.all(np.isnan(ends[-1]))
+            with pytest.raises(DomainError):
+                integrate_flow(fld, domain_row[0], 5.0)
 
     def test_nonfinite_time_rejected(self):
         with pytest.raises(ValueError):
