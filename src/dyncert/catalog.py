@@ -15,7 +15,7 @@ from .certify import commutation_residuals
 from .constructions import (JordanBlockSpec, affine1d_symmetry,
                             linear_commutative_family, linear_map)
 from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
-                   SmoothMap, VectorField, sample)
+                   SmoothMap, VectorField, point_stack, sample)
 
 __all__ = [
     "ParameterError",
@@ -303,15 +303,14 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
                         func=_lyness_v1_components(n, signs, shift),
                         name="variant")
         try:
-            vx = [v(x) for x in pts.tolist()]
-            vfx = [v(y) for y in images.tolist()]
+            vx, vfx = (point_stack(v, xs, (n,)) for xs in (pts, images))
         except (ZeroDivisionError, ValueError, IndexError):
             continue
         descs.append(f"signs={tuple(int(s) for s in signs)}, "
                      f"mid_product_bound={n - 1 + shift}")
-        values.append(np.array(vx, dtype=float))
-        image_values.append(np.array(vfx, dtype=float))
-    # scored like certify's infinitesimal_commutation, Df once per point
+        values.append(vx)
+        image_values.append(vfx)
+    # scored like certify's infinitesimal_commutation
     scored = commutation_residuals(f, values, image_values, pts, images)
     results = [(desc, float(np.max(residual / scale, initial=0.0)))
                for desc, (residual, scale) in zip(descs, scored)]

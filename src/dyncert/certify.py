@@ -1,11 +1,13 @@
 """Residual operations and their aggregation into certification verdicts.
 
 Both certifiers share one pipeline.  A guard pass samples once and applies
-``f`` once per point; a guard failure drops and counts the point.  Each
-field, integral and gradient is then evaluated once per kept point into a
-float stack whose first axis runs over the points, and each condition is
-one formula over those stacks, reported in the order it is computed.
-Jacobians are evaluated once per point too but never stacked: of the map's
+``f`` once to each point; a guard failure drops and counts the point.  Each
+field, integral and gradient is then evaluated once at each kept point into
+a float stack whose first axis runs over the points, and each condition is
+one formula over those stacks, reported in the order it is computed.  Every
+callable is called on coordinate columns, one call per chunk of points
+(``core.point_stack``), or once per point if it fails on columns.
+Jacobians are stacked one chunk at a time and kept no longer: of the map's
 only the products Df X are kept, of the fields' only the Lie bracket norms
 and of the lift's only its symplecticity residual.  The public pointwise
 residuals call the same formulas.  Flow commutation is a second phase: per
@@ -23,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   ScalarField, SmoothMap, VectorField, sample)
+                   ScalarField, SmoothMap, VectorField, column_chunks,
+                   point_stack, sample)
 from .numerics import (FLOW_TOL, IntegrationError, integrate_flow,
                        numerical_rank)
 
@@ -157,7 +159,8 @@ class CertificationReport:
 # Dot products and norms (sqrt(v . v)) use batched ``@``, which rounds each
 # point exactly like a pointwise ``@`` or ``np.linalg.norm``; ``np.einsum``
 # and sums along an axis do not.  The Lie bracket and commutation take one
-# point, because their Jacobians are evaluated per point and never stacked.
+# point: a matrix-vector ``@`` on one point keeps the bits of the public
+# pointwise residuals.
 
 
 def _dot(a, b) -> np.ndarray:
@@ -191,32 +194,35 @@ def _symplecticity(m) -> np.ndarray:
                   axis=(1, 2))
 
 
-def _stack(evaluate: Callable, points: np.ndarray, shape=()) -> np.ndarray:
-    """``evaluate`` at each row of ``points``, passed as a list of plain
-    floats, as a float stack of ``shape`` per point."""
-    out = np.empty((len(points), *shape))
-    for i, x in enumerate(points):
-        out[i] = evaluate(x.tolist())
-    return out
-
-
 def _one(*values) -> list[np.ndarray]:
     """Each value as a float stack of one point."""
     return [np.asarray(v, dtype=float)[None] for v in values]
 
 
+def _jacobians(maps, points: np.ndarray):
+    """Per chunk of ``column_chunks``: its slice, and the (chunk, n, n)
+    Jacobian stacks of ``maps`` (maps or fields) there, in one list that
+    each chunk empties first, so one chunk's stacks are alive at a time."""
+    n = points.shape[1]
+    jac = []
+    for chunk in column_chunks(len(points)) if maps else ():
+        jac.clear()
+        jac.extend(point_stack(g.jacobian_at, points[chunk], (n, n))
+                   for g in maps)
+        yield chunk, jac
+
+
 def _bracket_norms(fields, values, points: np.ndarray, pairs) -> np.ndarray:
     """|[Xj, Xk]| for each pair (j, k) of ``fields`` at each point, as a
-    (pairs, points) array, from the fields' (points, n) value stacks.  Each
-    field's Jacobian is evaluated once per point, and only the norms outlive
-    the point: memory grows with the pairs, not with fields x n x n."""
+    (pairs, points) array, from the fields' (points, n) value stacks.  The
+    fields' Jacobians are stacked one chunk of points at a time and only the
+    norms outlive it: memory grows with the pairs, not with fields x n x n."""
     out = np.empty((len(pairs), len(points)))
-    for i, x in enumerate(points if pairs else ()):
-        jac = [np.asarray(x_fld.jacobian_at(x.tolist()), dtype=float)
-               for x_fld in fields]
-        out[:, i] = _norms(np.array([_lie_bracket(values[j][i], values[k][i],
-                                                  jac[j], jac[k])
-                                     for j, k in pairs]))
+    for chunk, jac in _jacobians(fields if pairs else (), points):
+        for c, i in enumerate(range(chunk.start, chunk.stop)):
+            out[:, i] = _norms(np.array([
+                _lie_bracket(values[j][i], values[k][i], jac[j][c], jac[k][c])
+                for j, k in pairs]))
     return out
 
 
@@ -260,12 +266,14 @@ def commutation_residuals(f: SmoothMap, values, image_values,
     """Infinitesimal commutation of ``f`` with several fields, from (points,
     n) stacks of their ``values`` at ``points`` and ``image_values`` at the
     ``images`` f(x): per field, the norms |Df(x) X(x) - X(f(x))| and their
-    scales 1 + max(|x|, |f(x)|, |X(x)|).  Df is evaluated once per point."""
+    scales 1 + max(|x|, |f(x)|, |X(x)|).  Df is stacked one chunk of points
+    at a time."""
     norms = np.empty((len(values), len(points)))
-    for i, x in enumerate(points if values else ()):
-        df = np.asarray(f.jacobian_at(x.tolist()), dtype=float)
-        norms[:, i] = _norms(np.array([_commutation(df, v[i], w[i])
-                                       for v, w in zip(values, image_values)]))
+    for chunk, (df,) in _jacobians((f,) if values else (), points):
+        for c, i in enumerate(range(chunk.start, chunk.stop)):
+            norms[:, i] = _norms(np.array([
+                _commutation(df[c], v[i], w[i])
+                for v, w in zip(values, image_values)]))
     base = np.maximum(_norms(points), _norms(images))
     return [(r, 1.0 + np.maximum(base, _norms(v)))
             for r, v in zip(norms, values)]
@@ -296,8 +304,8 @@ def independence_rank_stats(columns, points, threshold: float = 1e-8):
     if not columns:
         raise ValueError("at least one column is required")
     xs = np.asarray(points, dtype=float).reshape(len(points), columns[0].dim)
-    full = _full_rank([_stack(c.gradient_at if isinstance(c, ScalarField)
-                              else c, xs, (c.dim,)) for c in columns],
+    full = _full_rank([point_stack(c.gradient_at if isinstance(c, ScalarField)
+                                   else c, xs, (c.dim,)) for c in columns],
                       threshold)
     frac = int(np.count_nonzero(full)) / len(points) if points else 0.0
     return frac, [tuple(x) for x, ok in zip(points, full) if not ok]
@@ -366,23 +374,24 @@ def _rank_stats(name: str, columns, points: np.ndarray,
     )
 
 
+def _inside(f: SmoothMap, points: np.ndarray) -> np.ndarray:
+    """Per point, whether it passes the map's domain guard."""
+    guard = f.domain_guard or (lambda x: True)
+    return np.array([bool(guard(x)) for x in points.tolist()], dtype=bool)
+
+
 def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int | None,
                 seed: int):
-    """Sample once and apply ``f`` once per point; a guard failure drops
-    and counts the point.  Returns the kept points and their images as
-    (points, n) float stacks, and the failure count."""
-    raw_points = sample(region, samples, seed)
-    points = np.empty((len(raw_points), f.dim))
-    images = np.empty_like(points)
-    kept = 0
-    for x in raw_points:
-        try:
-            images[kept] = f.apply(x)
-        except DomainError:
-            continue
-        points[kept] = x
-        kept += 1
-    return points[:kept], images[:kept], len(raw_points) - kept
+    """Sample once and apply ``f`` once to each point inside its guard; a
+    point or image outside the guard is dropped and counted.  Returns the
+    kept points and their images as (points, n) float stacks, and the
+    failure count."""
+    raw_points = np.reshape(sample(region, samples, seed), (-1, f.dim))
+    points = raw_points[_inside(f, raw_points)]
+    images = point_stack(lambda x: f.apply(x, check_guard=False), points,
+                         (f.dim,))
+    kept = _inside(f, images)
+    return points[kept], images[kept], len(raw_points) - int(kept.sum())
 
 
 def _verdict(conditions) -> str:
@@ -417,11 +426,12 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     dim = f.dim
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
     nx, nfx = _norms(points), _norms(images)
-    v = [_stack(x_fld, points, (dim,)) for x_fld in fields]
+    v = [point_stack(x_fld, points, (dim,)) for x_fld in fields]
     nv = [_norms(u) for u in v]
     brackets = _bracket_norms(fields, v, points, pairs)
-    val = [_stack(f_int, points) for f_int in integrals]
-    grad = [_stack(f_int.gradient_at, points, (dim,)) for f_int in integrals]
+    val = [point_stack(f_int, points) for f_int in integrals]
+    grad = [point_stack(f_int.gradient_at, points, (dim,))
+            for f_int in integrals]
     stats = []
 
     # (i) Lie brackets per unordered pair, field rank
@@ -444,7 +454,7 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     # (iii) infinitesimal commutation, map invariance
     commutation = []
     for j, (residuals, scales) in enumerate(commutation_residuals(
-            f, v, [_stack(x_fld, images, (dim,)) for x_fld in fields],
+            f, v, [point_stack(x_fld, images, (dim,)) for x_fld in fields],
             points, images)):
         stats.append(_stats(f"infinitesimal_commutation[X{j + 1}]",
                             residuals, scales, points, tol.algebraic_tol))
@@ -452,7 +462,7 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     for k, f_int in enumerate(integrals):
         stats.append(_stats(
             f"map_invariance[F{k + 1}]",
-            np.abs(_stack(f_int, images) - val[k]),
+            np.abs(point_stack(f_int, images) - val[k]),
             1.0 + np.maximum(np.maximum(nx, nfx), np.abs(val[k])),
             points, tol.algebraic_tol))
 
@@ -523,16 +533,19 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
     pairs = list(combinations(range(len(integrals)), 2))
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
     nz, nfz = _norms(points), _norms(images)
-    val = [_stack(g, points) for g in integrals]
-    grad = [_stack(g.gradient_at, points, (f.dim,)) for g in integrals]
-    stats = [_stats("symplecticity",
-                    # one point at a time: a (points, 2n, 2n) stack of the
-                    # lift's Jacobians would set the run's peak memory
-                    _stack(lambda z: symplecticity_residual(f, z), points),
-                    1.0 + nz, points, tol.algebraic_tol)]
+    val = [point_stack(g, points) for g in integrals]
+    grad = [point_stack(g.gradient_at, points, (f.dim,)) for g in integrals]
+    # one chunk at a time: a (points, 2n, 2n) stack of the lift's Jacobians
+    # would set the run's peak memory
+    residuals = np.empty(len(points))
+    for chunk, (m,) in _jacobians((f,), points):
+        residuals[chunk] = _symplecticity(m)
+    stats = [_stats("symplecticity", residuals, 1.0 + nz, points,
+                    tol.algebraic_tol)]
     for k, g in enumerate(integrals):
         stats.append(_stats(
-            f"map_invariance[G{k + 1}]", np.abs(_stack(g, images) - val[k]),
+            f"map_invariance[G{k + 1}]",
+            np.abs(point_stack(g, images) - val[k]),
             1.0 + np.maximum(np.maximum(nz, nfz), np.abs(val[k])),
             points, tol.algebraic_tol))
     for j, k in pairs:

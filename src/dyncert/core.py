@@ -4,6 +4,13 @@ Phase spaces are boxes in R^n where each coordinate may independently be a
 line or a circle of given circumference; circle coordinates are reduced to
 ``[0, c)`` after every map application and distances on them are arc
 distances.
+
+The column contract.  A map's ``forward``, a field's or integral's ``func``
+and their derivatives may be called on coordinate columns: a list of n
+arrays, each holding one coordinate of many points, or jets whose values are
+such arrays.  Each entry of the result must then give every point the value
+that point gives alone (a constant is broadcast).  A callable that raises on
+columns, or returns another shape, is called once per point instead.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ __all__ = [
     "SamplingRegion",
     "iterate",
     "sample",
+    "column_chunks",
+    "on_columns",
+    "point_stack",
 ]
+
+# points per call on coordinate columns: bounds the arrays of nested jets
+COLUMN_CHUNK = 128
 
 
 class DomainError(ValueError):
@@ -52,7 +65,8 @@ class SmoothMap:
     drops those second derivatives, so it is exact only for an affine map.
     Nothing checks it against jets.  ``phase_topology`` holds one entry per
     coordinate: ``None`` for a line, or the circumference of a circle
-    coordinate.
+    coordinate.  All callables follow the column contract (module
+    docstring).
     """
 
     dim: int
@@ -124,10 +138,7 @@ class VectorField:
     Jacobian unless ``analytic_jacobian`` is set.  As for
     :class:`SmoothMap`, a set ``analytic_jacobian`` replaces jets everywhere
     and, returning floats, is exact under nested jets only for an affine
-    field.  The flow integrator may pass ``func`` coordinate columns, one
-    array per coordinate over many points; it must then give each point
-    the value it gives that point alone.  A ``func`` that raises on
-    columns, or returns another shape, is called once per point."""
+    field.  Both follow the column contract (module docstring)."""
 
     dim: int
     func: Callable
@@ -153,7 +164,8 @@ class ScalarField:
     gradient unless ``analytic_gradient`` is set.  A set
     ``analytic_gradient`` replaces jets everywhere (``lift_structure`` hands
     it on to the lifted integral) and, returning floats, is exact under
-    nested jets only for an affine function."""
+    nested jets only for an affine function.  Both follow the column
+    contract (module docstring)."""
 
     dim: int
     func: Callable
@@ -263,3 +275,59 @@ def iterate(f: SmoothMap, x0: Sequence, k: int) -> list:
             raise DomainError(f"guard violation at step {j + 1}: {err}",
                               step=j + 1) from err
     return x
+
+
+def column_chunks(count: int) -> list[slice]:
+    """Near-equal slices of ``range(count)``, at most ``COLUMN_CHUNK`` long;
+    none holds a single point unless ``count`` is 1."""
+    k = -(-count // COLUMN_CHUNK)
+    return [slice(i * count // k, (i + 1) * count // k) for i in range(k)]
+
+
+def _leaves(value, shape) -> list:
+    """The entries of a nested sequence of ``shape``, in row-major order."""
+    if not shape:
+        return [value]
+    if len(value) != shape[0]:
+        raise ValueError("wrong shape")
+    return [leaf for v in value for leaf in _leaves(v, shape[1:])]
+
+
+def on_columns(func: Callable, points: np.ndarray, shape=()):
+    """``func`` at each row of a (points, n) stack, from calls on the list
+    of its n coordinate columns, one call per chunk of ``column_chunks``;
+    a (points, *shape) float stack, or None.
+
+    A constant entry of the result is broadcast over the chunk.  The calls
+    run under ``np.errstate(all="raise")``, so a pole or an overflow
+    raises; when a call raises, an entry has another shape, or ``points``
+    holds one point, the result is None and the caller evaluates each
+    point on its own."""
+    if len(points) == 1:
+        return None
+    out = np.empty((len(points), *shape))
+    try:
+        with np.errstate(all="raise"):
+            for chunk in column_chunks(len(points)):
+                block = out[chunk].reshape(chunk.stop - chunk.start, -1)
+                leaves = _leaves(func(list(points[chunk].T)), shape)
+                for column, leaf in zip(block.T, leaves, strict=True):
+                    if np.shape(leaf) not in ((), column.shape):
+                        raise ValueError("wrong shape")
+                    column[...] = leaf
+    except Exception:  # a real error recurs in the per-point call
+        return None
+    return out
+
+
+def point_stack(func: Callable, points: np.ndarray, shape=()) -> np.ndarray:
+    """``func`` at each row of ``points`` as a (points, *shape) float stack:
+    from :func:`on_columns`, or, if that gives None, from one call per
+    point on a list of plain floats, which raises a pole's error at its
+    point."""
+    out = on_columns(func, points, shape)
+    if out is None:
+        out = np.empty((len(points), *shape))
+        for i, x in enumerate(points.tolist()):
+            out[i] = func(x)
+    return out

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Jet",
     "DerivativeError",
@@ -40,6 +42,9 @@ class DerivativeError(ValueError):
 
 class Jet:
     __slots__ = ("value", "partials")
+    # numpy defers to Jet's operators, so an array of values (one per
+    # point) on the left of a jet gives a jet, not an array of jets
+    __array_ufunc__ = None
 
     def __init__(self, value, partials):
         self.value = value
@@ -75,18 +80,18 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            if float_of(other.value) == 0.0:
+            if _has_zero(other.value):
                 raise ZeroDivisionError("jet division by a jet with zero value")
             v = other.value
             return Jet(self.value / v,
                        tuple((a * v - self.value * b) / (v * v)
                              for a, b in zip(self.partials, other.partials)))
-        if float_of(other) == 0.0:
+        if _has_zero(other):
             raise ZeroDivisionError("jet division by zero")
         return Jet(self.value / other, tuple(a / other for a in self.partials))
 
     def __rtruediv__(self, other):
-        if float_of(self.value) == 0.0:
+        if _has_zero(self.value):
             raise ZeroDivisionError("jet division by a jet with zero value")
         v = self.value
         return Jet(other / v, tuple(-other * a / (v * v) for a in self.partials))
@@ -120,11 +125,22 @@ class Jet:
         return f"Jet({self.value!r}, {self.partials!r})"
 
 
-def float_of(x) -> float:
-    """Plain float underneath an arbitrarily nested jet."""
+def _base(x):
+    """The number or coordinate column underneath a nested jet."""
     while isinstance(x, Jet):
         x = x.value
-    return float(x)
+    return x
+
+
+def float_of(x) -> float:
+    """Plain float underneath an arbitrarily nested jet."""
+    return float(_base(x))
+
+
+def _has_zero(x) -> bool:
+    """Whether the value under a jet is zero, at any point of a column."""
+    x = _base(x)
+    return bool((x == 0.0).any()) if isinstance(x, np.ndarray) else x == 0.0
 
 
 # -- elementary functions ----------------------------------------------
@@ -223,15 +239,38 @@ def transpose(rows: list[list]) -> list[list]:
     return [list(col) for col in zip(*rows)]
 
 
+def _where(mask, x, y):
+    """x at the points of ``mask`` and y elsewhere, entry by entry of two
+    jets of the same structure."""
+    if isinstance(x, Jet) and isinstance(y, Jet):
+        return Jet(_where(mask, x.value, y.value),
+                   (_where(mask, u, v)
+                    for u, v in zip(x.partials, y.partials)))
+    if isinstance(x, Jet) or isinstance(y, Jet):
+        raise DerivativeError("pivot rows of different jet structure")
+    return np.where(mask, x, y)
+
+
 def solve_linear(a_rows: list[list], b: list) -> list:
-    """Solve A y = b with partial pivoting; entries may be jets."""
+    """Solve A y = b with partial pivoting; entries may be jets, and their
+    values coordinate columns, each point with its own pivot."""
     n = len(b)
     a = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(float_of(a[r][col])))
-        if abs(float_of(a[pivot][col])) == 0.0:
+        size = [abs(_base(a[r][col])) for r in range(col, n)]
+        if any(isinstance(v, np.ndarray) for v in size):  # per point
+            size = np.broadcast_arrays(*size)
+        pivot = col + np.argmax(size, axis=0)  # the first largest
+        if not np.all(np.max(size, axis=0)):
             raise DerivativeError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(col + 1, n):  # swap row col with each pivot row
+            at = pivot == r
+            if np.all(at):
+                a[col], a[r] = a[r], a[col]
+            elif np.any(at):
+                top = [_where(at, u, v) for u, v in zip(a[r], a[col])]
+                a[r] = [_where(at, u, v) for u, v in zip(a[col], a[r])]
+                a[col] = top
         inv = a[col][col]
         for r in range(col + 1, n):
             factor = a[r][col] / inv

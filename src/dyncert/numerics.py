@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, on_columns
 
 __all__ = [
     "IntegrationError",
@@ -78,16 +78,17 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
 
     Negative ``t`` integrates backwards; ``tol`` is both the absolute and
     the relative error tolerance per step.  The rows of a stack advance in
-    lockstep, each with its own step size: every stage calls ``field`` once
-    on the n coordinate columns of the running rows (a constant component
-    is broadcast).  A field that raises on columns or returns another
-    shape, and a single running row, get one list of floats per row.
+    lockstep, each with its own step size: every stage calls ``field`` on
+    the n coordinate columns of the running rows (``core.on_columns``).  A
+    field that fails on columns, for the rest of the integration, and a
+    single running row get one list of floats per row.
 
-    A row fails when it turns non-finite, when its step falls below the
-    rounding of ``t`` (finite-time blow-up), after ``MAX_STEPS`` steps, or
-    when ``field`` raises :class:`DomainError` at one of its points.  A
-    stack returns a failed row as NaN; a point raises the error instead,
-    :class:`IntegrationError` for the first three.
+    A row fails when its step falls below the rounding of ``t`` (a
+    finite-time blow-up, or a non-finite state, whose steps are all
+    rejected), after ``MAX_STEPS`` steps, or when ``field`` raises
+    :class:`DomainError` at one of its points.  A stack returns a failed
+    row as NaN; a point raises the error instead, :class:`IntegrationError`
+    for the first two.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -102,15 +103,12 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
 
     def rhs(state, rows):  # a row that has failed reads NaN
         nonlocal columns
-        values = np.empty_like(state)
         if columns and len(rows) > 1:
-            try:
-                for column, c in zip(values.T, field(list(state.T)),
-                                     strict=True):
-                    column[...] = c  # broadcasts a constant component
+            values = on_columns(field, state, state.shape[1:])
+            if values is not None:
                 return values
-            except Exception:  # a real error recurs in the per-row call
-                columns = False
+            columns = False
+        values = np.empty_like(state)
         for r, i in enumerate(rows):
             try:
                 values[r] = np.nan if i in errors else field(list(state[r]))
@@ -166,9 +164,6 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
         y = np.where(ok[:, None], yi, y)
         first = np.where(ok[:, None], k[6], first)
         elapsed = np.where(ok, np.where(last, t_abs, elapsed + h), elapsed)
-        if not np.isfinite(yi[ok]).all():
-            fail(ok & ~np.all(np.isfinite(yi), axis=1),
-                 "trajectory diverged near")
         factors = []
         for e in err.tolist():  # Python's **: np.power may round otherwise
             if e > 0.0:

@@ -19,7 +19,9 @@ from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
 from dyncert.catalog import build
 from dyncert.constructions import lift_structure
 from dyncert.core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                          ScalarField, SmoothMap, VectorField, sample)
+                          ScalarField, SmoothMap, VectorField, column_chunks,
+                          sample)
+from dyncert.jets import Jet
 from dyncert.numerics import integrate_flow
 
 E = math.e
@@ -382,10 +384,20 @@ class TestCertifyInvolution:
             certify_involution(f, (), region, samples=5, seed=42)
 
 
+def _points(x) -> int:
+    """Points a callable evaluates in one call: the length of the coordinate
+    columns it gets (under any jets), or 1 for one point."""
+    v = x[0]
+    while isinstance(v, Jet):
+        v = v.value
+    return np.size(v)
+
+
 def _counting(counts, key, fn):
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        return fn(*args, **kwargs)
+    """``fn`` counting the points it evaluates under ``key``."""
+    def counted(x, *args, **kwargs):
+        counts[key] += _points(x)
+        return fn(x, *args, **kwargs)
     return counted
 
 
@@ -465,6 +477,41 @@ class TestPipeline:
         rows = 2 * min(certify.FLOW_POINT_CAP, kept)
         assert shapes == [(rows, f.dim)] * (passing * len(certify.FLOW_TIMES))
         assert report.verdict == "PASS"
+
+    def test_algebraic_phase_calls_each_integral_once_per_chunk(self):
+        # at the default sample count each quantity is one call per chunk
+        # of points on coordinate columns, not one call per point
+        f, s, region = build("lyness", n=5)
+        calls = Counter()
+
+        def calling(g):
+            def func(x):
+                calls[g.name] += 1
+                return g.func(x)
+            return replace(g, func=func)
+
+        s = replace(s, integrals=tuple(calling(g) for g in s.integrals))
+        report = certify_structure(f, s, region, samples=1000, flow_times=())
+        chunks = len(column_chunks(1000 - report.guard_failures))
+        assert chunks > 1
+        # values at the points and at their images, and gradients
+        assert calls == {g.name: 3 * chunks for g in s.integrals}
+
+    def test_symplecticity_calls_the_lift_once_per_chunk(self):
+        lifted, integrals, region = _lifted_target("lyness", n=4)
+        calls = Counter()
+
+        def forward(z, _forward=lifted.forward):
+            calls["jets" if isinstance(z[0], Jet) else "columns"] += 1
+            return _forward(z)
+
+        report = certify_involution(replace(lifted, forward=forward),
+                                    integrals, region, samples=1000)
+        # the guard pass applies the lift to every sampled point (all pass
+        # the base guard), symplecticity differentiates it at the kept ones
+        assert calls == {
+            "columns": len(column_chunks(1000)),
+            "jets": len(column_chunks(1000 - report.guard_failures))}
 
     def test_involution_evaluates_the_lift_once(self):
         lifted, integrals, region = _lifted_target("lyness", n=5)

@@ -1,0 +1,284 @@
+"""Calls on coordinate columns give each point the bits of its own call.
+
+``core.on_columns`` evaluates a callable once per chunk of points, and the
+certifiers evaluate one point at a time when it gives None.  These tests
+hold column stacks to per-point stacks with ``np.array_equal``, a pole to
+the error of its own point, and whole reports to those of a run with the
+column calls switched off.
+"""
+
+import json
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyncert import certify, core, numerics
+from dyncert.catalog import build, lyness_symmetry_variants
+from dyncert.certify import (certify_involution, certify_structure,
+                             symplecticity_residual)
+from dyncert.constructions import cotangent_lift, lift_structure
+from dyncert.core import (IntegrabilityStructure, SamplingRegion, SmoothMap,
+                          column_chunks, on_columns, point_stack, sample)
+from dyncert.expressions import structure_from_dict
+from dyncert.jets import DerivativeError, Jet, solve_linear
+
+# every catalog entry that ships a structure
+STRUCTURES = [
+    ("affine1d", {}), ("affine1d", {"a": 1.0}), ("rigid_rotation", {}),
+    ("linear", {"blocks": "2:2"}), ("linear", {"blocks": "2:2,3:1"}),
+    ("linear", {"blocks": "-0.5:3"}), ("twist", {"n": 2}),
+    ("lyness", {"n": 2}), ("lyness", {"n": 3}), ("lyness", {"n": 4}),
+    ("lyness", {"n": 5, "a": 2.0}), ("lyness", {"n": 3, "symmetry": 1}),
+    ("lyness", {"n": 5, "symmetry": 1}),
+]
+
+# fields and integrals with pow, sin and exp (which take one point at a
+# time) and with division (which takes columns)
+EXPRESSIONS = {
+    "dim": 3,
+    "fields": [["sin(x1) * x2", "exp(x3 / 4)", "x1^2 / x2 + 1"]],
+    "integrals": ["pow(x1, 1.5) * x2 / x3", "x1 * x2 / (x3 + 1)"],
+}
+
+
+def _quantities(f, s):
+    """(label, callable, shape) of the map, its fields and integrals."""
+    n = f.dim
+    out = [("f", lambda x: f.apply(x, check_guard=False), (n,)),
+           ("Df", f.jacobian_at, (n, n))]
+    for j, v in enumerate(s.fields):
+        out += [(f"X{j + 1}", v, (n,)), (f"DX{j + 1}", v.jacobian_at, (n, n))]
+    for k, g in enumerate(s.integrals):
+        out += [(f"F{k + 1}", g, ()), (f"dF{k + 1}", g.gradient_at, (n,))]
+    return out
+
+
+def _points(region, count, seed, momentum=0):
+    """``count`` sampled points, with ``momentum`` coordinates in [-1, 1]."""
+    x = np.reshape(sample(region, count, seed), (count, -1))
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, momentum))
+    return np.concatenate([x, p], axis=1)
+
+
+def _per_point(fn, points, shape):
+    return np.array([np.asarray(fn(x), dtype=float).reshape(shape)
+                     for x in points.tolist()]).reshape(len(points), *shape)
+
+
+def _targets(f, s, region, count, seed):
+    """(label, callable, shape, points) of a structure and of its lift."""
+    lifted, integrals = lift_structure(f, s)
+    lift = IntegrabilityStructure(dim=lifted.dim, integrals=integrals)
+    return ([(*q, _points(region, count, seed)) for q in _quantities(f, s)]
+            + [(f"lift {label}", fn, shape,
+                _points(region, count, seed, f.dim))
+               for label, fn, shape in _quantities(lifted, lift)])
+
+
+@pytest.mark.parametrize("name, params", STRUCTURES)
+@settings(max_examples=4, deadline=None)
+@given(st.integers(min_value=2, max_value=150),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_catalog_columns_equal_points(name, params, count, seed):
+    f, s, region = build(name, **params)
+    for label, fn, shape, points in _targets(f, s, region, count, seed):
+        columns = on_columns(fn, points, shape)
+        assert columns is not None, label  # no silent fallback
+        assert np.array_equal(columns, _per_point(fn, points, shape)), label
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=2, max_value=100),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_expression_columns_equal_points(count, seed):
+    f, _, region = build("lyness", n=3)
+    s = structure_from_dict(EXPRESSIONS)
+    for label, fn, shape, points in _targets(f, s, region, count, seed):
+        assert np.array_equal(point_stack(fn, points, shape),
+                              _per_point(fn, points, shape)), label
+    # the second integral takes columns; pow, sin and exp do not
+    x = _points(region, count, seed)
+    assert on_columns(s.integrals[1], x) is not None
+    assert on_columns(s.integrals[1].gradient_at, x, (3,)) is not None
+    for fn, shape in ((s.fields[0], (3,)), (s.integrals[0], ())):
+        assert on_columns(fn, x, shape) is None
+
+
+@pytest.mark.parametrize("name, params", [
+    ("linear", {"blocks": "2:2,3:1"}), ("twist", {"n": 2}),
+    ("lyness", {"n": 5, "symmetry": 1})])
+def test_jacobian_conditions_equal_the_per_point_loop(name, params):
+    # Jacobians stacked a chunk at a time give the bits of fresh per-point
+    # Jacobians in the bracket, commutation and symplecticity formulas
+    f, s, region = build(name, **params)
+    x = _points(region, 150, 11)
+    fx = point_stack(lambda p: f.apply(p, check_guard=False), x, (f.dim,))
+    v, w = ([point_stack(fld, p, (f.dim,)) for fld in s.fields]
+            for p in (x, fx))
+    pairs = list(combinations(range(len(s.fields)), 2))
+    brackets = certify._bracket_norms(s.fields, v, x, pairs)
+    commutation = [r for r, _ in certify.commutation_residuals(f, v, w, x, fx)]
+    for i, p in enumerate(x.tolist()):
+        jac = [np.asarray(fld.jacobian_at(p), dtype=float)
+               for fld in s.fields]
+        df = np.asarray(f.jacobian_at(p), dtype=float)
+        for (j, k), norms in zip(pairs, brackets):
+            assert norms[i] == certify._norms(certify._lie_bracket(
+                v[j][i], v[k][i], jac[j], jac[k])[None])[0]
+        for j, norms in enumerate(commutation):
+            assert norms[i] == certify._norms(
+                certify._commutation(df, v[j][i], w[j][i])[None])[0]
+    lifted, _ = lift_structure(f, s)
+    z = _points(region, 150, 11, f.dim)
+    assert np.array_equal(
+        certify._symplecticity(point_stack(lifted.jacobian_at, z,
+                                           (lifted.dim, lifted.dim))),
+        [symplecticity_residual(lifted, p) for p in z.tolist()])
+
+
+def _raised(fn, *args):
+    with pytest.raises((ZeroDivisionError, DerivativeError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("quantity, shape", [("value", ()),
+                                             ("gradient", (2,))])
+def test_pole_row_raises_its_own_error(quantity, shape):
+    g = structure_from_dict({"dim": 2, "integrals": ["x2 / (x1 - 2)"]}) \
+        .integrals[0]
+    fn = g if quantity == "value" else g.gradient_at
+    points = np.array([[1.0, 2.0], [3.0, 1.0], [2.0, 5.0], [0.5, 0.5]])
+    assert on_columns(fn, points, shape) is None
+    error = _raised(point_stack, fn, points, shape)
+    assert error == _raised(fn, points[2].tolist())
+    assert error[1] in ("float division by zero",
+                        "jet division by a jet with zero value")
+
+
+def test_singular_row_raises_its_own_error():
+    # the lift solves Df^T q = p, and Df = diag(3 x1^2, 1) is singular at 0
+    lifted = cotangent_lift(SmoothMap(
+        dim=2, forward=lambda x: [x[0] * x[0] * x[0], x[1]]))
+    fn = lifted.jacobian_at
+    points = np.array([[1.0, 2.0, 0.5, 0.5], [0.0, 1.0, 0.5, 0.5],
+                       [2.0, 1.0, -0.5, 0.5]])
+    assert on_columns(fn, points, (4, 4)) is None
+    error = _raised(point_stack, fn, points, (4, 4))
+    assert error == _raised(fn, points[1].tolist())
+    assert error == (DerivativeError, "singular linear system")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=2, max_value=9),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_linear_pivots_per_point(n, count, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], (n, n, count))
+    a += np.eye(n)[:, :, None] * rng.choice([0.0, 4.0], count)
+    b = rng.uniform(-1.0, 1.0, (n, count))
+    da = rng.uniform(-1.0, 1.0, (n, n, count))
+    for jets in (False, True):
+        def solve(p=slice(None)):
+            """The system on the columns, or at point ``p`` in floats."""
+            def at(u):
+                return float(u[p]) if isinstance(p, int) else u
+
+            def entry(i, j):
+                u = at(a[i, j])
+                return Jet(u, (at(da[i, j]),)) if jets else u
+
+            return solve_linear([[entry(i, j) for j in range(n)]
+                                 for i in range(n)], [at(v) for v in b])
+
+        refs = []
+        for p in range(count):
+            try:
+                refs.append(solve(p))
+            except DerivativeError:  # a singular point fails the columns
+                with pytest.raises(DerivativeError, match="singular"):
+                    solve()
+                break
+        else:
+            for p, ref in enumerate(refs):
+                for u, v in zip(solve(), ref):
+                    if jets:
+                        assert u.partials[0][p] == v.partials[0]
+                        u, v = u.value, v.value
+                    assert u[p] == v
+
+
+def _columns_off(monkeypatch):
+    for module in (core, numerics):
+        monkeypatch.setattr(module, "on_columns", lambda *args: None)
+
+
+def _lifted_region(f, region):
+    guard = (lambda z: region.guard(list(z[:f.dim]))) if region.guard else None
+    return SamplingRegion(box=tuple(region.box) + ((-1.0, 1.0),) * f.dim,
+                          guard=guard)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("linear", {"blocks": "2:2,3:1"}), ("twist", {"n": 2}),
+    ("lyness", {"n": 4}), ("lyness", {"n": 3, "symmetry": 1}),
+    ("affine1d", {})])
+def test_reports_equal_with_columns_off(monkeypatch, name, params):
+    f, s, region = build(name, **params)
+    lifted, integrals = lift_structure(f, s)
+
+    def reports():
+        return json.dumps([
+            certify_structure(f, s, region, samples=150, seed=3,
+                              flow_times=(0.5,)).to_dict(),
+            certify_involution(lifted, integrals, _lifted_region(f, region),
+                               samples=150, seed=3).to_dict()])
+
+    with_columns = reports()
+    _columns_off(monkeypatch)
+    assert reports() == with_columns
+
+
+def test_variant_scores_equal_with_columns_off(monkeypatch):
+    with_columns = lyness_symmetry_variants(4, 2.0, seed=7)
+    _columns_off(monkeypatch)
+    assert lyness_symmetry_variants(4, 2.0, seed=7) == with_columns
+
+
+def test_column_chunks():
+    assert column_chunks(0) == []
+    assert column_chunks(1) == [slice(0, 1)]
+    for count in (2, core.COLUMN_CHUNK, core.COLUMN_CHUNK + 1, 1000):
+        chunks = column_chunks(count)
+        sizes = [c.stop - c.start for c in chunks]
+        assert sum(sizes) == count and chunks[-1].stop == count
+        assert 2 <= min(sizes) and max(sizes) <= core.COLUMN_CHUNK
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunked_jacobians_bound_memory():
+    # 16 fields of dimension 16: all their Jacobians at 1000 points would
+    # take 33 MB; one chunk at a time they stay well inside the bound
+    f, s, region = build("linear",
+                         blocks=",".join(f"{lam}:2" for lam in range(2, 10)))
+    assert s.m == 16
+    assert _peak(lambda: certify_structure(f, s, region, samples=1000,
+                                           flow_times=())) < 10e6
+    # the lift's nested jets, chunk by chunk (about 0.75 MB measured)
+    f, s, region = build("lyness", n=4)
+    lifted, integrals = lift_structure(f, s)
+    assert _peak(lambda: certify_involution(
+        lifted, integrals, _lifted_region(f, region), samples=1000)) < 2e6
