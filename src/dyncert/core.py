@@ -239,21 +239,44 @@ def sample(region: SamplingRegion, count: int | None = None,
            seed: int | None = None) -> list[list[float]]:
     """Deterministic uniform samples on the guarded, shrunk box.
 
-    Each point draws from its own counter-based substream, so the result
-    depends only on (seed, index) and not on how points are distributed
-    over workers.
+    Point i draws from numpy's Philox with key ``seed`` and counter word 1
+    set to i, so it depends only on (seed, i), not on the count or on how
+    points are spread over workers.  Philox increments word 0 before each
+    block of four draws, so point i's first block is at counter
+    (1, i, 0, 0): one bit generator, its counter set per point, draws all
+    first candidates in one batch, bit for bit.  A point whose candidate
+    the guard rejects is set back to its own stream and draws on, up to
+    1000 candidates.
     """
     count = region.sample_count if count is None else count
     seed = region.rng_seed if seed is None else seed
     lo = np.asarray([b[0] + region.margin for b in region.box])
     hi = np.asarray([b[1] - region.margin for b in region.box])
-    points = []
+    if count <= 0:
+        return []
+    bits = np.random.Philox(key=seed)
+    state = bits.state
+    counter = state["state"]["counter"]
+    raw = np.empty((count, len(lo)), dtype=np.uint64)
     for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
-        for _ in range(1000):
+        counter[1] = i
+        bits.state = state
+        raw[i] = bits.random_raw(len(lo))
+    first = lo + (hi - lo) * ((raw >> 11) * 2.0 ** -53)  # Generator.uniform
+    points = first.tolist()
+    if region.guard is None:
+        return points
+    gen = np.random.Generator(bits)
+    for i, x in enumerate(first):
+        if region.guard(list(x)):
+            continue
+        counter[1] = i
+        bits.state = state
+        bits.random_raw(len(lo))  # the rejected first candidate
+        for _ in range(999):
             x = gen.uniform(lo, hi)
-            if region.guard is None or region.guard(list(x)):
-                points.append([float(v) for v in x])
+            if region.guard(list(x)):
+                points[i] = [float(v) for v in x]
                 break
         else:
             raise RegionSamplingError(

@@ -258,19 +258,24 @@ def solve_linear(a_rows: list[list], b: list) -> list:
     a = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
     for col in range(n):
         size = [abs(_base(a[r][col])) for r in range(col, n)]
-        if any(isinstance(v, np.ndarray) for v in size):  # per point
+        if not any(isinstance(v, np.ndarray) for v in size):  # one point
+            pivot = col + max(range(n - col), key=size.__getitem__)
+            if not size[pivot - col]:
+                raise DerivativeError("singular linear system")
+            a[col], a[pivot] = a[pivot], a[col]
+        else:  # each point its own pivot
             size = np.broadcast_arrays(*size)
-        pivot = col + np.argmax(size, axis=0)  # the first largest
-        if not np.all(np.max(size, axis=0)):
-            raise DerivativeError("singular linear system")
-        for r in range(col + 1, n):  # swap row col with each pivot row
-            at = pivot == r
-            if np.all(at):
-                a[col], a[r] = a[r], a[col]
-            elif np.any(at):
-                top = [_where(at, u, v) for u, v in zip(a[r], a[col])]
-                a[r] = [_where(at, u, v) for u, v in zip(a[col], a[r])]
-                a[col] = top
+            pivot = col + np.argmax(size, axis=0)  # the first largest
+            if not np.all(np.max(size, axis=0)):
+                raise DerivativeError("singular linear system")
+            for r in range(col + 1, n):  # swap row col with each pivot row
+                at = pivot == r
+                if np.all(at):
+                    a[col], a[r] = a[r], a[col]
+                elif np.any(at):
+                    top = [_where(at, u, v) for u, v in zip(a[r], a[col])]
+                    a[r] = [_where(at, u, v) for u, v in zip(a[col], a[r])]
+                    a[col] = top
         inv = a[col][col]
         for r in range(col + 1, n):
             factor = a[r][col] / inv

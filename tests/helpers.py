@@ -1,7 +1,11 @@
 """Helpers that only the tests use: a finite-difference Jacobian to check
-jets against, and the values of the Lyness integrals at a point."""
+jets against, the values of the Lyness integrals at a point, and the
+per-point sampler that ``core.sample`` must match."""
+
+import numpy as np
 
 from dyncert.catalog import ParameterError, lyness_integrals
+from dyncert.core import RegionSamplingError
 
 _FD_CBRT_EPS = 6.055454452393343e-06  # eps**(1/3)
 
@@ -28,3 +32,25 @@ def lyness_integral_values(n: int, a: float, x) -> list[float]:
     if any(v <= 0 for v in x):
         raise ParameterError("lyness integrals need the positive orthant")
     return [float(g(list(x))) for g in lyness_integrals(n, a)]
+
+
+def reference_sample(region, count=None, seed=None) -> list[list[float]]:
+    """``core.sample`` as one Philox generator per point: the oracle the
+    batched sampler must match bit for bit."""
+    count = region.sample_count if count is None else count
+    seed = region.rng_seed if seed is None else seed
+    lo = np.asarray([b[0] + region.margin for b in region.box])
+    hi = np.asarray([b[1] - region.margin for b in region.box])
+    points = []
+    for i in range(count):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+        for _ in range(1000):
+            x = gen.uniform(lo, hi)
+            if region.guard is None or region.guard(list(x)):
+                points.append([float(v) for v in x])
+                break
+        else:
+            raise RegionSamplingError(
+                f"guard rejected 1000 candidates for sample {i}; "
+                "the region is misconfigured")
+    return points

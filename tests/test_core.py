@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncert.core import (DomainError, IntegrabilityStructure,
                           RegionSamplingError, SamplingRegion, ScalarField,
                           SmoothMap, VectorField, iterate, sample)
+from helpers import reference_sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,6 +147,100 @@ class TestSampling:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             SamplingRegion(box=((0.0, 0.1),), margin=0.2)
+
+
+SEEDS = (0, 1, 42, 2**64 + 5, 2**128 - 1)
+# a Philox block holds 4 draws: dimensions 5 and 9 cross a block
+DIMS = (1, 2, 4, 5, 9)
+
+
+def box(dim):
+    return tuple((-1.0 - 0.5 * k, 2.0 + k) for k in range(dim))
+
+
+def upper_half(x):
+    """Rejects about half the candidates of ``box``."""
+    return x[0] > 0.5
+
+
+class TestBatchedSampling:
+    """``sample`` draws every point from one bit generator; it must give
+    the points, guard calls and errors of one generator per point."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_per_point_generators(self, dim, seed):
+        for margin in (0.0, 0.01):
+            r = SamplingRegion(box=box(dim), margin=margin)
+            for count in (1, 1000):
+                assert sample(r, count, seed) == reference_sample(r, count, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_under_guard_rejections(self, dim, seed):
+        r = SamplingRegion(box=box(dim), margin=0.01, guard=upper_half)
+        assert sample(r, 200, seed) == reference_sample(r, 200, seed)
+
+    def test_guard_sees_the_same_candidates(self):
+        calls = {sample: [], reference_sample: []}
+        for sampler, seen in calls.items():
+            def guard(x):
+                seen.append(tuple(x))
+                return upper_half(x)
+
+            sampler(SamplingRegion(box=box(5), guard=guard), 300, 7)
+        assert calls[sample] == calls[reference_sample]
+        assert len(calls[sample]) > 400  # about one rejection per point
+
+    def test_error_names_the_rejected_point(self):
+        seed = 3
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=3 << 64))
+        lo, hi = np.asarray(box(2)).T
+        stream = {tuple(gen.uniform(lo, hi)) for _ in range(1000)}
+        rejected = []
+
+        def guard(x):
+            if tuple(x) in stream:
+                rejected.append(x)
+                return False
+            return True
+
+        r = SamplingRegion(box=box(2), guard=guard)
+        with pytest.raises(RegionSamplingError, match="for sample 3;"):
+            sample(r, 10, seed)
+        assert len(rejected) == 1000
+
+    def test_no_points(self):
+        assert sample(SamplingRegion(box=box(2)), 0, 1) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range(self, seed):
+        r = SamplingRegion(box=box(2))
+        with pytest.raises(ValueError) as old:
+            reference_sample(r, 1, seed)
+        with pytest.raises(ValueError, match=re.escape(str(old.value))):
+            sample(r, 1, seed)
+
+    @pytest.mark.parametrize("guard", [None, upper_half])
+    def test_one_bit_generator(self, monkeypatch, guard):
+        # rejected points too reset the one bit generator to their stream
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        sample(SamplingRegion(box=box(3), guard=guard), 300, 11)
+        assert built == [{"key": 11}]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**128 - 1), st.integers(1, 9), st.integers(0, 40))
+def test_sample_matches_per_point_generators(seed, dim, count):
+    r = SamplingRegion(box=box(dim))
+    assert sample(r, count, seed) == reference_sample(r, count, seed)
 
 
 class TestIterate:

@@ -187,6 +187,17 @@ class TestLinearSolve:
         assert float_of(y[0]) == pytest.approx(0.5)
         assert y[0].partials[0] == pytest.approx(-0.25)
 
+    def test_ties_pick_the_first_largest_row(self):
+        # |a00| = |a10|: keeping row 0 as pivot gives y0 = 1.0333333333333332,
+        # swapping in row 1 gives 1.0333333333333334
+        a = [[1.0, 0.8], [1.0, 0.2]]
+        b = [0.5, 0.9]
+        first = [1.0333333333333332, -0.6666666666666666]
+        assert solve_linear(a, b) == first
+        columns = solve_linear([[np.full(3, v) for v in row] for row in a],
+                               [np.full(3, v) for v in b])
+        assert [list(y) for y in columns] == [[y] * 3 for y in first]
+
     def test_transpose(self):
         assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
 
