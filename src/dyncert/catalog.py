@@ -16,6 +16,7 @@ from .constructions import (JordanBlockSpec, affine1d_symmetry,
                             linear_commutative_family, linear_map)
 from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
                    SmoothMap, VectorField, point_stack, sample)
+from .jets import left_sum
 
 __all__ = [
     "ParameterError",
@@ -60,8 +61,7 @@ def _build_affine1d(a: float = 2.0, b: float = 3.0):
     def bwd(x):
         return [(x[0] - b) / a]
 
-    f = SmoothMap(dim=1, forward=fwd, inverse=bwd,
-                  analytic_jacobian=lambda x: [[a]], name="affine1d")
+    f = SmoothMap(dim=1, forward=fwd, inverse=bwd, name="affine1d")
     s = IntegrabilityStructure(dim=1, fields=(affine1d_symmetry(a, b),))
     region = SamplingRegion(box=((-3.0, 3.0),))
     return f, s, region
@@ -79,11 +79,9 @@ def _build_rigid_rotation(a: float = 1.0):
     def bwd(x):
         return [x[0] - a]
 
-    f = SmoothMap(dim=1, forward=fwd, inverse=bwd,
-                  analytic_jacobian=lambda x: [[1.0]],
-                  phase_topology=(TWO_PI,), name="rigid_rotation")
-    v = VectorField(dim=1, func=lambda x: [1.0],
-                    analytic_jacobian=lambda x: [[0.0]], name="unit")
+    f = SmoothMap(dim=1, forward=fwd, inverse=bwd, phase_topology=(TWO_PI,),
+                  name="rigid_rotation")
+    v = VectorField(dim=1, func=lambda x: [1.0], name="unit")
     s = IntegrabilityStructure(dim=1, fields=(v,))
     region = SamplingRegion(box=((0.0, TWO_PI),))
     return f, s, region
@@ -148,9 +146,8 @@ def _build_cat_map():
     def bwd(x):
         return [x[0] - x[1], -x[0] + 2 * x[1]]
 
-    f = SmoothMap(dim=2, forward=fwd, inverse=bwd,
-                  analytic_jacobian=lambda x: [[2.0, 1.0], [1.0, 1.0]],
-                  phase_topology=(1.0, 1.0), name="cat_map")
+    f = SmoothMap(dim=2, forward=fwd, inverse=bwd, phase_topology=(1.0, 1.0),
+                  name="cat_map")
     region = SamplingRegion(box=((0.0, 1.0), (0.0, 1.0)))
     return f, None, region
 
@@ -251,12 +248,12 @@ def _lyness_v1_components(n: int, signs=(1.0, 1.0, 1.0, 1.0),
         px = _prod(x)
         out = []
         # first component
-        s = sum(x[j] for j in range(n - 1)) + s1 * (-x[1] * x[n - 1])
+        s = left_sum(x[j] for j in range(n - 1)) + s1 * (-x[1] * x[n - 1])
         p = _prod(x[j] + x[j + 1] + 1 for j in range(1, n - 1))
         out.append((x[0] + 1) * s * p / px)
         # middle components l = 2..n-1 (1-based)
         for l in range(2, n):
-            s_mid = sum(x[j] for j in range(n - 1)) + s3 * (x[0] * x[n - 1])
+            s_mid = left_sum(x[j] for j in range(n - 1)) + s3 * (x[0] * x[n - 1])
             diff = s4 * (x[l - 2] - x[l])
             hi = n - 1 + mid_hi_shift
             p_mid = _prod(x[j] + x[j + 1] + 1
@@ -264,7 +261,7 @@ def _lyness_v1_components(n: int, signs=(1.0, 1.0, 1.0, 1.0),
                           if j not in (l - 2, l - 1))
             out.append((x[l - 1] + 1) * s_mid * diff * p_mid / px)
         # last component
-        s_last = sum(x[j] for j in range(1, n - 1)) + s2 * (-x[0] * x[n - 2])
+        s_last = left_sum(x[j] for j in range(1, n - 1)) + s2 * (-x[0] * x[n - 2])
         p_last = _prod(x[j] + x[j + 1] + 1 for j in range(n - 2))
         out.append((x[n - 1] + 1) * s_last * p_last / px)
         return out
@@ -358,42 +355,30 @@ def _build_twist(n: int = 2):
     n = int(n)
     if n < 1:
         raise ParameterError("twist needs n >= 1")
-    c = _twist_gradient_matrix(n)
-    rows = [list(r) for r in c]
+    rows = [list(r) for r in _twist_gradient_matrix(n)]
 
     def fwd(z):
         q, p = z[:n], z[n:]
-        dq = [sum(rij * pj for rij, pj in zip(row, p) if rij != 0.0)
+        dq = [left_sum(rij * pj for rij, pj in zip(row, p) if rij != 0.0)
               for row in rows]
         return [qi + di for qi, di in zip(q, dq)] + list(p)
 
     def bwd(z):
         q, p = z[:n], z[n:]
-        dq = [sum(rij * pj for rij, pj in zip(row, p) if rij != 0.0)
+        dq = [left_sum(rij * pj for rij, pj in zip(row, p) if rij != 0.0)
               for row in rows]
         return [qi - di for qi, di in zip(q, dq)] + list(p)
 
-    jac = np.block([[np.eye(n), c], [np.zeros((n, n)), np.eye(n)]])
-
-    f = SmoothMap(dim=2 * n, forward=fwd, inverse=bwd,
-                  analytic_jacobian=lambda z: [list(r) for r in jac],
-                  name="twist")
+    f = SmoothMap(dim=2 * n, forward=fwd, inverse=bwd, name="twist")
     fields = []
     for j in range(n):
         e = [0.0] * (2 * n)
         e[j] = 1.0
         fields.append(VectorField(
             dim=2 * n, func=lambda z, _e=tuple(e): list(_e),
-            analytic_jacobian=lambda z: [[0.0] * (2 * n)] * (2 * n),
             name=f"dq{j + 1}"))
-    integrals = []
-    for j in range(n):
-        idx = n + j
-        integrals.append(ScalarField(
-            dim=2 * n, func=lambda z, _i=idx: z[_i],
-            analytic_gradient=lambda z, _i=idx: [
-                1.0 if i == _i else 0.0 for i in range(2 * n)],
-            name=f"p{j + 1}"))
+    integrals = [ScalarField(dim=2 * n, func=lambda z, _i=n + j: z[_i],
+                             name=f"p{j + 1}") for j in range(n)]
     s = IntegrabilityStructure(dim=2 * n, fields=tuple(fields),
                                integrals=tuple(integrals))
     region = SamplingRegion(box=tuple((-2.0, 2.0) for _ in range(2 * n)))

@@ -299,7 +299,8 @@ def independence_rank_stats(columns, points, threshold: float = 1e-8):
     """Fraction of points where the given columns have full rank.
 
     ``columns`` is a list of vector fields (values as columns) or scalar
-    fields (gradients as columns).  Returns (fraction, deficient_points).
+    fields (gradients as columns); ``points`` a list of points or a
+    (points, n) array.  Returns (fraction, deficient_points).
     """
     if not columns:
         raise ValueError("at least one column is required")
@@ -307,8 +308,8 @@ def independence_rank_stats(columns, points, threshold: float = 1e-8):
     full = _full_rank([point_stack(c.gradient_at if isinstance(c, ScalarField)
                                    else c, xs, (c.dim,)) for c in columns],
                       threshold)
-    frac = int(np.count_nonzero(full)) / len(points) if points else 0.0
-    return frac, [tuple(x) for x, ok in zip(points, full) if not ok]
+    frac = int(np.count_nonzero(full)) / len(xs) if len(xs) else 0.0
+    return frac, [tuple(x) for x, ok in zip(xs.tolist(), full) if not ok]
 
 
 def poisson_bracket(f_int: ScalarField, g_int: ScalarField, z) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IntegrabilityStructure, ScalarField, SmoothMap, VectorField
-from .jets import solve_linear, transpose
+from .jets import left_sum, solve_linear, transpose
 
 __all__ = [
     "JordanBlockSpec",
@@ -60,12 +60,10 @@ def _linear_field(m: np.ndarray, name: str) -> VectorField:
     rows = [list(r) for r in mat]
 
     def ev(x):
-        return [sum(rij * xj for rij, xj in zip(row, x) if rij != 0.0)
+        return [left_sum(rij * xj for rij, xj in zip(row, x) if rij != 0.0)
                 for row in rows]
 
-    return VectorField(dim=mat.shape[0], func=ev,
-                       analytic_jacobian=lambda x: [list(r) for r in mat],
-                       name=name)
+    return VectorField(dim=mat.shape[0], func=ev, name=name)
 
 
 def linear_map(spec: JordanBlockSpec, name: str = "linear") -> SmoothMap:
@@ -75,15 +73,14 @@ def linear_map(spec: JordanBlockSpec, name: str = "linear") -> SmoothMap:
     inv_rows = [list(r) for r in ainv]
 
     def fwd(x):
-        return [sum(rij * xj for rij, xj in zip(row, x) if rij != 0.0)
+        return [left_sum(rij * xj for rij, xj in zip(row, x) if rij != 0.0)
                 for row in rows]
 
     def bwd(x):
-        return [sum(rij * xj for rij, xj in zip(row, x)) for row in inv_rows]
+        return [left_sum(rij * xj for rij, xj in zip(row, x))
+                for row in inv_rows]
 
-    return SmoothMap(dim=spec.dim, forward=fwd, inverse=bwd,
-                     analytic_jacobian=lambda x: [list(r) for r in a],
-                     name=name)
+    return SmoothMap(dim=spec.dim, forward=fwd, inverse=bwd, name=name)
 
 
 def linear_commutative_family(spec: JordanBlockSpec) -> IntegrabilityStructure:
@@ -128,25 +125,22 @@ def affine1d_symmetry(a: float, b: float) -> VectorField:
     if a == 0.0:
         raise ValueError("a = 0 is not a diffeomorphism")
     if a == 1.0:
-        return VectorField(dim=1, func=lambda x: [1.0],
-                           analytic_jacobian=lambda x: [[0.0]],
-                           name="translation")
+        return VectorField(dim=1, func=lambda x: [1.0], name="translation")
     beta = b / (a - 1.0)
 
     def ev(x):
         return [x[0] + beta]
 
-    return VectorField(dim=1, func=ev,
-                       analytic_jacobian=lambda x: [[1.0]],
-                       name="affine_symmetry")
+    return VectorField(dim=1, func=ev, name="affine_symmetry")
 
 
 def cotangent_lift(f: SmoothMap) -> SmoothMap:
     """Symplectic extension (x, p) -> (f(x), Df(x)^{-T} p).
 
     The momentum update solves Df(x)^T q = p with jet-generic elimination,
-    so the lifted map stays differentiable (Jacobians of the lift pick up
-    the exact second derivatives of the base map).
+    so the lifted map stays differentiable: its Jacobian differentiates the
+    jets of Df once more and always carries the exact second derivatives of
+    the base map.
     """
     n = f.dim
 
@@ -164,7 +158,8 @@ def cotangent_lift(f: SmoothMap) -> SmoothMap:
             y = f.apply_inverse(x, check_guard=False)
             jac = f.jacobian_at(y)
             jt = transpose(jac)
-            q = [sum(jt[i][k] * p[k] for k in range(n)) for i in range(n)]
+            q = [left_sum(jt[i][k] * p[k] for k in range(n))
+                 for i in range(n)]
             return y + q
 
     guard = None
@@ -211,12 +206,8 @@ def lift_structure(f: SmoothMap, s: IntegrabilityStructure):
         def ev(z, _g=base_int):
             return _g(list(z[:n]))
 
-        def grad(z, _g=base_int):
-            return list(_g.gradient_at(list(z[:n]))) + [0.0] * n
-
-        integrals.append(ScalarField(
-            dim=2 * n, func=ev, analytic_gradient=grad,
-            name=base_int.name or f"F{k + 1}"))
+        integrals.append(ScalarField(dim=2 * n, func=ev,
+                                     name=base_int.name or f"F{k + 1}"))
     for j, fld in enumerate(s.fields):
         integrals.append(lift_integral(fld, name=f"G{j + 1}"))
     return lifted, tuple(integrals)

@@ -6,11 +6,12 @@ line or a circle of given circumference; circle coordinates are reduced to
 distances.
 
 The column contract.  A map's ``forward``, a field's or integral's ``func``
-and their derivatives may be called on coordinate columns: a list of n
-arrays, each holding one coordinate of many points, or jets whose values are
-such arrays.  Each entry of the result must then give every point the value
-that point gives alone (a constant is broadcast).  A callable that raises on
-columns, or returns another shape, is called once per point instead.
+and their derivatives, which jets always take, may be called on coordinate
+columns: a list of n arrays, each holding one coordinate of many points, or
+jets whose values are such arrays.  Each entry of the result must then give
+every point the value that point gives alone (a constant is broadcast; add
+with :func:`~dyncert.jets.left_sum`).  A callable that raises on columns,
+or returns another shape, is called once per point instead.
 """
 
 from __future__ import annotations
@@ -58,21 +59,15 @@ class SmoothMap:
     """An evaluable diffeomorphism on a box-with-circle-flags phase space.
 
     ``forward`` and ``inverse`` take and return sequences; ``forward``
-    must accept jet entries, which give its Jacobian unless
-    ``analytic_jacobian`` is set.  A set ``analytic_jacobian`` replaces jets
-    everywhere, also inside :func:`~dyncert.constructions.cotangent_lift`,
-    whose Jacobian differentiates it once more; one that returns floats
-    drops those second derivatives, so it is exact only for an affine map.
-    Nothing checks it against jets.  ``phase_topology`` holds one entry per
-    coordinate: ``None`` for a line, or the circumference of a circle
-    coordinate.  All callables follow the column contract (module
-    docstring).
+    must accept jet entries, which give its Jacobian.  ``phase_topology``
+    holds one entry per coordinate: ``None`` for a line, or the
+    circumference of a circle coordinate.  All callables follow the column
+    contract (module docstring).
     """
 
     dim: int
     forward: Callable
     inverse: Callable | None = None
-    analytic_jacobian: Callable | None = None
     domain_guard: Callable | None = None
     phase_topology: tuple[float | None, ...] | None = None
     name: str = ""
@@ -115,9 +110,7 @@ class SmoothMap:
 
     def jacobian_at(self, x: Sequence):
         """Jacobian rows at ``x`` (entries stay jets under nesting)."""
-        if self.analytic_jacobian is not None:
-            return self.analytic_jacobian(list(x))
-        return jet_jacobian(lambda z: self.forward(z), x)
+        return jet_jacobian(self.forward, x)
 
     def displacement(self, a: Sequence, b: Sequence) -> np.ndarray:
         """Componentwise a - b, wrapped to the shortest arc on circles."""
@@ -135,14 +128,10 @@ class SmoothMap:
 @dataclass(frozen=True)
 class VectorField:
     """A vector field; ``func`` must accept jet entries, which give its
-    Jacobian unless ``analytic_jacobian`` is set.  As for
-    :class:`SmoothMap`, a set ``analytic_jacobian`` replaces jets everywhere
-    and, returning floats, is exact under nested jets only for an affine
-    field.  Both follow the column contract (module docstring)."""
+    Jacobian, and follows the column contract (module docstring)."""
 
     dim: int
     func: Callable
-    analytic_jacobian: Callable | None = None
     name: str = ""
 
     def __call__(self, x: Sequence) -> list:
@@ -153,31 +142,22 @@ class VectorField:
         return list(y)
 
     def jacobian_at(self, x: Sequence):
-        if self.analytic_jacobian is not None:
-            return self.analytic_jacobian(list(x))
         return jet_jacobian(self.func, x)
 
 
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function; ``func`` must accept jet entries, which give its
-    gradient unless ``analytic_gradient`` is set.  A set
-    ``analytic_gradient`` replaces jets everywhere (``lift_structure`` hands
-    it on to the lifted integral) and, returning floats, is exact under
-    nested jets only for an affine function.  Both follow the column
-    contract (module docstring)."""
+    gradient, and follows the column contract (module docstring)."""
 
     dim: int
     func: Callable
-    analytic_gradient: Callable | None = None
     name: str = ""
 
     def __call__(self, x: Sequence):
         return self.func(list(x))
 
     def gradient_at(self, x: Sequence) -> list:
-        if self.analytic_gradient is not None:
-            return list(self.analytic_gradient(list(x)))
         return jet_gradient(self.func, x)
 
 

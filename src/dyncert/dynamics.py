@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   SmoothMap, sample)
+                   SmoothMap, column_chunks, point_stack, sample)
 from .numerics import eigen_moduli, integrate_flow
 
 __all__ = [
@@ -201,7 +201,8 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
     the per-step diagonals, so the averaged logs of the R diagonals
     converge to the exponents.  Each block's length follows from the logs
     of the blocks before it (:func:`_qr_block_length`), at most
-    QR_MAX_BLOCK.
+    QR_MAX_BLOCK.  The orbit advances one chunk of ``column_chunks``
+    steps at a time, and the chunk's Jacobians are one ``point_stack``.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be >= 100")
@@ -209,26 +210,31 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
     product = np.eye(f.dim)
     sums = np.zeros(f.dim)
     chained, block, rate = 0, 1, 0.0
-    for step in range(n_steps):
-        try:
-            jac = np.asarray(f.jacobian_at(x), dtype=float)
-            x = f.apply(x)
-        except DomainError as err:
-            raise DomainError(f"orbit left the domain at step {step}: {err}",
-                              step=step) from err
-        product = jac.dot(product)
-        chained += 1
-        if chained < block and step < n_steps - 1:
-            continue
-        q, r = np.linalg.qr(product)
-        diag = r.diagonal()
-        signs = np.sign(diag)
-        signs[signs == 0] = 1.0
-        product = q * signs  # keep R diagonal positive
-        logs = np.log(np.abs(diag))
-        sums += logs
-        block, rate = _qr_block_length(logs.tolist(), chained, rate)
-        chained = 0
+    for chunk in column_chunks(n_steps):
+        points = []
+        for step in range(chunk.start, chunk.stop):
+            points.append(x)
+            try:
+                x = f.apply(x)
+            except DomainError as err:
+                raise DomainError(f"orbit left the domain at step {step}: "
+                                  f"{err}", step=step) from err
+        jacobians = point_stack(f.jacobian_at, np.array(points),
+                                (f.dim, f.dim))
+        for step, jac in enumerate(jacobians, chunk.start):
+            product = jac.dot(product)
+            chained += 1
+            if chained < block and step < n_steps - 1:
+                continue
+            q, r = np.linalg.qr(product)
+            diag = r.diagonal()
+            signs = np.sign(diag)
+            signs[signs == 0] = 1.0
+            product = q * signs  # keep R diagonal positive
+            logs = np.log(np.abs(diag))
+            sums += logs
+            block, rate = _qr_block_length(logs.tolist(), chained, rate)
+            chained = 0
     return np.sort(sums / n_steps)[::-1]
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "cos",
     "sqrt",
     "power",
+    "left_sum",
     "solve_linear",
     "transpose",
 ]
@@ -190,6 +191,16 @@ def power(x, y):
     if x < 0 and not float(y).is_integer():
         raise DerivativeError("fractional power of a negative value")
     return x ** y
+
+
+def left_sum(terms):
+    """0 + t_1 + t_2 + ..., left to right, on floats, arrays and jets alike.
+    Builtin ``sum`` compensates a sum of floats since Python 3.12, not one
+    of arrays, so it gives a point alone other bits than on its column."""
+    acc = 0
+    for t in terms:
+        acc = acc + t
+    return acc
 
 
 # -- jacobians ----------------------------------------------------------

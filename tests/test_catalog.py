@@ -14,7 +14,6 @@ from dyncert.certify import (certify_structure,
 from dyncert.cli import main as cli_main
 from dyncert.core import (IntegrabilityStructure, SamplingRegion, iterate,
                           sample)
-from dyncert.jets import jet_gradient, jet_jacobian
 from helpers import lyness_integral_values
 
 
@@ -232,32 +231,3 @@ class TestOtherEntries:
         f, _, region = build("lyness", n=3, a=1.0)
         for x in sample(region, 100, seed=42):
             assert all(v > 0 for v in f.apply(x))
-
-
-ANALYTIC_CASES = [
-    ("affine1d", {"a": 2.0}),
-    ("affine1d", {"a": 1.0}),
-    ("rigid_rotation", {}),
-    ("linear", {"blocks": "2:3"}),
-    ("linear", {"blocks": "2:2,-0.5:1"}),
-    ("cat_map", {}),
-    ("twist", {"n": 3}),
-]
-
-
-@pytest.mark.parametrize("name,params", ANALYTIC_CASES)
-def test_analytic_derivatives_match_jets(name, params):
-    # a hand-written derivative must agree with the jets it replaces
-    f, s, region = build(name, **params)
-    pairs = [(f.analytic_jacobian, lambda x: jet_jacobian(f.forward, x))]
-    if s is not None:
-        pairs += [(v.analytic_jacobian, lambda x, v=v: jet_jacobian(v.func, x))
-                  for v in s.fields]
-        pairs += [(g.analytic_gradient,
-                   lambda x, g=g: jet_gradient(g.func, x))
-                  for g in s.integrals]
-    assert all(analytic is not None for analytic, _ in pairs)
-    for x in sample(region, 8, 3):
-        for analytic, by_jets in pairs:
-            np.testing.assert_array_equal(np.asarray(analytic(x), float),
-                                          np.asarray(by_jets(x), float))

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -28,11 +29,10 @@ E = math.e
 
 
 def linfield(mat, name=""):
-    m = np.asarray(mat, dtype=float)
-    return VectorField(dim=m.shape[0],
-                       func=lambda x: list(m @ np.asarray(x, dtype=float)),
-                       analytic_jacobian=lambda x: [list(r) for r in m],
-                       name=name)
+    """x -> mat x, written entry by entry so that jets give its matrix."""
+    m = np.asarray(mat, dtype=float).tolist()
+    return VectorField(dim=len(m), func=lambda x: [
+        sum(mij * xj for mij, xj in zip(row, x)) for row in m], name=name)
 
 
 class TestLieBracket:
@@ -179,6 +179,17 @@ class TestRankStats:
         region = SamplingRegion(box=((-2.0, 2.0), (-2.0, 2.0)))
         frac, _ = independence_rank_stats([v1, v2], sample(region, 500, 42))
         assert frac >= 0.99
+
+    @pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+    def test_points_as_list_or_array(self, wrap):
+        _, s, region = build("linear", blocks="2:3")
+        pts = sample(region, 5, 42)
+        assert independence_rank_stats(list(s.fields), wrap(pts)) == (1.0, [])
+        v = s.fields[0]
+        frac, deficient = independence_rank_stats([v, v], wrap(pts))
+        assert frac == 0.0
+        assert deficient == [tuple(x) for x in pts]
+        assert all(type(c) is float for x in deficient for c in x)
 
     def test_gradient_columns(self):
         g1 = ScalarField(dim=2, func=lambda x: x[0])
@@ -448,7 +459,7 @@ class TestPipeline:
         ("lyness", {"n": 5}, {"map": 100, "integral": 900}),
         ("lyness", {"n": 5, "symmetry": 1},
          {"map": 200, "field": 200, "integral": 900}),
-        ("linear", {"blocks": "2:3"}, {"map": 100, "field": 600}),
+        ("linear", {"blocks": "2:3"}, {"map": 200, "field": 900}),
     ])
     def test_structure_evaluates_each_quantity_once(self, name, params,
                                                     expected):
@@ -576,6 +587,32 @@ def _table(stack):
     return lambda x: stack[int(x[0])]
 
 
+# maps, fields and integrals whose derivative is looked up in ``table``
+# instead of taken by jets
+@dataclass(frozen=True)
+class _TabledMap(SmoothMap):
+    table: Callable | None = None
+
+    def jacobian_at(self, x):
+        return self.table(x)
+
+
+@dataclass(frozen=True)
+class _TabledField(VectorField):
+    table: Callable | None = None
+
+    def jacobian_at(self, x):
+        return self.table(x)
+
+
+@dataclass(frozen=True)
+class _TabledIntegral(ScalarField):
+    table: Callable | None = None
+
+    def gradient_at(self, x):
+        return self.table(x)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=10),
        st.integers(min_value=1, max_value=6),
@@ -591,18 +628,18 @@ def test_stacked_formulas_equal_pointwise_residuals(n, count, seed, exponent):
 
     vj, vk, v_image, g = draw(n), draw(n), draw(n), draw(n)
     dj, dk, df = draw(n, n), draw(n, n), draw(n, n)
-    xj = VectorField(dim=n, func=_table(np.concatenate([vj, v_image])),
-                     analytic_jacobian=_table(dj))
-    xk = VectorField(dim=n, func=_table(vk), analytic_jacobian=_table(dk))
+    xj = _TabledField(dim=n, func=_table(np.concatenate([vj, v_image])),
+                      table=_table(dj))
+    xk = _TabledField(dim=n, func=_table(vk), table=_table(dk))
     # f moves point i to point count + i, where xj holds v_image
-    f = SmoothMap(dim=n, forward=lambda x: [x[0] + count] + list(x[1:]),
-                  analytic_jacobian=_table(df))
-    grad = ScalarField(dim=n, func=lambda x: 0.0, analytic_gradient=_table(g))
+    f = _TabledMap(dim=n, forward=lambda x: [x[0] + count] + list(x[1:]),
+                   table=_table(df))
+    grad = _TabledIntegral(dim=n, func=lambda x: 0.0, table=_table(g))
     even = 2 * ((n + 1) // 2)
     g1, g2, m = draw(even), draw(even), draw(even, even)
-    h1 = ScalarField(dim=even, func=lambda z: 0.0, analytic_gradient=_table(g1))
-    h2 = ScalarField(dim=even, func=lambda z: 0.0, analytic_gradient=_table(g2))
-    lift = SmoothMap(dim=even, forward=list, analytic_jacobian=_table(m))
+    h1 = _TabledIntegral(dim=even, func=lambda z: 0.0, table=_table(g1))
+    h2 = _TabledIntegral(dim=even, func=lambda z: 0.0, table=_table(g2))
+    lift = _TabledMap(dim=even, forward=list, table=_table(m))
 
     points = np.zeros((count, n))
     points[:, 0] = np.arange(count)

@@ -7,6 +7,7 @@ the error of its own point, and whole reports to those of a run with the
 column calls switched off.
 """
 
+import builtins
 import json
 import tracemalloc
 from itertools import combinations
@@ -20,7 +21,7 @@ from dyncert import certify, core, numerics
 from dyncert.catalog import build, lyness_symmetry_variants
 from dyncert.certify import (certify_involution, certify_structure,
                              symplecticity_residual)
-from dyncert.constructions import cotangent_lift, lift_structure
+from dyncert.constructions import _linear_field, cotangent_lift, lift_structure
 from dyncert.core import (IntegrabilityStructure, SamplingRegion, SmoothMap,
                           column_chunks, on_columns, point_stack, sample)
 from dyncert.expressions import structure_from_dict
@@ -211,6 +212,70 @@ def test_solve_linear_pivots_per_point(n, count, seed):
                         assert u.partials[0][p] == v.partials[0]
                         u, v = u.value, v.value
                     assert u[p] == v
+
+
+_BUILTIN_SUM = sum
+
+
+def _compensated_sum(terms, start=0):
+    """Builtin ``sum`` with Python 3.12's compensated (Neumaier) float sum:
+    taken here when every term is a float (3.12 takes it for exact floats
+    only, so this also covers numpy's float64), the builtin otherwise."""
+    terms = list(terms)
+    if not terms or not all(isinstance(t, float) for t in terms):
+        return _BUILTIN_SUM(terms, start)
+    total, compensation = start, 0.0
+    for t in terms:
+        added = total + t
+        if abs(total) >= abs(t):
+            compensation += (total - added) + t
+        else:
+            compensation += (t - added) + total
+        total = added
+    return total + compensation
+
+
+def _sum_targets():
+    """(label, callable, dimension, point) of the callables that add their
+    terms with ``jets.left_sum``, each at a point where a compensated sum
+    of floats gives other bits than adding from left to right."""
+    twist, _, _ = build("twist", n=3)
+    _, lyness, _ = build("lyness", n=5, symmetry=1)
+    linear = build("linear", blocks="1:3")[0]
+    lift = cotangent_lift(twist)
+    cancel = [1e16, 1.0, -1e16]
+    return [
+        ("twist forward", twist.forward, 6, [0.0] * 3 + cancel),
+        ("twist inverse", twist.inverse, 6, [0.0] * 3 + cancel),
+        ("linear inverse", linear.inverse, 3, [1e16, -1.0, -1e16]),
+        ("dense linear field", _linear_field(np.ones((3, 3)), "dense"), 3,
+         cancel),
+        ("lift inverse", lift.inverse, 12, [0.0] * 6 + cancel + [0.0] * 3),
+        ("lyness symmetry field", lyness.fields[0], 5,
+         [1.0, 0.1, 0.2, 0.3, 1.0]),
+    ]
+
+
+SUM_TARGETS = _sum_targets()
+
+
+@pytest.mark.parametrize("label, fn, n, point", SUM_TARGETS,
+                         ids=[t[0] for t in SUM_TARGETS])
+def test_columns_equal_points_under_a_compensated_sum(monkeypatch, label, fn,
+                                                      n, point):
+    # Python >= 3.12 compensates a builtin sum of floats, not one of arrays
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    points = np.array([point, np.linspace(0.5, 2.5, n)])
+    columns = on_columns(fn, points, (n,))
+    assert columns is not None
+    assert np.array_equal(columns, _per_point(fn, points, (n,)))
+
+
+def test_twist_cancellation_adds_left_to_right(monkeypatch):
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    f, _, _ = build("twist", n=3)
+    # q2 + p1 + p2 + p3 = 0 + 1e16 + 1 - 1e16, which is 0 left to right
+    assert f.forward([0.0, 0.0, 0.0, 1e16, 1.0, -1e16])[1] == 0.0
 
 
 def _columns_off(monkeypatch):

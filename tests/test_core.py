@@ -59,11 +59,6 @@ class TestSmoothMap:
         assert d[0] == pytest.approx(0.2)
         assert f.distance([0.1], [TWO_PI - 0.1]) == pytest.approx(0.2)
 
-    def test_jacobian_prefers_analytic(self):
-        f = SmoothMap(dim=1, forward=lambda x: [2.0 * x[0]],
-                      analytic_jacobian=lambda x: [[42.0]])
-        assert f.jacobian_at([0.0])[0][0] == 42.0
-
     def test_jacobian_via_jets(self):
         f = lyness2()
         j = np.asarray(f.jacobian_at([1.0, 1.0]), dtype=float)

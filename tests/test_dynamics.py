@@ -1,11 +1,13 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dyncert import catalog, jets
-from dyncert.core import (DomainError, SamplingRegion, ScalarField, SmoothMap,
-                          VectorField)
+from dyncert import catalog, dynamics, jets
+from dyncert.core import (COLUMN_CHUNK, DomainError, SamplingRegion,
+                          ScalarField, SmoothMap, VectorField)
 from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               compute_orbit, estimate_translation_vector,
                               find_periodic_points, level_set_drift,
@@ -82,9 +84,36 @@ class TestPeriodicPoints:
             find_periodic_points(f, 0, region)
 
 
+def _reference_spectrum(f, x0, n_steps):
+    """One step at a time: the blocked QR loop of ``lyapunov_spectrum``
+    with each Jacobian taken at its own point on a list of floats, the
+    loop that the chunked orbit replaced."""
+    x = f.reduce([float(v) for v in x0])
+    product = np.eye(f.dim)
+    sums = np.zeros(f.dim)
+    chained, block, rate = 0, 1, 0.0
+    for step in range(n_steps):
+        jac = np.asarray(f.jacobian_at(x), dtype=float)
+        x = f.apply(x)
+        product = jac.dot(product)
+        chained += 1
+        if chained < block and step < n_steps - 1:
+            continue
+        q, r = np.linalg.qr(product)
+        diag = r.diagonal()
+        signs = np.sign(diag)
+        signs[signs == 0] = 1.0
+        product = q * signs
+        logs = np.log(np.abs(diag))
+        sums += logs
+        block, rate = dynamics._qr_block_length(logs.tolist(), chained, rate)
+        chained = 0
+    return np.sort(sums / n_steps)[::-1]
+
+
 def per_step_spectrum(f, x0, n_steps):
-    """Lyapunov exponents with one QR per step: the reference the blocked
-    loop of ``lyapunov_spectrum`` must reproduce."""
+    """Lyapunov exponents with one QR per step: the blocked loop of
+    ``lyapunov_spectrum`` must come within 1e-9 of them."""
     x = f.reduce([float(v) for v in x0])
     q = np.eye(f.dim)
     sums = np.zeros(f.dim)
@@ -108,19 +137,48 @@ def standard_map(k):
     return SmoothMap(dim=2, forward=fwd, phase_topology=(TWO_PI, TWO_PI))
 
 
+LYAPUNOV_ORBITS = pytest.mark.parametrize("f, x0", [
+    (catalog.build("cat_map")[0], [0.3, 0.7]),
+    (catalog.build("twist", n=2)[0], [0.1, 0.2, 0.3, 0.4]),
+    (catalog.build("lyness", n=3)[0], [1.0, 2.0, 1.5]),
+    (catalog.build("warned_circle", k=1, eps=0.5)[0], [0.4]),
+    (standard_map(1.5), [1.0, 0.5]),
+    (standard_map(3.0), [2.0, 0.01]),
+], ids=["cat_map", "twist", "lyness", "warned_circle", "standard_map_k1.5",
+        "standard_map_k3"])
+
+
 class TestLyapunov:
-    @pytest.mark.parametrize("f, x0", [
-        (catalog.build("cat_map")[0], [0.3, 0.7]),
-        (catalog.build("twist", n=2)[0], [0.1, 0.2, 0.3, 0.4]),
-        (catalog.build("lyness", n=3)[0], [1.0, 2.0, 1.5]),
-        (catalog.build("warned_circle", k=1, eps=0.5)[0], [0.4]),
-        (standard_map(1.5), [1.0, 0.5]),
-        (standard_map(3.0), [2.0, 0.01]),
-    ], ids=["cat_map", "twist", "lyness", "warned_circle", "standard_map_k1.5",
-            "standard_map_k3"])
+    @LYAPUNOV_ORBITS
     def test_blocked_matches_per_step_qr(self, f, x0):
         spec = lyapunov_spectrum(f, x0, 2000)
         assert np.max(np.abs(spec - per_step_spectrum(f, x0, 2000))) <= 1e-9
+
+    @LYAPUNOV_ORBITS
+    @pytest.mark.parametrize("n_steps", [100, 2000])
+    def test_chunked_orbit_equals_the_per_point_loop(self, f, x0, n_steps):
+        assert np.array_equal(lyapunov_spectrum(f, x0, n_steps),
+                              _reference_spectrum(f, x0, n_steps))
+
+    @pytest.mark.parametrize("name, params, x0", [
+        ("cat_map", {}, [0.3, 0.7]), ("twist", {"n": 2}, [0.1, 0.2, 0.3, 0.4]),
+        ("lyness", {"n": 3}, [1.0, 2.0, 1.5])])
+    @pytest.mark.parametrize("n_steps", [100, 129, 2000])
+    def test_jacobians_take_one_column_call_per_chunk(self, name, params, x0,
+                                                      n_steps):
+        f = catalog.build(name, **params)[0]
+        calls = Counter()
+
+        def forward(z, _forward=f.forward):
+            column = isinstance(getattr(z[0], "value", z[0]), np.ndarray)
+            calls["columns" if column else "points"] += 1
+            return _forward(z)
+
+        lyapunov_spectrum(replace(f, forward=forward), x0, n_steps)
+        # the orbit applies f once per step; its Jacobians come from one
+        # call per chunk of at most COLUMN_CHUNK steps
+        assert calls == {"points": n_steps,
+                         "columns": -(-n_steps // COLUMN_CHUNK)}
 
     @pytest.mark.parametrize("scales", [(1e200,), (1e200, 1e-200)],
                              ids=["1-D", "2-D"])

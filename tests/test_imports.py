@@ -1,5 +1,7 @@
-"""No module of the package imports a name it never uses, and no module
-defines a private (leading ``_``) module-level name that it never reads.
+"""No module of the package imports a name it never uses, no module
+defines a private (leading ``_``) module-level name that it never reads,
+and no module names a hand-written derivative (``HAND_WRITTEN``, then an
+underscore): jets are the only source of derivatives.
 
 Stdlib only.  ``symtable`` tells which scopes read a name from the module
 namespace, so a local binding of the same name (a parameter, say) does not
@@ -109,3 +111,39 @@ def test_private_name_detector():
               "def g(_C):\n    return _C\n"
               "__all__ = ['x', '_K']\n")
     assert unused_private_names(source) == ["_C", "_f", "_math"]
+
+
+# the prefix of the derivative fields and arguments that jets replaced
+HAND_WRITTEN = "analytic"
+
+
+def hand_written_names(source: str) -> list:
+    """Names, attributes, arguments and keywords with the prefix
+    ``HAND_WRITTEN + "_"``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            found.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return sorted(n for n in found if n.startswith(HAND_WRITTEN + "_"))
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_hand_written_derivatives(module):
+    path = PACKAGE / module
+    assert hand_written_names(path.read_text()) == []
+
+
+def test_hand_written_name_detector():
+    p = HAND_WRITTEN + "_"
+    source = (f"{p}a = 1\n"
+              f"f = SmoothMap(dim=1, forward=g, {p}b=None)\n"
+              f"def h(x, {p}c=None):\n    return x.{p}d(x)\n"
+              f"def {p}e():\n    pass\n"
+              f"x: int = {HAND_WRITTEN}al\n")
+    assert hand_written_names(source) == [p + c for c in "abcde"]
