@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -192,15 +193,47 @@ def _qr_block_length(logs, steps: int, rate: float) -> tuple[int, float]:
     return max(1, int(1.0 / rate)), rate
 
 
+def _givens_qr(product: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """(Q, log|diag R|) of ``product`` = Q R, by Givens rotations on
+    Python floats.
+
+    The rows of R and of Q transposed are rotated together, one
+    ``math.hypot`` rotation per entry below the diagonal; an entry that is
+    already zero is left alone, so an exact zero on R's diagonal stays
+    exact and gives -inf.  The signs of R's diagonal are not normalised:
+    negating a column of Q is exact and leaves |diag R| unchanged.
+    """
+    n = len(product)
+    rows = [row + [float(i == j) for j in range(n)]
+            for i, row in enumerate(product.tolist())]
+    for k, i in combinations(range(n), 2):
+        upper, lower = rows[k], rows[i]
+        b = lower[k]
+        if b == 0.0:
+            continue
+        h = math.hypot(upper[k], b)
+        c, s = upper[k] / h, b / h
+        rows[k] = [c * u + s * v for u, v in zip(upper, lower)]
+        rows[i] = [c * v - s * u for u, v in zip(upper, lower)]
+    logs = [math.log(abs(row[k])) if row[k] else -math.inf
+            for k, row in enumerate(rows)]
+    return np.array([row[n:] for row in rows]).T, logs
+
+
 def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
     """Lyapunov exponents along the orbit of x0, descending.
 
-    Chains the Jacobians into a product ``J_s ... J_1 Q`` and
-    re-orthonormalizes it by one QR per block of steps (Geist, Parlitz &
-    Lauterborn 1990); the diagonal of R for the block is the product of
-    the per-step diagonals, so the averaged logs of the R diagonals
-    converge to the exponents.  Each block's length follows from the logs
-    of the blocks before it (:func:`_qr_block_length`), at most
+    Applies the Jacobians one at a time to the orthonormal Q of the last
+    block, ``J_s (... (J_1 Q))``, and re-orthonormalizes the product by
+    one QR per block of steps (Benettin et al. 1980; Geist, Parlitz &
+    Lauterborn 1990), by Givens rotations (:func:`_givens_qr`).  The
+    diagonal of R for the block is the product of the per-step diagonals,
+    so the averaged logs of |diag R| converge to the exponents; an exact
+    zero on the diagonal gives -inf.  The Jacobians are not multiplied
+    together first: along the contracting direction that product would
+    cancel at eps times the square of the block's condition number, the
+    chain at eps times it.  Each block's length follows from the logs of
+    the blocks before it (:func:`_qr_block_length`), at most
     QR_MAX_BLOCK.  The orbit advances one chunk of ``column_chunks``
     steps at a time, and the chunk's Jacobians are one ``point_stack``.
     """
@@ -208,7 +241,7 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
         raise ValueError("n_steps must be >= 100")
     x = f.reduce([float(v) for v in x0])
     product = np.eye(f.dim)
-    sums = np.zeros(f.dim)
+    sums = [0.0] * f.dim
     chained, block, rate = 0, 1, 0.0
     for chunk in column_chunks(n_steps):
         points = []
@@ -226,16 +259,11 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
             chained += 1
             if chained < block and step < n_steps - 1:
                 continue
-            q, r = np.linalg.qr(product)
-            diag = r.diagonal()
-            signs = np.sign(diag)
-            signs[signs == 0] = 1.0
-            product = q * signs  # keep R diagonal positive
-            logs = np.log(np.abs(diag))
-            sums += logs
-            block, rate = _qr_block_length(logs.tolist(), chained, rate)
+            product, logs = _givens_qr(product)
+            sums = [total + log for total, log in zip(sums, logs)]
+            block, rate = _qr_block_length(logs, chained, rate)
             chained = 0
-    return np.sort(sums / n_steps)[::-1]
+    return np.sort(np.array(sums) / n_steps)[::-1]
 
 
 def rotation_number(f: SmoothMap, x0: float, n_steps: int,

@@ -99,14 +99,9 @@ def _reference_spectrum(f, x0, n_steps):
         chained += 1
         if chained < block and step < n_steps - 1:
             continue
-        q, r = np.linalg.qr(product)
-        diag = r.diagonal()
-        signs = np.sign(diag)
-        signs[signs == 0] = 1.0
-        product = q * signs
-        logs = np.log(np.abs(diag))
+        product, logs = dynamics._givens_qr(product)
         sums += logs
-        block, rate = dynamics._qr_block_length(logs.tolist(), chained, rate)
+        block, rate = dynamics._qr_block_length(logs, chained, rate)
         chained = 0
     return np.sort(sums / n_steps)[::-1]
 
@@ -146,6 +141,33 @@ LYAPUNOV_ORBITS = pytest.mark.parametrize("f, x0", [
     (standard_map(3.0), [2.0, 0.01]),
 ], ids=["cat_map", "twist", "lyness", "warned_circle", "standard_map_k1.5",
         "standard_map_k3"])
+
+
+class TestGivensQR:
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_matches_numpy_qr(self, scale):
+        rng = np.random.default_rng(20260)
+        for n in range(1, 9):
+            for p in scale * rng.standard_normal((5, n, n)):
+                q, logs = dynamics._givens_qr(p)
+                r = np.linalg.qr(p)[1]
+                assert all(map(math.isfinite, logs))
+                assert np.max(np.abs(np.array(logs) - np.log(
+                    np.abs(r.diagonal())))) <= 1e-13
+                assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+                # Q^T P = R is upper-triangular
+                below = np.abs(np.tril(q.T @ p, -1))
+                assert np.max(below) <= 1e-14 * np.max(np.abs(p))
+
+    @pytest.mark.parametrize("column", [0, 1, 3])
+    def test_zero_column_gives_minus_infinity(self, column):
+        p = np.random.default_rng(column).standard_normal((4, 4))
+        p[:, column] = 0.0
+        q, logs = dynamics._givens_qr(p)
+        assert logs[column] == -math.inf
+        assert all(math.isfinite(v) for k, v in enumerate(logs)
+                   if k != column)
+        assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-14
 
 
 class TestLyapunov:
@@ -192,12 +214,20 @@ class TestLyapunov:
         assert list(spec) == pytest.approx([math.log(c) for c in scales],
                                            rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_singular_jacobian_gives_minus_infinity(self):
-        f = SmoothMap(dim=2, forward=lambda x: [2.0 * x[0], 0.0 * x[1]])
-        spec = lyapunov_spectrum(f, [0.1, 0.2], 200)
-        assert spec[0] == pytest.approx(math.log(2.0), abs=1e-12)
-        assert spec[1] == -math.inf
+        for forward, n_steps, upper in [
+            (lambda x: [2.0 * x[0], 0.0 * x[1]], 200, math.log(2.0)),
+            # rank 1 off the axes: R_22 of a block must be an exact zero,
+            # not a rounding residue that averages to a finite exponent;
+            # the first step stretches e1 by sqrt(2), every later one
+            # (1, 1) by 2
+            (lambda x: [x[0] + x[1], x[0] + x[1]], 500,
+             499.5 / 500 * math.log(2.0)),
+        ]:
+            f = SmoothMap(dim=2, forward=forward)
+            spec = lyapunov_spectrum(f, [0.1, 0.2], n_steps)
+            assert spec[0] == pytest.approx(upper, abs=1e-12)
+            assert spec[1] == -math.inf
 
     def test_domain_error_reports_its_step(self):
         # f' = 1 doubles the blocks up to 64 steps: step 50 lies inside

@@ -1,7 +1,9 @@
 """No module of the package imports a name it never uses, no module
 defines a private (leading ``_``) module-level name that it never reads,
-and no module names a hand-written derivative (``HAND_WRITTEN``, then an
-underscore): jets are the only source of derivatives.
+no module names a hand-written derivative (``HAND_WRITTEN``, then an
+underscore): jets are the only source of derivatives, and no module
+imports anything beyond the standard library, the package itself and the
+declared dependencies (``RUNTIME_DEPENDENCIES``).
 
 Stdlib only.  ``symtable`` tells which scopes read a name from the module
 namespace, so a local binding of the same name (a parameter, say) does not
@@ -14,6 +16,7 @@ exempt.
 
 import ast
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +150,41 @@ def test_hand_written_name_detector():
               f"def {p}e():\n    pass\n"
               f"x: int = {HAND_WRITTEN}al\n")
     assert hand_written_names(source) == [p + c for c in "abcde"]
+
+
+# the dependencies that pyproject.toml declares: anything else would be
+# imported on every start-up of the CLI, or fail there
+RUNTIME_DEPENDENCIES = {"numpy", "click"}
+
+
+def undeclared_imports(source: str) -> list:
+    """Top-level packages of the absolute imports, at any depth, that are
+    neither standard library nor a declared dependency."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names)
+                  - RUNTIME_DEPENDENCIES)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_imports_only_declared_dependencies(module):
+    path = PACKAGE / module
+    assert undeclared_imports(path.read_text()) == []
+
+
+def test_undeclared_import_detector():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy.linalg as la\n"
+              "from . import core\n"
+              "from .jets import Jet\n"
+              "from click import echo\n"
+              "import scipy.linalg\n"
+              "def f():\n"
+              "    from sympy import Symbol\n"
+              "    import mpmath\n"
+              "    return Symbol, mpmath\n")
+    assert undeclared_imports(source) == ["mpmath", "scipy", "sympy"]
