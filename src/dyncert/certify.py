@@ -11,8 +11,8 @@ Jacobians are stacked one chunk at a time and kept no longer: of the map's
 only the products Df X are kept, of the fields' only the Lie bracket norms
 and of the lift's only its symplecticity residual.  The public pointwise
 residuals call the same formulas.  Flow commutation is a second phase: per
-field and flow time, one integration of the first ``FLOW_POINT_CAP`` kept
-points stacked over their images.
+field, one integration for all flow times of the first ``FLOW_POINT_CAP``
+kept points stacked over their images.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
@@ -472,16 +472,19 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     # already failed the pointwise check are not integrated: the flow check
     # is implied by the infinitesimal one and trajectories of a
     # non-commuting candidate routinely exhaust the step budget.  Each
-    # (field, t) is one integration of the flow points stacked over their
-    # images from the guard pass; a failed branch comes back NaN.
+    # field is one integration, for every flow time at once, of the flow
+    # points stacked over their images from the guard pass; a failed
+    # branch comes back NaN.
     flow_points = points[:FLOW_POINT_CAP]
     q = len(flow_points)
-    starts = np.concatenate([flow_points, images[:q]])
+    starts = np.tile(np.concatenate([flow_points, images[:q]]),
+                     (len(flow_times), 1))
+    times = np.repeat(np.asarray(flow_times, dtype=float), 2 * q)
     for j, (x_fld, (passed, scales)) in enumerate(zip(fields, commutation)):
-        if not passed:
+        if not passed or not len(flow_times):
             continue
-        for t in flow_times:
-            ends = integrate_flow(x_fld, starts, t)
+        all_ends = integrate_flow(x_fld, starts, times)
+        for t, ends in zip(flow_times, np.split(all_ends, len(flow_times))):
             finite = np.all(np.isfinite(ends), axis=1)
             rows, used = [], []
             for i in np.flatnonzero(finite[:q] & finite[q:]):

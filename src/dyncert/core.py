@@ -17,7 +17,7 @@ or returns another shape, is called once per point instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "IntegrabilityStructure",
     "SamplingRegion",
     "iterate",
+    "orbit_points",
     "sample",
     "column_chunks",
     "on_columns",
@@ -278,6 +279,32 @@ def iterate(f: SmoothMap, x0: Sequence, k: int) -> list:
             raise DomainError(f"guard violation at step {j + 1}: {err}",
                               step=j + 1) from err
     return x
+
+
+def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
+    """x0, f(x0), f^2(x0), ... as lists, their circle coordinates reduced
+    and each point checked against the domain guard once.
+
+    Reaching the k-th iterate raises :class:`DomainError` with ``step`` k
+    when it violates the guard, or when ``forward`` raises one computing
+    it."""
+    circles = [(i, c) for i, c in enumerate(f.phase_topology or ())
+               if c is not None]
+    guarded = f.domain_guard is not None
+    x = [float(v) for v in x0]
+    k = 0
+    while True:
+        for i, c in circles:
+            x[i] %= c
+        if guarded:
+            f._check_guard(x, step=k)
+        yield x
+        k += 1
+        try:
+            x = list(f.forward(list(x)))
+        except DomainError as err:
+            err.step = k
+            raise
 
 
 def column_chunks(count: int) -> list[slice]:

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   SmoothMap, column_chunks, point_stack, sample)
+                   SmoothMap, column_chunks, orbit_points, point_stack,
+                   sample)
 from .numerics import eigen_moduli, integrate_flow
 
 __all__ = [
@@ -84,17 +85,15 @@ def compute_orbit(f: SmoothMap, x0, n_steps: int) -> Orbit:
     reduction; stops early on a guard failure and records it."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    x = f.reduce([float(v) for v in x0])
-    f._check_guard(x)
-    pts = [tuple(x)]
+    pts = []
     failures = 0
-    for _ in range(n_steps):
-        try:
-            x = f.apply(x)
-        except DomainError:
-            failures += 1
-            break
-        pts.append(tuple(x))
+    try:
+        for x in islice(orbit_points(f, x0), n_steps + 1):
+            pts.append(tuple(x))
+    except DomainError:
+        if not pts:  # x0 itself violates the guard
+            raise
+        failures = 1
     return Orbit(points=tuple(pts), map_name=f.name or "map",
                  x0=tuple(float(v) for v in x0), guard_failures=failures)
 
@@ -234,24 +233,27 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
     cancel at eps times the square of the block's condition number, the
     chain at eps times it.  Each block's length follows from the logs of
     the blocks before it (:func:`_qr_block_length`), at most
-    QR_MAX_BLOCK.  The orbit advances one chunk of ``column_chunks``
-    steps at a time, and the chunk's Jacobians are one ``point_stack``.
+    QR_MAX_BLOCK.  The orbit (``core.orbit_points``) advances one chunk of
+    ``column_chunks`` steps at a time, and the chunk's Jacobians are one
+    ``point_stack``.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be >= 100")
-    x = f.reduce([float(v) for v in x0])
+    orbit = orbit_points(f, x0)
     product = np.eye(f.dim)
     sums = [0.0] * f.dim
     chained, block, rate = 0, 1, 0.0
+    ahead = islice(orbit, 1)  # x0, then each chunk's last image
     for chunk in column_chunks(n_steps):
-        points = []
-        for step in range(chunk.start, chunk.stop):
-            points.append(x)
-            try:
-                x = f.apply(x)
-            except DomainError as err:
-                raise DomainError(f"orbit left the domain at step {step}: "
-                                  f"{err}", step=step) from err
+        # the chunk's points and the image of its last one, all guarded
+        # before any Jacobian is taken
+        try:
+            points = [*ahead, *islice(orbit, chunk.stop - chunk.start)]
+        except DomainError as err:
+            step = max(err.step - 1, 0)  # the step whose image left
+            raise DomainError(f"orbit left the domain at step {step}: "
+                              f"{err}", step=step) from err
+        ahead = [points.pop()]
         jacobians = point_stack(f.jacobian_at, np.array(points),
                                 (f.dim, f.dim))
         for step, jac in enumerate(jacobians, chunk.start):
@@ -308,13 +310,17 @@ def level_set_drift(f: SmoothMap, integrals, x0, n_steps: int):
     Returns (drifts, steps_reached).
     """
     integrals = list(integrals)
-    x = f.reduce([float(v) for v in x0])
-    ref = [float(g(x)) for g in integrals]
     drifts = [0.0] * len(integrals)
     reached = 0
+    orbit = orbit_points(f, x0)
+    try:
+        x = next(orbit)
+    except DomainError:
+        return drifts, reached
+    ref = [float(g(x)) for g in integrals]
     for k in range(n_steps):
         try:
-            x = f.apply(x)
+            x = next(orbit)
         except DomainError:
             break
         reached = k + 1

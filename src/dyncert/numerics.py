@@ -9,7 +9,8 @@ stack of matrices, one per sample point, and ranks them in one SVD call.
 the absolute and the relative error bound.  It reuses each accepted step's
 last stage as the next step's first, so a step costs six field evaluations.
 On a stack of points it calls the field on coordinate columns, but each
-row keeps its own step size and ends bit for bit where it would alone.
+row keeps its own flow time and step size and ends bit for bit where it
+would alone, so the flows of one field for several times are one call.
 """
 
 from __future__ import annotations
@@ -72,18 +73,21 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
-    """Flow of an autonomous field for time ``t`` (DOPRI 5(4)) from a point
-    ``x0`` of shape (n,), or from each row of a (points, n) stack.
+def integrate_flow(field, x0, t: float | np.ndarray,
+                   tol: float = FLOW_TOL) -> np.ndarray:
+    """Flow of an autonomous field (DOPRI 5(4)) from a point ``x0`` of
+    shape (n,), or from each row of a (points, n) stack, for time ``t``: a
+    number, or one time per row.
 
     Negative ``t`` integrates backwards; ``tol`` is both the absolute and
     the relative error tolerance per step.  The rows of a stack advance in
-    lockstep, each with its own step size: every stage calls ``field`` on
-    the n coordinate columns of the running rows (``core.on_columns``).  A
-    field that fails on columns, for the rest of the integration, and a
-    single running row get one list of floats per row.
+    lockstep, each with its own time and step size: every stage calls
+    ``field`` on the n coordinate columns of the running rows
+    (``core.on_columns``).  A field that fails on columns, for the rest of
+    the integration, and a single running row get one list of floats per
+    row.  A row whose time is 0 is returned as it is.
 
-    A row fails when its step falls below the rounding of ``t`` (a
+    A row fails when its step falls below the rounding of its time (a
     finite-time blow-up, or a non-finite state, whose steps are all
     rejected), after ``MAX_STEPS`` steps, or when ``field`` raises
     :class:`DomainError` at one of its points.  A stack returns a failed
@@ -94,9 +98,11 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
         raise ValueError("tol must be positive and finite")
     single = np.ndim(x0) < 2
     out = np.array(x0, dtype=float, ndmin=2)
-    if t == 0.0:
-        return out[0] if single else out
-    if not math.isfinite(t):
+    times = np.asarray(t, dtype=float)
+    if times.ndim and times.shape != out.shape[:1]:
+        raise ValueError(f"t must be a number or one time per row, got "
+                         f"shape {times.shape} for {len(out)} rows")
+    if not np.all(np.isfinite(times)):
         raise ValueError("integration time must be finite")
     errors = {}  # row -> the error that ended it
     columns = True  # until the field fails on columns
@@ -118,16 +124,16 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
         return values
 
     def fail(mask, message):
-        for i, e in zip(rows[mask], elapsed[mask]):
-            errors[i] = IntegrationError(f"{message} t={direction * e:g}")
+        for i, e in zip(rows[mask], (direction * elapsed)[mask]):
+            errors[i] = IntegrationError(f"{message} t={e:g}")
 
-    direction = 1.0 if t > 0 else -1.0
-    t_abs = abs(t)
-    # the rows still running, and their state, step size and elapsed time;
-    # every running row has attempted ``steps`` steps
-    rows = np.arange(len(out))
-    y = out.copy()
-    h = np.full(len(y), t_abs / 100.0)
+    # the rows still running, and their state, time, direction, step size
+    # and elapsed time; every running row has attempted ``steps`` steps
+    times = np.broadcast_to(times, out.shape[:1])
+    rows = np.flatnonzero(times)
+    y, times = out[rows], times[rows]
+    t_abs, direction = np.abs(times), np.sign(times)
+    h = t_abs / 100.0
     elapsed = np.zeros(len(y))
     steps = 0
     first = rhs(y, rows)  # each row's first stage (FSAL)
@@ -144,14 +150,15 @@ def integrate_flow(field, x0, t: float, tol: float = FLOW_TOL) -> np.ndarray:
             running &= ~under
         if not running.all():
             out[rows[~running]] = y[~running]
-            rows, y, first, h, elapsed = (
-                v[running] for v in (rows, y, first, h, elapsed))
+            rows, y, first, t_abs, direction, h, elapsed = (
+                v[running] for v in (rows, y, first, t_abs, direction, h,
+                                     elapsed))
         if not rows.size:
             break
         steps += 1
         last = h >= t_abs - elapsed
         h = np.where(last, t_abs - elapsed, h)
-        hd = direction * h[:, None]
+        hd = (direction * h)[:, None]
         k = [first] + [None] * 6
         for i in range(1, 7):
             yi = y + hd * sum(_A[i][j] * k[j] for j in range(i))

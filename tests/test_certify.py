@@ -22,6 +22,7 @@ from dyncert.constructions import lift_structure
 from dyncert.core import (DomainError, IntegrabilityStructure, SamplingRegion,
                           ScalarField, SmoothMap, VectorField, column_chunks,
                           sample)
+from dyncert.expressions import structure_from_dict
 from dyncert.jets import Jet
 from dyncert.numerics import integrate_flow
 
@@ -468,14 +469,15 @@ class TestPipeline:
         assert dict(counts) == expected
 
     @pytest.mark.parametrize("samples", [30, 200])
-    def test_flow_phase_integrates_one_stack_per_field_and_time(
-            self, monkeypatch, samples):
+    def test_flow_phase_integrates_one_stack_per_field(self, monkeypatch,
+                                                        samples):
         # the flow points and their images go to the integrator together,
-        # once per (field passing the infinitesimal check, flow time)
-        shapes = []
+        # tiled once per flow time, in one call per field passing the
+        # infinitesimal check
+        calls = []
 
         def counted(field, x0, t, *args):
-            shapes.append(np.shape(x0))
+            calls.append((np.shape(x0), np.asarray(t).tolist()))
             return integrate_flow(field, x0, t, *args)
 
         monkeypatch.setattr(certify, "integrate_flow", counted)
@@ -486,8 +488,49 @@ class TestPipeline:
         assert passing == 3
         kept = samples - report.guard_failures
         rows = 2 * min(certify.FLOW_POINT_CAP, kept)
-        assert shapes == [(rows, f.dim)] * (passing * len(certify.FLOW_TIMES))
+        times = [t for t in certify.FLOW_TIMES for _ in range(rows)]
+        assert calls == [((len(certify.FLOW_TIMES) * rows, f.dim), times)] \
+            * passing
         assert report.verdict == "PASS"
+
+    def test_no_flow_times_make_no_integration(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(certify, "integrate_flow",
+                            lambda *args: calls.append(args))
+        f, s, region = build("linear", blocks="2:3")
+        report = certify_structure(f, s, region, samples=30, flow_times=())
+        assert calls == []
+        assert not [c for c in report.conditions
+                    if c.condition_name.startswith("flow_commutation")]
+
+    @pytest.mark.parametrize("name, params, structure, samples", [
+        ("linear", {"blocks": "2:3"}, None, 60),
+        ("twist", {"n": 2}, None, 60),
+        # x1' = x1^2 / x2 commutes with the map but blows up in finite
+        # time: at seed 1 and t = 1, 2 of the 5 points are skipped
+        ("linear", {"blocks": "2:1,2:1"},
+         {"dim": 2, "fields": [["x1^2/x2", "0"]]}, 5),
+    ])
+    def test_flow_stats_equal_single_time_runs(self, name, params,
+                                               structure, samples):
+        f, s, region = build(name, **params)
+        if structure is not None:
+            s = structure_from_dict(structure)
+        times = (-1.0, 0.5, 1.0, 0.0, 0.5, -0.25)
+
+        def flow_stats(flow_times):
+            report = certify_structure(f, s, region, flow_times=flow_times,
+                                       samples=samples, seed=1)
+            return [c for c in report.conditions
+                    if c.condition_name.startswith("flow_commutation")]
+
+        together = flow_stats(times)
+        runs = [flow_stats((t,)) for t in times]  # one stat per field
+        alone = [run[j] for j in range(s.m) for run in runs]
+        assert len(together) == len(times) * s.m
+        assert together == alone
+        if structure is not None:
+            assert together[2].skipped == 2
 
     def test_algebraic_phase_calls_each_integral_once_per_chunk(self):
         # at the default sample count each quantity is one call per chunk

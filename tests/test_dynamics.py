@@ -7,7 +7,8 @@ import pytest
 
 from dyncert import catalog, dynamics, jets
 from dyncert.core import (COLUMN_CHUNK, DomainError, SamplingRegion,
-                          ScalarField, SmoothMap, VectorField)
+                          ScalarField, SmoothMap, VectorField, column_chunks,
+                          point_stack)
 from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               compute_orbit, estimate_translation_vector,
                               find_periodic_points, level_set_drift,
@@ -42,6 +43,31 @@ class TestComputeOrbit:
         orbit = compute_orbit(f, [2.5], 10)
         assert orbit.guard_failures == 1
         assert len(orbit) < 11
+
+    @pytest.mark.parametrize("name, params, x0", [
+        ("cat_map", {}, [0.3, 0.7]), ("lyness", {"n": 3}, [1.0, 2.0, 1.5]),
+        ("warned_circle", {"k": 1, "eps": 0.5}, [7.4])])
+    def test_points_equal_the_apply_loop(self, name, params, x0):
+        f, s, _ = catalog.build(name, **params)
+        x = f.reduce([float(v) for v in x0])
+        points = [tuple(x)]
+        for _ in range(300):
+            x = f.apply(x)
+            points.append(tuple(x))
+        assert compute_orbit(f, x0, 300).points == tuple(points)
+        if s is not None and s.integrals:
+            drifts, reached = level_set_drift(f, s.integrals, x0, 300)
+            assert reached == 300
+            assert drifts == [max(abs(float(g(p)) - float(g(points[0])))
+                                  for p in points) for g in s.integrals]
+
+    def test_guard_violating_start(self):
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] - 1.0],
+                      domain_guard=lambda x: x[0] > 0.0)
+        with pytest.raises(DomainError, match="violates the domain guard"):
+            compute_orbit(f, [-1.0], 10)
+        g = ScalarField(dim=1, func=lambda x: x[0])
+        assert level_set_drift(f, [g], [-1.0], 10) == ([0.0], 0)
 
 
 class TestPeriodicPoints:
@@ -104,6 +130,37 @@ def _reference_spectrum(f, x0, n_steps):
         block, rate = dynamics._qr_block_length(logs, chained, rate)
         chained = 0
     return np.sort(sums / n_steps)[::-1]
+
+
+def _apply_loop_spectrum(f, x0, n_steps):
+    """``lyapunov_spectrum`` with its orbit advanced by ``SmoothMap.apply``,
+    which checks the guard of each point before and after the step: the
+    loop that ``core.orbit_points`` replaced."""
+    x = f.reduce([float(v) for v in x0])
+    product = np.eye(f.dim)
+    sums = [0.0] * f.dim
+    chained, block, rate = 0, 1, 0.0
+    for chunk in column_chunks(n_steps):
+        points = []
+        for step in range(chunk.start, chunk.stop):
+            points.append(x)
+            try:
+                x = f.apply(x)
+            except DomainError as err:
+                raise DomainError(f"orbit left the domain at step {step}: "
+                                  f"{err}", step=step) from err
+        jacobians = point_stack(f.jacobian_at, np.array(points),
+                                (f.dim, f.dim))
+        for step, jac in enumerate(jacobians, chunk.start):
+            product = jac.dot(product)
+            chained += 1
+            if chained < block and step < n_steps - 1:
+                continue
+            product, logs = dynamics._givens_qr(product)
+            sums = [total + log for total, log in zip(sums, logs)]
+            block, rate = dynamics._qr_block_length(logs, chained, rate)
+            chained = 0
+    return np.sort(np.array(sums) / n_steps)[::-1]
 
 
 def per_step_spectrum(f, x0, n_steps):
@@ -228,6 +285,57 @@ class TestLyapunov:
             spec = lyapunov_spectrum(f, [0.1, 0.2], n_steps)
             assert spec[0] == pytest.approx(upper, abs=1e-12)
             assert spec[1] == -math.inf
+
+    @pytest.mark.parametrize("name, params, x0", [
+        ("cat_map", {}, [0.3, 0.7]), ("twist", {"n": 2}, [0.1, 0.2, 0.3, 0.4]),
+        ("lyness", {"n": 2}, [1.0, 2.0]), ("lyness", {"n": 3}, [1.0, 2.0, 1.5]),
+        ("warned_circle", {"k": 1, "eps": 0.5}, [0.4]),
+        ("linear", {"blocks": "2:3"}, [0.1, 0.2, 0.3])])
+    @pytest.mark.parametrize("n_steps", [100, 129, 700])  # 2^700 is finite
+    def test_orbit_points_equal_the_apply_loop(self, name, params, x0,
+                                               n_steps):
+        f = catalog.build(name, **params)[0]
+        assert np.array_equal(lyapunov_spectrum(f, x0, n_steps),
+                              _apply_loop_spectrum(f, x0, n_steps))
+
+    @pytest.mark.parametrize("n_steps", [100, 129, 1000])
+    def test_guard_checked_once_per_orbit_point(self, n_steps):
+        # x0, every image and the image of the last step: N + 1 calls
+        f = catalog.build("lyness", n=2)[0]
+        calls = Counter()
+
+        def guard(x, _guard=f.domain_guard):
+            calls["guard"] += 1
+            return _guard(x)
+
+        lyapunov_spectrum(replace(f, domain_guard=guard), [1.0, 2.0],
+                          n_steps)
+        assert calls["guard"] == n_steps + 1
+
+    @pytest.mark.parametrize("x0, limit", [([0.0], 50.5), ([60.0], 50.5),
+                                           ([0.0], 127.5), ([0.0], 128.5),
+                                           ([0.0], 1e9)])
+    @pytest.mark.parametrize("raising", [False, True])
+    def test_domain_errors_equal_the_apply_loop(self, x0, limit, raising):
+        # the guard or forward itself stops the orbit x0, x0 + 1, ...:
+        # before the first step, inside a chunk, at a chunk's last image
+        # or never
+        def forward(x):
+            value = getattr(x[0], "value", x[0]) + 1.0  # jets: their value
+            if raising and np.any(value > limit):
+                raise DomainError(f"{value} is past {limit}")
+            return [x[0] + 1.0]
+
+        guard = None if raising else (lambda x: x[0] < limit)
+        f = SmoothMap(dim=1, forward=forward, domain_guard=guard)
+        try:
+            expected = _apply_loop_spectrum(f, x0, 200)
+        except DomainError as err:
+            with pytest.raises(DomainError) as got:
+                lyapunov_spectrum(f, x0, 200)
+            assert (str(got.value), got.value.step) == (str(err), err.step)
+        else:
+            assert np.array_equal(lyapunov_spectrum(f, x0, 200), expected)
 
     def test_domain_error_reports_its_step(self):
         # f' = 1 doubles the blocks up to 64 steps: step 50 lies inside

@@ -301,6 +301,74 @@ class TestIntegrateFlow:
                 ref = np.full(n, np.nan)
             assert np.array_equal(end, ref, equal_nan=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["linear", "constant", "rotation", "expression",
+                            "late", "branching"]),
+           st.integers(min_value=1, max_value=6),
+           st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0])
+                    | st.floats(min_value=-2.0, max_value=2.0),
+                    min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_per_row_times_equal_scalar_calls(self, kind, n, times, seed):
+        # negative, zero and repeated times in one stack: each row ends
+        # bit for bit where a call with its own scalar time ends
+        rng = np.random.default_rng(seed)
+        fld = _field(kind, n, rng)
+        x0 = rng.uniform(-2.0, 2.0, (len(times), n))
+        ends = integrate_flow(fld, x0, np.array(times))
+        assert ends.shape == x0.shape
+        for row, t, end in zip(x0, times, ends):
+            try:  # a subnormal t underflows the first step
+                ref = integrate_flow(fld, row, t)
+            except IntegrationError:
+                ref = np.full(n, np.nan)
+            assert np.array_equal(end, ref, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fld, domain_row", [
+        (_mixed, []), (_mixed_per_point, [([4.0, 1.0], 0.5)])])
+    def test_per_row_times_with_failed_rows(self, monkeypatch, fld,
+                                            domain_row):
+        # x' = sin(50 x) + 2 runs out of steps over t = 5 but not over
+        # t = -0.5; x' = x^2 from 1 blows up before t = 1.5 but not
+        # backwards; the domain row raises at its first evaluation
+        monkeypatch.setattr(numerics, "MAX_STEPS", 2000)
+        rows = [([3.0, 0.0], 5.0), ([3.0, 0.0], -0.5), ([1.0, 1.0], 1.5),
+                ([1.0, 1.0], -1.5), ([0.0, 1.0], 0.0), ([0.0, 1.0], 5.0),
+                ([2.0, 700.0], 1e-3)] + domain_row
+        starts, times = zip(*rows)
+        ends = integrate_flow(fld, starts, times)
+        failed = 0
+        for x0, t, end in zip(starts, times, ends):
+            try:
+                ref = integrate_flow(fld, x0, t)
+            except (IntegrationError, DomainError):
+                failed += 1
+                ref = np.full(2, np.nan)
+            assert np.array_equal(end, ref, equal_nan=True)
+        assert failed == 3 + len(domain_row)
+
+    def test_per_row_times_validated(self):
+        x0 = np.zeros((3, 2))
+        fld = lambda x: [1.0, 0.0]
+        for t in ([1.0, 2.0], [1.0] * 4, [[1.0, 2.0, 3.0]],
+                  [1.0, math.nan, 2.0], [0.0, 1.0, -math.inf]):
+            with pytest.raises(ValueError):
+                integrate_flow(fld, x0, t)
+
+    def test_per_row_zero_and_empty_times(self):
+        # rows whose time is 0 come back as they are, without a field call
+        const = counting(lambda x: [9.0, 9.0])
+        x0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(integrate_flow(const, x0, np.zeros(3)), x0)
+        assert const.calls == 0
+        ends = integrate_flow(const, x0, [0.0, 1.0, 0.0])
+        assert np.array_equal(ends[[0, 2]], x0[[0, 2]])
+        assert np.array_equal(ends[1], integrate_flow(const, x0[1], 1.0))
+        # an empty stack with an empty time array
+        assert integrate_flow(const, np.zeros((0, 2)),
+                              np.zeros(0)).shape == (0, 2)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fld, domain_row", [
         (_mixed, []), (_mixed_per_point, [[4.0, 1.0]])])
