@@ -15,7 +15,8 @@ from .certify import commutation_residuals
 from .constructions import (JordanBlockSpec, affine1d_symmetry,
                             linear_commutative_family, linear_map)
 from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
-                   SmoothMap, VectorField, point_stack, sample)
+                   SmoothMap, VectorField, guarded_images, point_stack,
+                   sample)
 from .jets import left_sum
 
 __all__ = [
@@ -293,7 +294,8 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
     f = lyness_map(n, a)
     region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
     pts = np.reshape(sample(region, points, seed), (points, n))
-    images = np.array([f.apply(x) for x in pts.tolist()])
+    kept, images = guarded_images(f, pts)
+    pts = pts[kept]
     descs, values, image_values = [], [], []
     for signs, shift in product(product((1.0, -1.0), repeat=4), (0, -1, 1)):
         v = VectorField(dim=n,

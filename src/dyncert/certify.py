@@ -28,9 +28,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   ScalarField, SmoothMap, VectorField, column_chunks,
-                   point_stack, sample)
+from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
+                   SmoothMap, VectorField, column_chunks, guarded_images,
+                   point_stack, row_dot, row_norms, sample)
 from .numerics import (FLOW_TOL, IntegrationError, integrate_flow,
                        numerical_rank)
 
@@ -156,20 +156,8 @@ class CertificationReport:
 
 # -- formulas over stacks whose first axis runs over points -----------------
 #
-# Dot products and norms (sqrt(v . v)) use batched ``@``, which rounds each
-# point exactly like a pointwise ``@`` or ``np.linalg.norm``; ``np.einsum``
-# and sums along an axis do not.  The Lie bracket and commutation take one
-# point: a matrix-vector ``@`` on one point keeps the bits of the public
-# pointwise residuals.
-
-
-def _dot(a, b) -> np.ndarray:
-    """a_i . b_i for (points, n) stacks."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _norms(v) -> np.ndarray:
-    return np.sqrt(_dot(v, v))
+# The Lie bracket and commutation take one point: a matrix-vector ``@`` on
+# one point keeps the bits of the public pointwise residuals.
 
 
 def _lie_bracket(vj, vk, dj, dk) -> np.ndarray:
@@ -184,7 +172,7 @@ def _commutation(df, v, v_image) -> np.ndarray:
 
 def _poisson(gf, gg) -> np.ndarray:
     n = gf.shape[1] // 2
-    return _dot(gf[:, :n], gg[:, n:]) - _dot(gf[:, n:], gg[:, :n])
+    return row_dot(gf[:, :n], gg[:, n:]) - row_dot(gf[:, n:], gg[:, :n])
 
 
 def _symplecticity(m) -> np.ndarray:
@@ -220,7 +208,7 @@ def _bracket_norms(fields, values, points: np.ndarray, pairs) -> np.ndarray:
     out = np.empty((len(pairs), len(points)))
     for chunk, jac in _jacobians(fields if pairs else (), points):
         for c, i in enumerate(range(chunk.start, chunk.stop)):
-            out[:, i] = _norms(np.array([
+            out[:, i] = row_norms(np.array([
                 _lie_bracket(values[j][i], values[k][i], jac[j][c], jac[k][c])
                 for j, k in pairs]))
     return out
@@ -246,7 +234,7 @@ def first_integral_residual(f_int: ScalarField, x_field: VectorField, x) -> floa
     """Directional derivative DF(x) . X(x)."""
     if f_int.dim != x_field.dim:
         raise ValueError("dimension mismatch")
-    return float(_dot(*_one(f_int.gradient_at(x), x_field(x)))[0])
+    return float(row_dot(*_one(f_int.gradient_at(x), x_field(x)))[0])
 
 
 def map_invariance_residual(f_int: ScalarField, f: SmoothMap, x) -> float:
@@ -271,11 +259,11 @@ def commutation_residuals(f: SmoothMap, values, image_values,
     norms = np.empty((len(values), len(points)))
     for chunk, (df,) in _jacobians((f,) if values else (), points):
         for c, i in enumerate(range(chunk.start, chunk.stop)):
-            norms[:, i] = _norms(np.array([
+            norms[:, i] = row_norms(np.array([
                 _commutation(df[c], v[i], w[i])
                 for v, w in zip(values, image_values)]))
-    base = np.maximum(_norms(points), _norms(images))
-    return [(r, 1.0 + np.maximum(base, _norms(v)))
+    base = np.maximum(row_norms(points), row_norms(images))
+    return [(r, 1.0 + np.maximum(base, row_norms(v)))
             for r, v in zip(norms, values)]
 
 
@@ -375,24 +363,14 @@ def _rank_stats(name: str, columns, points: np.ndarray,
     )
 
 
-def _inside(f: SmoothMap, points: np.ndarray) -> np.ndarray:
-    """Per point, whether it passes the map's domain guard."""
-    guard = f.domain_guard or (lambda x: True)
-    return np.array([bool(guard(x)) for x in points.tolist()], dtype=bool)
-
-
 def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int | None,
                 seed: int):
-    """Sample once and apply ``f`` once to each point inside its guard; a
-    point or image outside the guard is dropped and counted.  Returns the
-    kept points and their images as (points, n) float stacks, and the
-    failure count."""
+    """Sample once and keep the points that ``f`` maps inside its guard
+    (``core.guarded_images``), counting the others.  Returns the kept
+    points and their images as (points, n) float stacks, and that count."""
     raw_points = np.reshape(sample(region, samples, seed), (-1, f.dim))
-    points = raw_points[_inside(f, raw_points)]
-    images = point_stack(lambda x: f.apply(x, check_guard=False), points,
-                         (f.dim,))
-    kept = _inside(f, images)
-    return points[kept], images[kept], len(raw_points) - int(kept.sum())
+    kept, images = guarded_images(f, raw_points)
+    return raw_points[kept], images, len(raw_points) - len(kept)
 
 
 def _verdict(conditions) -> str:
@@ -426,9 +404,9 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     pairs = list(combinations(range(len(fields)), 2))
     dim = f.dim
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
-    nx, nfx = _norms(points), _norms(images)
+    nx, nfx = row_norms(points), row_norms(images)
     v = [point_stack(x_fld, points, (dim,)) for x_fld in fields]
-    nv = [_norms(u) for u in v]
+    nv = [row_norms(u) for u in v]
     brackets = _bracket_norms(fields, v, points, pairs)
     val = [point_stack(f_int, points) for f_int in integrals]
     grad = [point_stack(f_int.gradient_at, points, (dim,))
@@ -447,7 +425,7 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
         for j in range(len(fields)):
             stats.append(_stats(
                 f"first_integral[F{k + 1},X{j + 1}]",
-                np.abs(_dot(grad[k], v[j])),
+                np.abs(row_dot(grad[k], v[j])),
                 1.0 + np.maximum(nx, np.maximum(np.abs(val[k]), nv[j])),
                 points, tol.algebraic_tol))
     if integrals:
@@ -473,8 +451,8 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     # is implied by the infinitesimal one and trajectories of a
     # non-commuting candidate routinely exhaust the step budget.  Each
     # field is one integration, for every flow time at once, of the flow
-    # points stacked over their images from the guard pass; a failed
-    # branch comes back NaN.
+    # points stacked over their images from the guard pass.  A point is
+    # skipped where a branch failed (NaN) or f(phi^t(x)) leaves the guard.
     flow_points = points[:FLOW_POINT_CAP]
     q = len(flow_points)
     starts = np.tile(np.concatenate([flow_points, images[:q]]),
@@ -486,21 +464,15 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
         all_ends = integrate_flow(x_fld, starts, times)
         for t, ends in zip(flow_times, np.split(all_ends, len(flow_times))):
             finite = np.all(np.isfinite(ends), axis=1)
-            rows, used = [], []
-            for i in np.flatnonzero(finite[:q] & finite[q:]):
-                try:
-                    left = f.apply(list(ends[i]))
-                except DomainError:
-                    continue
-                rows.append(f.displacement(left, list(ends[q + i])))
-                used.append(i)
+            both = np.flatnonzero(finite[:q] & finite[q:])
+            kept, left = guarded_images(f, ends[both])
+            used = both[kept]
             skipped = q - len(used)
-            skip_fail = skipped > q / 2
+            residuals = row_norms(f.displacement(left, ends[q + used]))
             stats.append(_stats(f"flow_commutation[X{j + 1},t={t:g}]",
-                                _norms(np.reshape(rows, (len(used), dim))),
-                                scales[used], flow_points[used],
+                                residuals, scales[used], flow_points[used],
                                 tol.flow_tol, skipped=skipped,
-                                skip_fail=skip_fail))
+                                skip_fail=skipped > q / 2))
 
     return CertificationReport(
         map_name=map_name or f.name or "map",
@@ -536,7 +508,7 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
     integrals = tuple(integrals)
     pairs = list(combinations(range(len(integrals)), 2))
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
-    nz, nfz = _norms(points), _norms(images)
+    nz, nfz = row_norms(points), row_norms(images)
     val = [point_stack(g, points) for g in integrals]
     grad = [point_stack(g.gradient_at, points, (f.dim,)) for g in integrals]
     # one chunk at a time: a (points, 2n, 2n) stack of the lift's Jacobians

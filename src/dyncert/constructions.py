@@ -146,7 +146,7 @@ def cotangent_lift(f: SmoothMap) -> SmoothMap:
 
     def fwd(z):
         x, p = list(z[:n]), list(z[n:])
-        y = f.apply(x, check_guard=False)
+        y = f.reduce(f.forward(x))
         jac = f.jacobian_at(x)
         q = solve_linear(transpose(jac), p)
         return y + q
@@ -155,7 +155,7 @@ def cotangent_lift(f: SmoothMap) -> SmoothMap:
     if f.inverse is not None:
         def bwd(z):
             x, p = list(z[:n]), list(z[n:])
-            y = f.apply_inverse(x, check_guard=False)
+            y = f.reduce(f.inverse(x))
             jac = f.jacobian_at(y)
             jt = transpose(jac)
             q = [left_sum(jt[i][k] * p[k] for k in range(n))

@@ -16,7 +16,8 @@ or returns another shape, is called once per point instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +34,9 @@ __all__ = [
     "SamplingRegion",
     "iterate",
     "orbit_points",
+    "guarded_images",
+    "row_dot",
+    "row_norms",
     "sample",
     "column_chunks",
     "on_columns",
@@ -83,28 +87,22 @@ class SmoothMap:
     def reduce(self, x: Sequence) -> list:
         if self.phase_topology is None:
             return list(x)
-        out = []
-        for v, topo in zip(x, self.phase_topology):
-            out.append(v if topo is None else v % topo)
-        return out
+        return [v if c is None else v % c
+                for v, c in zip(x, self.phase_topology)]
 
-    def apply(self, x: Sequence, check_guard: bool = True) -> list:
-        if check_guard:
-            self._check_guard(x)
+    def apply(self, x: Sequence) -> list:
+        self._check_guard(x)
         y = self.reduce(self.forward(list(x)))
-        if check_guard:
-            self._check_guard(y)
+        self._check_guard(y)
         return y
 
-    def apply_inverse(self, x: Sequence, check_guard: bool = True) -> list:
+    def apply_inverse(self, x: Sequence) -> list:
+        return self._inverted().apply(x)
+
+    def _inverted(self) -> SmoothMap:
         if self.inverse is None:
             raise DomainError(f"{self.name or 'map'} has no inverse")
-        if check_guard:
-            self._check_guard(x)
-        y = self.reduce(self.inverse(list(x)))
-        if check_guard:
-            self._check_guard(y)
-        return y
+        return replace(self, forward=self.inverse, inverse=self.forward)
 
     def __call__(self, x: Sequence) -> list:
         return self.apply(x)
@@ -113,13 +111,14 @@ class SmoothMap:
         """Jacobian rows at ``x`` (entries stay jets under nesting)."""
         return jet_jacobian(self.forward, x)
 
-    def displacement(self, a: Sequence, b: Sequence) -> np.ndarray:
-        """Componentwise a - b, wrapped to the shortest arc on circles."""
-        out = np.asarray([float_of(u) - float_of(v) for u, v in zip(a, b)])
-        if self.phase_topology is not None:
-            for i, topo in enumerate(self.phase_topology):
-                if topo is not None:
-                    out[i] = (out[i] + topo / 2.0) % topo - topo / 2.0
+    def displacement(self, a, b) -> np.ndarray:
+        """a - b along the last axis, wrapped to the shortest arc on
+        circles: of two points, or of (points, n) stacks (or a point and a
+        stack, broadcast)."""
+        out = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        for i, topo in enumerate(self.phase_topology or ()):
+            if topo is not None:
+                out[..., i] = (out[..., i] + topo / 2.0) % topo - topo / 2.0
         return out
 
     def distance(self, a: Sequence, b: Sequence) -> float:
@@ -267,18 +266,19 @@ def sample(region: SamplingRegion, count: int | None = None,
 
 
 def iterate(f: SmoothMap, x0: Sequence, k: int) -> list:
-    """k-th iterate of ``f`` (negative k uses the inverse)."""
-    x = f.reduce([float(v) for v in x0])
+    """k-th iterate of ``f`` (negative k uses the inverse) by
+    :func:`orbit_points`, whose :class:`DomainError` gets a ``step`` of at
+    least 1; ``iterate(f, x0, 0)`` is x0 reduced, unguarded."""
     if k == 0:
-        return x
-    step = f.apply if k > 0 else f.apply_inverse
-    for j in range(abs(k)):
-        try:
-            x = step(x)
-        except DomainError as err:
-            raise DomainError(f"guard violation at step {j + 1}: {err}",
-                              step=j + 1) from err
-    return x
+        return f.reduce([float(v) for v in x0])
+    if k < 0:
+        f = f._inverted()
+    try:
+        return next(islice(orbit_points(f, x0), abs(k), None))
+    except DomainError as err:
+        step = max(err.step, 1)
+        raise DomainError(f"guard violation at step {step}: {err}",
+                          step=step) from err
 
 
 def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
@@ -305,6 +305,34 @@ def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
         except DomainError as err:
             err.step = k
             raise
+
+
+def _inside(f: SmoothMap, points: np.ndarray) -> np.ndarray:
+    guard = f.domain_guard or (lambda x: True)
+    return np.array([bool(guard(x)) for x in points.tolist()], dtype=bool)
+
+
+def guarded_images(f: SmoothMap, points: np.ndarray):
+    """(kept, images): the rows of a (points, n) stack that ``f`` maps
+    inside its guard, by index, and their images (circle coordinates
+    reduced) from one :func:`point_stack` call, which raises an error of
+    ``forward``, DomainError too.  Many points over one step: one point
+    over many steps is :func:`orbit_points`."""
+    kept = np.flatnonzero(_inside(f, points))
+    images = point_stack(lambda x: f.reduce(f.forward(x)), points[kept],
+                         (f.dim,))
+    inside = _inside(f, images)
+    return kept[inside], images[inside]
+
+
+def row_dot(a, b) -> np.ndarray:
+    """a_i . b_i for (points, n) stacks.  Batched ``@`` rounds each point
+    like a pointwise ``@`` or ``np.linalg.norm``; ``np.einsum`` does not."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(v) -> np.ndarray:
+    return np.sqrt(row_dot(v, v))
 
 
 def column_chunks(count: int) -> list[slice]:

@@ -4,14 +4,15 @@ rotation numbers, conservation drift and translation-vector fitting."""
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
 
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   SmoothMap, column_chunks, orbit_points, point_stack,
-                   sample)
+                   SmoothMap, column_chunks, guarded_images, iterate,
+                   orbit_points, point_stack, row_norms, sample)
 from .numerics import eigen_moduli, integrate_flow
 
 __all__ = [
@@ -98,16 +99,6 @@ def compute_orbit(f: SmoothMap, x0, n_steps: int) -> Orbit:
                  x0=tuple(float(v) for v in x0), guard_failures=failures)
 
 
-def _iterate_with_jacobian(f: SmoothMap, x, k: int):
-    """(f^k(x), D f^k(x)) with the Jacobian chained along the orbit."""
-    jac = np.eye(f.dim)
-    y = list(x)
-    for _ in range(k):
-        jac = np.asarray(f.jacobian_at(y), dtype=float) @ jac
-        y = f.apply(y)
-    return y, jac
-
-
 def _classify(moduli) -> str:
     off_unit = [abs(m - 1.0) > HYPERBOLICITY_TOL for m in moduli]
     if all(off_unit):
@@ -122,47 +113,54 @@ def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
                          seed: int | None = None) -> list[PeriodicPoint]:
     """Newton search for roots of f^k(x) - x from sampled starting points.
 
-    Non-convergent seeds are dropped; converged roots are deduplicated and
-    classified through the eigenvalue moduli of D(f^k).  The minimal period
-    is recorded via a divisor check.
+    The seeds run in lockstep, each iterate one ``guarded_images`` call
+    and one ``point_stack`` of Jacobians, each Newton step one batched
+    solve; a seed that leaves the domain or meets a singular or non-finite
+    step is dropped.  Converged roots are deduplicated in seed order and
+    classified through the eigenvalue moduli of D(f^k).  The minimal
+    period is recorded via a divisor check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    starts = sample(region, seed_count, seed)
+    n = f.dim
+    x = np.reshape(sample(region, seed_count, seed), (-1, n))
+    seeds = np.arange(len(x))
+    converged = {}  # seed -> (root, D f^k at the root)
+    for _ in range(NEWTON_ITERATIONS):
+        fk, jac = x, np.tile(np.eye(n), (len(x), 1, 1))
+        for _ in range(k):  # D f^k chained along the orbits
+            kept, image = guarded_images(f, fk)
+            jac = point_stack(f.jacobian_at, fk[kept], (n, n)) @ jac[kept]
+            x, seeds, fk = x[kept], seeds[kept], image
+        g = f.displacement(fk, x)
+        done = row_norms(g) <= PERIODIC_TOL * (1.0 + row_norms(x))
+        converged.update(zip(seeds[done].tolist(), zip(x[done], jac[done])))
+        a, g = jac[~done] - np.eye(n), g[~done]
+        x, seeds = x[~done], seeds[~done]
+        if not len(x):
+            break
+        try:
+            delta = np.linalg.solve(a, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # per row; a singular one stays NaN
+            delta = np.full_like(g, np.nan)
+            for i in range(len(g)):
+                with suppress(np.linalg.LinAlgError):
+                    delta[i] = np.linalg.solve(a[i], -g[i])
+        x = np.column_stack(f.reduce(list((x + delta).T)))
+        finite = np.all(np.isfinite(x), axis=1)
+        x, seeds = x[finite], seeds[finite]
     found: list[PeriodicPoint] = []
-    for x0 in starts:
-        x = list(x0)
-        converged = False
-        for _ in range(NEWTON_ITERATIONS):
-            try:
-                fk, jac = _iterate_with_jacobian(f, x, k)
-            except DomainError:
-                break
-            g = f.displacement(fk, x)
-            if np.linalg.norm(g) <= PERIODIC_TOL * (1.0 + np.linalg.norm(x)):
-                converged = True
-                break
-            try:
-                delta = np.linalg.solve(jac - np.eye(f.dim), -g)
-            except np.linalg.LinAlgError:
-                break
-            x = f.reduce([xi + di for xi, di in zip(x, delta)])
-            if not all(math.isfinite(v) for v in x):
-                break
-        if not converged:
+    roots = np.empty((len(converged), n))
+    for s in sorted(converged):
+        root, jac = converged[s]
+        if np.any(row_norms(f.displacement(root, roots[:len(found)]))
+                  <= DEDUP_RADIUS):
             continue
-        # jac is D f^k(x) at the converged x
-        if any(f.distance(x, p.x) <= DEDUP_RADIUS for p in found):
-            continue
-        period = k
-        for d in range(1, k):
-            if k % d == 0:
-                fd, _ = _iterate_with_jacobian(f, x, d)
-                if f.distance(fd, x) <= DEDUP_RADIUS:
-                    period = d
-                    break
+        roots[len(found)] = root
+        period = next((d for d in range(1, k) if k % d == 0 and f.distance(
+            iterate(f, root, d), root) <= DEDUP_RADIUS), k)
         moduli = tuple(float(m) for m in eigen_moduli(jac))
-        found.append(PeriodicPoint(x=tuple(x), period=period,
+        found.append(PeriodicPoint(x=tuple(root.tolist()), period=period,
                                    multiplier_moduli=moduli,
                                    classification=_classify(moduli)))
     found.sort(key=lambda p: p.x)
@@ -351,7 +349,6 @@ def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure,
         for fld, t in zip(reversed(s.fields), reversed(ts)):
             if t != 0.0:
                 y = integrate_flow(fld, y, float(t), TRANSLATION_FLOW_TOL)
-        y = list(y)
         r = f.displacement(y, target)
         if np.linalg.norm(r) <= tol:
             return TranslationEstimate(t0=tuple(float(v) for v in ts),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncert import certify
+from dyncert import certify, core
 from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
                              certify_structure, commutation_residuals,
                              first_integral_residual,
@@ -690,7 +690,7 @@ def test_stacked_formulas_equal_pointwise_residuals(n, count, seed, exponent):
     images[:, 0] += count
 
     (bracket,) = certify._bracket_norms([xj, xk], [vj, vk], points, [(0, 1)])
-    directional = certify._dot(g, vj)
+    directional = core.row_dot(g, vj)
     [(commutation, scale)] = commutation_residuals(f, [vj], [v_image],
                                                    points, images)
     poisson = certify._poisson(g1, g2)
@@ -698,7 +698,7 @@ def test_stacked_formulas_equal_pointwise_residuals(n, count, seed, exponent):
     for i in range(count):
         x = [float(i)] + [0.0] * (n - 1)
         z = [float(i)] + [0.0] * (even - 1)
-        assert certify._norms(vj)[i] == np.linalg.norm(vj[i])
+        assert core.row_norms(vj)[i] == np.linalg.norm(vj[i])
         assert bracket[i] == np.linalg.norm(lie_bracket_residual(xj, xk, x))
         assert directional[i] == first_integral_residual(grad, xj, x)
         assert commutation[i] == np.linalg.norm(

@@ -49,7 +49,7 @@ EXPRESSIONS = {
 def _quantities(f, s):
     """(label, callable, shape) of the map, its fields and integrals."""
     n = f.dim
-    out = [("f", lambda x: f.apply(x, check_guard=False), (n,)),
+    out = [("f", lambda x: f.reduce(f.forward(x)), (n,)),
            ("Df", f.jacobian_at, (n, n))]
     for j, v in enumerate(s.fields):
         out += [(f"X{j + 1}", v, (n,)), (f"DX{j + 1}", v.jacobian_at, (n, n))]
@@ -117,7 +117,7 @@ def test_jacobian_conditions_equal_the_per_point_loop(name, params):
     # Jacobians in the bracket, commutation and symplecticity formulas
     f, s, region = build(name, **params)
     x = _points(region, 150, 11)
-    fx = point_stack(lambda p: f.apply(p, check_guard=False), x, (f.dim,))
+    fx = point_stack(lambda p: f.reduce(f.forward(p)), x, (f.dim,))
     v, w = ([point_stack(fld, p, (f.dim,)) for fld in s.fields]
             for p in (x, fx))
     pairs = list(combinations(range(len(s.fields)), 2))
@@ -128,10 +128,10 @@ def test_jacobian_conditions_equal_the_per_point_loop(name, params):
                for fld in s.fields]
         df = np.asarray(f.jacobian_at(p), dtype=float)
         for (j, k), norms in zip(pairs, brackets):
-            assert norms[i] == certify._norms(certify._lie_bracket(
+            assert norms[i] == core.row_norms(certify._lie_bracket(
                 v[j][i], v[k][i], jac[j], jac[k])[None])[0]
         for j, norms in enumerate(commutation):
-            assert norms[i] == certify._norms(
+            assert norms[i] == core.row_norms(
                 certify._commutation(df, v[j][i], w[j][i])[None])[0]
     lifted, _ = lift_structure(f, s)
     z = _points(region, 150, 11, f.dim)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyncert import catalog
 from dyncert.core import (DomainError, IntegrabilityStructure,
                           RegionSamplingError, SamplingRegion, ScalarField,
-                          SmoothMap, VectorField, iterate, sample)
+                          SmoothMap, VectorField, guarded_images, iterate,
+                          sample)
 from helpers import reference_sample
 
 TWO_PI = 2.0 * math.pi
@@ -58,6 +60,15 @@ class TestSmoothMap:
         d = f.displacement([0.1], [TWO_PI - 0.1])
         assert d[0] == pytest.approx(0.2)
         assert f.distance([0.1], [TWO_PI - 0.1]) == pytest.approx(0.2)
+
+    def test_displacement_along_the_last_axis(self):
+        f = SmoothMap(dim=2, forward=list, phase_topology=(1.0, None))
+        a = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 2))
+        b = np.random.default_rng(4).uniform(-2.0, 2.0, (40, 2))
+        per_row = [f.displacement(list(u), list(v)) for u, v in zip(a, b)]
+        assert np.array_equal(f.displacement(a, b), per_row)
+        assert np.array_equal(f.displacement(a[0], b),
+                              [f.displacement(a[0], v) for v in b])
 
     def test_jacobian_via_jets(self):
         f = lyness2()
@@ -268,3 +279,60 @@ class TestIterate:
         with pytest.raises(DomainError) as exc:
             iterate(f, [2.5], 10)
         assert exc.value.step == 3
+        with pytest.raises(DomainError, match="^guard violation at step 1: "
+                           "point") as exc:
+            iterate(f, [-0.5], 2)  # x0 itself fails the first application
+        assert exc.value.step == 1
+        assert iterate(f, [-0.5], 0) == [-0.5]
+
+    def test_inverse_guard_failure_reports_step(self):
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] - 1.0],
+                      inverse=lambda x: [x[0] + 1.0],
+                      domain_guard=lambda x: x[0] < 3.0)
+        assert iterate(f, [0.5], -2) == [2.5]
+        with pytest.raises(DomainError) as exc:
+            iterate(f, [0.5], -5)
+        assert exc.value.step == 3
+
+    def test_missing_inverse_is_not_a_guard_violation(self):
+        f = catalog.build("warned_circle")[0]
+        with pytest.raises(DomainError) as exc:
+            iterate(f, [0.1], -1)
+        assert str(exc.value) == "warned_circle has no inverse"
+        assert exc.value.step is None
+
+
+class TestGuardedImages:
+    def test_rows_and_images_outside_the_guard_are_left_out(self):
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] - 1.0],
+                      domain_guard=lambda x: x[0] > 0.0)
+        points = np.array([[2.5], [0.5], [-1.0], [3.0], [1.0]])
+        kept, images = guarded_images(f, points)
+        assert kept.tolist() == [0, 3]
+        assert images.tolist() == [[1.5], [2.0]]
+        for rows in ([[0.5]], np.empty((0, 1))):
+            kept, images = guarded_images(f, np.array(rows))
+            assert kept.size == 0 and images.shape == (0, 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 300])
+    def test_images_equal_apply(self, count):
+        f = lyness2()
+        rng = np.random.default_rng(count)
+        points = rng.uniform(-0.5, 3.0, (count, 2))
+        kept, images = guarded_images(f, points)
+        expected = []
+        for i, x in enumerate(points.tolist()):
+            try:
+                expected.append((i, f.apply(x)))
+            except DomainError:
+                continue
+        assert kept.tolist() == [i for i, _ in expected]
+        assert np.array_equal(images.reshape(-1, 2),
+                              np.reshape([y for _, y in expected], (-1, 2)))
+
+    def test_circle_coordinates_are_reduced(self):
+        f = rotation(1.0)
+        kept, images = guarded_images(f, np.array([[TWO_PI - 0.5], [0.2]]))
+        assert kept.tolist() == [0, 1]
+        assert images[:, 0].tolist() == [f.apply([TWO_PI - 0.5])[0],
+                                         f.apply([0.2])[0]]

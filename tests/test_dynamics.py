@@ -8,7 +8,7 @@ import pytest
 from dyncert import catalog, dynamics, jets
 from dyncert.core import (COLUMN_CHUNK, DomainError, SamplingRegion,
                           ScalarField, SmoothMap, VectorField, column_chunks,
-                          point_stack)
+                          point_stack, sample)
 from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               compute_orbit, estimate_translation_vector,
                               find_periodic_points, level_set_drift,
@@ -108,6 +108,124 @@ class TestPeriodicPoints:
         f, _, region = catalog.build("cat_map")
         with pytest.raises(ValueError):
             find_periodic_points(f, 0, region)
+
+    @pytest.mark.parametrize("name, params, k, seed", [
+        *(("cat_map", {}, k, seed) for k in (1, 2, 3) for seed in (1, 7, 42)),
+        ("lyness", {"n": 2}, 5, 42), ("lyness", {"n": 3}, 8, 42),
+        ("warned_circle", {}, 4, 42), ("twist", {}, 1, 42),
+        ("rigid_rotation", {}, 3, 42)])
+    def test_lockstep_equals_the_per_seed_search(self, name, params, k, seed):
+        f, _, region = catalog.build(name, **params)
+        expected = _reference_periodic_points(f, k, sample(region, 100, seed))
+        assert find_periodic_points(f, k, region, 100, seed) == expected
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mixed_batch(self, k, monkeypatch):
+        # x -> x^2 inside 0 < x < 10: from 0.5 the Newton matrix is exactly
+        # singular (k = 1); 4, and 3 at k = 2, map outside the guard; from
+        # 0.25 the Newton step leaves it; 2 and 1.5 converge to one root
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] * x[0]],
+                      domain_guard=lambda x: 0.0 < x[0] < 10.0)
+        starts = [[2.0], [0.5], [0.25], [4.0], [1.5], [3.0], [0.5]]
+        monkeypatch.setattr(dynamics, "sample", lambda *args: starts)
+        singular, solve = [], np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(np.shape(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        found = find_periodic_points(f, k, None)
+        if k == 1:  # the batch raised, then each singular row on its own
+            assert singular == [(6, 1, 1), (1, 1), (1, 1)]
+        assert found == _reference_periodic_points(f, k, starts)
+        (root,) = found
+        assert root.x == pytest.approx((1.0,)) and root.period == 1
+        assert root.multiplier_moduli == pytest.approx((2.0 ** k,))
+        assert root.classification == "hyperbolic"
+
+    def test_one_column_jacobian_call_per_iterate_and_chunk(self,
+                                                            monkeypatch):
+        calls, kept_rows = [], []
+
+        class Counting(SmoothMap):
+            def jacobian_at(self, x):
+                calls.append(np.shape(x[0]))
+                return super().jacobian_at(x)
+
+        def guarded_images(f, points):
+            kept, images = core_guarded_images(f, points)
+            kept_rows.append(len(kept))
+            return kept, images
+
+        # the rows run from three chunks down to one as seeds converge
+        lyness, _, region = catalog.build("lyness", n=2, a=2.0)
+        seeds = 2 * COLUMN_CHUNK + 50
+        expected = find_periodic_points(lyness, 3, region, seeds, 1)
+        core_guarded_images = dynamics.guarded_images
+        monkeypatch.setattr(dynamics, "guarded_images", guarded_images)
+        f = Counting(**vars(lyness))
+        assert find_periodic_points(f, 3, region, seeds, 1) == expected
+        assert len(kept_rows) % 3 == 0  # k = 3 iterates per Newton step
+        assert kept_rows[0] == seeds and len(set(kept_rows)) > 3
+        # one call on columns per chunk of the rows kept; the divisor check
+        # takes no Jacobian
+        assert calls == [(c.stop - c.start,) for rows in kept_rows
+                         for c in column_chunks(rows)]
+
+
+def _reference_periodic_points(f, k, starts):
+    """The per-seed Newton search that the lockstep one replaced: one seed
+    at a time, each iterate one ``jacobian_at`` and one ``apply``."""
+    def iterate_with_jacobian(x, k):
+        jac = np.eye(f.dim)
+        y = list(x)
+        for _ in range(k):
+            jac = np.asarray(f.jacobian_at(y), dtype=float) @ jac
+            y = f.apply(y)
+        return y, jac
+
+    found = []
+    for x0 in starts:
+        x = list(x0)
+        converged = False
+        for _ in range(dynamics.NEWTON_ITERATIONS):
+            try:
+                fk, jac = iterate_with_jacobian(x, k)
+            except DomainError:
+                break
+            g = f.displacement(fk, x)
+            if np.linalg.norm(g) <= dynamics.PERIODIC_TOL * (
+                    1.0 + np.linalg.norm(x)):
+                converged = True
+                break
+            try:
+                delta = np.linalg.solve(jac - np.eye(f.dim), -g)
+            except np.linalg.LinAlgError:
+                break
+            x = f.reduce([xi + di for xi, di in zip(x, delta)])
+            if not all(math.isfinite(v) for v in x):
+                break
+        if not converged:
+            continue
+        if any(f.distance(x, p.x) <= dynamics.DEDUP_RADIUS for p in found):
+            continue
+        period = k
+        for d in range(1, k):
+            if k % d == 0:
+                fd, _ = iterate_with_jacobian(x, d)
+                if f.distance(fd, x) <= dynamics.DEDUP_RADIUS:
+                    period = d
+                    break
+        moduli = tuple(float(m) for m in dynamics.eigen_moduli(jac))
+        found.append(dynamics.PeriodicPoint(
+            x=tuple(x), period=period, multiplier_moduli=moduli,
+            classification=dynamics._classify(moduli)))
+    found.sort(key=lambda p: p.x)
+    return found
 
 
 def _reference_spectrum(f, x0, n_steps):

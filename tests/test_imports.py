@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses, no module
 defines a private (leading ``_``) module-level name that it never reads,
 no module names a hand-written derivative (``HAND_WRITTEN``, then an
-underscore): jets are the only source of derivatives, and no module
-imports anything beyond the standard library, the package itself and the
-declared dependencies (``RUNTIME_DEPENDENCIES``).
+underscore): jets are the only source of derivatives, no module imports
+anything beyond the standard library, the package itself and the declared
+dependencies (``RUNTIME_DEPENDENCIES``), and only ``GUARD_READERS`` read a
+map's ``domain_guard``.
 
 Stdlib only.  ``symtable`` tells which scopes read a name from the module
 namespace, so a local binding of the same name (a parameter, say) does not
@@ -188,3 +189,30 @@ def test_undeclared_import_detector():
               "    import mpmath\n"
               "    return Symbol, mpmath\n")
     assert undeclared_imports(source) == ["mpmath", "scipy", "sympy"]
+
+
+# core applies a map's guard (``core.guarded_images``, ``core.orbit_points``,
+# ``SmoothMap.apply``); constructions builds the lift's guard from the base
+# map's
+GUARD_READERS = {"core.py", "constructions.py"}
+
+
+def guard_reads(source: str) -> int:
+    """Reads of a ``.domain_guard`` attribute."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == "domain_guard"
+               and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_core_reads_the_guard(module):
+    path = PACKAGE / module
+    assert module in GUARD_READERS or guard_reads(path.read_text()) == 0
+
+
+def test_guard_read_detector():
+    source = ("f = SmoothMap(dim=1, forward=g, domain_guard=h)\n"
+              "ok = f.domain_guard(x)\n"
+              "guard = f.domain_guard or (lambda x: True)\n"
+              "region.guard(x)\n")
+    assert guard_reads(source) == 2
