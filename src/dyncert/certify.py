@@ -1,18 +1,18 @@
 """Residual operations and their aggregation into certification verdicts.
 
 Both certifiers share one pipeline.  A guard pass samples once and applies
-``f`` once to each point; a guard failure drops and counts the point.  Each
-field, integral and gradient is then evaluated once at each kept point into
-a float stack whose first axis runs over the points, and each condition is
-one formula over those stacks, reported in the order it is computed.  Every
-callable is called on coordinate columns, one call per chunk of points
-(``core.point_stack``), or once per point if it fails on columns.
-Jacobians are stacked one chunk at a time and kept no longer: of the map's
-only the products Df X are kept, of the fields' only the Lie bracket norms
-and of the lift's only its symplecticity residual.  The public pointwise
-residuals call the same formulas.  Flow commutation is a second phase: per
-field, one integration for all flow times of the first ``FLOW_POINT_CAP``
-kept points stacked over their images.
+``f`` once to each point; a point that the guard or ``f`` rejects is dropped
+and counted.  Each field, integral and gradient is then evaluated once at
+each kept point into a float stack whose first axis runs over the points,
+and each condition is one formula over those stacks, reported in the order
+it is computed.  Every callable is called on coordinate columns, one call
+per chunk of points (``core.point_stack``), or once per point if it fails
+on columns.  Jacobians are stacked one chunk at a time, and the bracket,
+commutation and symplecticity formulas keep only their residuals.  The
+public pointwise residuals call the same formulas on a stack of one point.
+Flow commutation is a second phase: per field, one integration (one field
+call per Runge-Kutta stage) for all flow times of the first
+``FLOW_POINT_CAP`` kept points stacked over their images.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
@@ -155,19 +155,17 @@ class CertificationReport:
 
 
 # -- formulas over stacks whose first axis runs over points -----------------
-#
-# The Lie bracket and commutation take one point: a matrix-vector ``@`` on
-# one point keeps the bits of the public pointwise residuals.
+# (a matrix times a vector is a batched ``@`` on (n, 1) columns: see row_dot)
 
 
 def _lie_bracket(vj, vk, dj, dk) -> np.ndarray:
-    """[Xj, Xk] = DXk Xj - DXj Xk at one point."""
-    return dk @ vj - dj @ vk
+    """[Xj, Xk] = DXk Xj - DXj Xk at each point."""
+    return (dk @ vj[..., None] - dj @ vk[..., None])[..., 0]
 
 
 def _commutation(df, v, v_image) -> np.ndarray:
-    """Df X - X o f at one point."""
-    return df @ v - v_image
+    """Df X - X o f at each point."""
+    return (df @ v[..., None])[..., 0] - v_image
 
 
 def _poisson(gf, gg) -> np.ndarray:
@@ -207,10 +205,9 @@ def _bracket_norms(fields, values, points: np.ndarray, pairs) -> np.ndarray:
     norms outlive it: memory grows with the pairs, not with fields x n x n."""
     out = np.empty((len(pairs), len(points)))
     for chunk, jac in _jacobians(fields if pairs else (), points):
-        for c, i in enumerate(range(chunk.start, chunk.stop)):
-            out[:, i] = row_norms(np.array([
-                _lie_bracket(values[j][i], values[k][i], jac[j][c], jac[k][c])
-                for j, k in pairs]))
+        for norms, (j, k) in zip(out, pairs):
+            norms[chunk] = row_norms(_lie_bracket(
+                values[j][chunk], values[k][chunk], jac[j], jac[k]))
     return out
 
 
@@ -226,8 +223,8 @@ def lie_bracket_residual(xj: VectorField, xk: VectorField, x) -> np.ndarray:
     """[Xj, Xk](x) = DXk(x) Xj(x) - DXj(x) Xk(x)."""
     if xj.dim != xk.dim:
         raise ValueError("field dimension mismatch")
-    return _lie_bracket(*(np.asarray(u, dtype=float) for u in (
-        xj(x), xk(x), xj.jacobian_at(x), xk.jacobian_at(x))))
+    return _lie_bracket(*_one(xj(x), xk(x), xj.jacobian_at(x),
+                              xk.jacobian_at(x)))[0]
 
 
 def first_integral_residual(f_int: ScalarField, x_field: VectorField, x) -> float:
@@ -245,8 +242,8 @@ def map_invariance_residual(f_int: ScalarField, f: SmoothMap, x) -> float:
 def infinitesimal_commutation_residual(f: SmoothMap, x_field: VectorField,
                                        x) -> np.ndarray:
     """Df(x) X(x) - X(f(x)); zero iff the flow of X commutes with f."""
-    return _commutation(*(np.asarray(u, dtype=float) for u in (
-        f.jacobian_at(x), x_field(x), x_field(f.apply(x)))))
+    return _commutation(*_one(f.jacobian_at(x), x_field(x),
+                              x_field(f.apply(x))))[0]
 
 
 def commutation_residuals(f: SmoothMap, values, image_values,
@@ -258,10 +255,8 @@ def commutation_residuals(f: SmoothMap, values, image_values,
     at a time."""
     norms = np.empty((len(values), len(points)))
     for chunk, (df,) in _jacobians((f,) if values else (), points):
-        for c, i in enumerate(range(chunk.start, chunk.stop)):
-            norms[:, i] = row_norms(np.array([
-                _commutation(df[c], v[i], w[i])
-                for v, w in zip(values, image_values)]))
+        for r, v, w in zip(norms, values, image_values):
+            r[chunk] = row_norms(_commutation(df, v[chunk], w[chunk]))
     base = np.maximum(row_norms(points), row_norms(images))
     return [(r, 1.0 + np.maximum(base, row_norms(v)))
             for r, v in zip(norms, values)]

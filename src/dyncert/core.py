@@ -16,6 +16,7 @@ or returns another shape, is called once per point instead.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Iterator, Sequence
@@ -315,12 +316,20 @@ def _inside(f: SmoothMap, points: np.ndarray) -> np.ndarray:
 def guarded_images(f: SmoothMap, points: np.ndarray):
     """(kept, images): the rows of a (points, n) stack that ``f`` maps
     inside its guard, by index, and their images (circle coordinates
-    reduced) from one :func:`point_stack` call, which raises an error of
-    ``forward``, DomainError too.  Many points over one step: one point
-    over many steps is :func:`orbit_points`."""
+    reduced) from one :func:`point_stack` call; a row where ``forward``
+    raises DomainError is dropped, as it ends an orbit.  Many points over
+    one step: one point over many steps is :func:`orbit_points`."""
     kept = np.flatnonzero(_inside(f, points))
-    images = point_stack(lambda x: f.reduce(f.forward(x)), points[kept],
-                         (f.dim,))
+    try:
+        images = point_stack(lambda x: f.reduce(f.forward(x)), points[kept],
+                             (f.dim,))
+    except DomainError:  # each row alone; a row where it recurs is dropped
+        images = np.empty((len(kept), f.dim))
+        mapped = np.zeros(len(kept), dtype=bool)
+        for r, x in enumerate(points[kept].tolist()):
+            with suppress(DomainError):
+                images[r], mapped[r] = f.reduce(f.forward(x)), True
+        kept, images = kept[mapped], images[mapped]
     inside = _inside(f, images)
     return kept[inside], images[inside]
 
@@ -352,27 +361,26 @@ def _leaves(value, shape) -> list:
 
 
 def on_columns(func: Callable, points: np.ndarray, shape=()):
-    """``func`` at each row of a (points, n) stack, from calls on the list
-    of its n coordinate columns, one call per chunk of ``column_chunks``;
-    a (points, *shape) float stack, or None.
+    """``func`` at each row of a (points, n) stack, from one call on the
+    list of its n coordinate columns (:func:`point_stack` splits jets into
+    chunks); a (points, *shape) float stack, or None.
 
-    A constant entry of the result is broadcast over the chunk.  The calls
-    run under ``np.errstate(all="raise")``, so a pole or an overflow
-    raises; when a call raises, an entry has another shape, or ``points``
-    holds one point, the result is None and the caller evaluates each
-    point on its own."""
-    if len(points) == 1:
+    A constant entry of the result is broadcast over the rows.  The call
+    runs under ``np.errstate(all="raise")``, so a pole or an overflow
+    raises; when the call raises, an entry has another shape, or ``points``
+    holds fewer than two points, the result is None and the caller
+    evaluates each point on its own."""
+    if len(points) < 2:
         return None
     out = np.empty((len(points), *shape))
     try:
         with np.errstate(all="raise"):
-            for chunk in column_chunks(len(points)):
-                block = out[chunk].reshape(chunk.stop - chunk.start, -1)
-                leaves = _leaves(func(list(points[chunk].T)), shape)
-                for column, leaf in zip(block.T, leaves, strict=True):
-                    if np.shape(leaf) not in ((), column.shape):
-                        raise ValueError("wrong shape")
-                    column[...] = leaf
+            leaves = _leaves(func(list(points.T)), shape)
+            for column, leaf in zip(out.reshape(len(points), -1).T, leaves,
+                                    strict=True):
+                if np.shape(leaf) not in ((), column.shape):
+                    raise ValueError("wrong shape")
+                column[...] = leaf
     except Exception:  # a real error recurs in the per-point call
         return None
     return out
@@ -380,12 +388,12 @@ def on_columns(func: Callable, points: np.ndarray, shape=()):
 
 def point_stack(func: Callable, points: np.ndarray, shape=()) -> np.ndarray:
     """``func`` at each row of ``points`` as a (points, *shape) float stack:
-    from :func:`on_columns`, or, if that gives None, from one call per
-    point on a list of plain floats, which raises a pole's error at its
-    point."""
-    out = on_columns(func, points, shape)
-    if out is None:
-        out = np.empty((len(points), *shape))
-        for i, x in enumerate(points.tolist()):
-            out[i] = func(x)
+    one :func:`on_columns` call per chunk of :func:`column_chunks`, or,
+    where that gives None, one call per point of the chunk on a list of
+    plain floats, which raises a pole's error at its point."""
+    out = np.empty((len(points), *shape))
+    for chunk in column_chunks(len(points)):
+        values = on_columns(func, points[chunk], shape)
+        out[chunk] = (values if values is not None
+                      else [func(x) for x in points[chunk].tolist()])
     return out

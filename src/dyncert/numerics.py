@@ -8,9 +8,10 @@ stack of matrices, one per sample point, and ranks them in one SVD call.
 ``integrate_flow`` is Dormand-Prince 5(4) with one tolerance, used as both
 the absolute and the relative error bound.  It reuses each accepted step's
 last stage as the next step's first, so a step costs six field evaluations.
-On a stack of points it calls the field on coordinate columns, but each
-row keeps its own flow time and step size and ends bit for bit where it
-would alone, so the flows of one field for several times are one call.
+On a stack of points each stage is one field call on the coordinate columns
+of all running rows; each row keeps its own flow time and step size and
+ends bit for bit where it would alone, so the flows of one field for
+several times are one call.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def integrate_flow(field, x0, t: float | np.ndarray,
 
     Negative ``t`` integrates backwards; ``tol`` is both the absolute and
     the relative error tolerance per step.  The rows of a stack advance in
-    lockstep, each with its own time and step size: every stage calls
-    ``field`` on the n coordinate columns of the running rows
+    lockstep, each with its own time and step size: every stage is one
+    call of ``field`` on the n coordinate columns of all running rows
     (``core.on_columns``).  A field that fails on columns, for the rest of
     the integration, and a single running row get one list of floats per
     row.  A row whose time is 0 is returned as it is.
@@ -105,15 +106,14 @@ def integrate_flow(field, x0, t: float | np.ndarray,
     if not np.all(np.isfinite(times)):
         raise ValueError("integration time must be finite")
     errors = {}  # row -> the error that ended it
-    columns = True  # until the field fails on columns
+    columns = True  # until the field fails on columns, or one row runs
 
     def rhs(state, rows):  # a row that has failed reads NaN
         nonlocal columns
-        if columns and len(rows) > 1:
-            values = on_columns(field, state, state.shape[1:])
-            if values is not None:
-                return values
-            columns = False
+        values = on_columns(field, state, state.shape[1:]) if columns else None
+        columns = values is not None
+        if columns:
+            return values
         values = np.empty_like(state)
         for r, i in enumerate(rows):
             try:
@@ -171,14 +171,11 @@ def integrate_flow(field, x0, t: float | np.ndarray,
         y = np.where(ok[:, None], yi, y)
         first = np.where(ok[:, None], k[6], first)
         elapsed = np.where(ok, np.where(last, t_abs, elapsed + h), elapsed)
-        factors = []
-        for e in err.tolist():  # Python's **: np.power may round otherwise
-            if e > 0.0:
-                factor = 0.9 * (1.0 / e) ** 0.2
-            else:  # a zero error grows the step, a NaN one shrinks it
-                factor = 5.0 if e == 0.0 else 0.2
-            factors.append(min(5.0, max(0.2, factor)))
-        h = h * factors
+        # Python's **: np.power rounds some errors otherwise.  A zero error
+        # gives inf (the step grows 5 times), fmax takes NaN to 0.2
+        with np.errstate(divide="ignore"):
+            growth = [u ** 0.2 for u in (1.0 / err).tolist()]
+        h = h * np.fmin(5.0, np.fmax(0.2, 0.9 * np.array(growth)))
     if single and errors:
         raise errors[0]
     out[list(errors)] = np.nan

@@ -1,11 +1,13 @@
 """Helpers that only the tests use: a finite-difference Jacobian to check
-jets against, the values of the Lyness integrals at a point, and the
-per-point sampler that ``core.sample`` must match."""
+jets against, the values of the Lyness integrals at a point, the
+per-point sampler that ``core.sample`` must match, and a map whose forward
+raises DomainError."""
 
 import numpy as np
 
 from dyncert.catalog import ParameterError, lyness_integrals
-from dyncert.core import RegionSamplingError
+from dyncert.core import DomainError, RegionSamplingError, SmoothMap
+from dyncert.jets import float_of
 
 _FD_CBRT_EPS = 6.055454452393343e-06  # eps**(1/3)
 
@@ -54,3 +56,14 @@ def reference_sample(region, count=None, seed=None) -> list[list[float]]:
                 f"guard rejected 1000 candidates for sample {i}; "
                 "the region is misconfigured")
     return points
+
+
+def squaring_past_5() -> SmoothMap:
+    """x -> x^2 on the line; forward raises DomainError at x > 5 and, as
+    ``float_of`` takes no column, is called one point at a time."""
+    def forward(x):
+        if float_of(x[0]) > 5.0:
+            raise DomainError(f"{float_of(x[0])} is past 5")
+        return [x[0] * x[0]]
+
+    return SmoothMap(dim=1, forward=forward, name="squaring")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncert import certify, core
+from dyncert import certify, core, jets
 from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
                              certify_structure, commutation_residuals,
                              first_integral_residual,
@@ -25,6 +25,8 @@ from dyncert.core import (DomainError, IntegrabilityStructure, SamplingRegion,
 from dyncert.expressions import structure_from_dict
 from dyncert.jets import Jet
 from dyncert.numerics import integrate_flow
+
+from helpers import squaring_past_5
 
 E = math.e
 
@@ -353,6 +355,22 @@ class TestCertifyStructure:
         report = certify_structure(f, s, region, samples=100, seed=42)
         assert report.guard_failures > 0
         assert report.guard_failures + report.conditions[0].count == 100
+
+    def test_rows_where_forward_raises_are_skipped(self):
+        # the guard pass counts the samples past 5 with the guard failures;
+        # the flow of x' = x log x commutes with squaring, and the flow
+        # points whose end lies past 5 are skipped
+        f = squaring_past_5()
+        field = VectorField(dim=1, func=lambda x: [x[0] * jets.log(x[0])])
+        s = IntegrabilityStructure(dim=1, fields=(field,))
+        region = SamplingRegion(box=((0.5, 8.0),))
+        report = certify_structure(f, s, region, samples=100, seed=1,
+                                   flow_times=(0.25,))
+        past = sum(x[0] > 5.0 for x in sample(region, 100, 1))
+        assert past > 0 and report.guard_failures == past
+        assert report.conditions[0].count == 100 - past
+        flow = _condition(report, "flow_commutation[X1,t=0.25]")
+        assert 0 < flow.skipped < flow.count and flow.passed
 
     @pytest.mark.parametrize("t", [1e308, -1e308, 1000.5, math.inf,
                                    math.nan])

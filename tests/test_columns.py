@@ -1,10 +1,10 @@
 """Calls on coordinate columns give each point the bits of its own call.
 
-``core.on_columns`` evaluates a callable once per chunk of points, and the
-certifiers evaluate one point at a time when it gives None.  These tests
-hold column stacks to per-point stacks with ``np.array_equal``, a pole to
-the error of its own point, and whole reports to those of a run with the
-column calls switched off.
+``core.on_columns`` evaluates a callable once on a whole stack of points,
+``core.point_stack`` once per chunk of points, or one point at a time in a
+chunk where the columns fail.  These tests hold column stacks to per-point
+stacks with ``np.array_equal``, a pole to the error of its own point, and
+whole reports to those of a run with the column calls switched off.
 """
 
 import builtins
@@ -113,8 +113,9 @@ def test_expression_columns_equal_points(count, seed):
     ("linear", {"blocks": "2:2,3:1"}), ("twist", {"n": 2}),
     ("lyness", {"n": 5, "symmetry": 1})])
 def test_jacobian_conditions_equal_the_per_point_loop(name, params):
-    # Jacobians stacked a chunk at a time give the bits of fresh per-point
-    # Jacobians in the bracket, commutation and symplecticity formulas
+    # Jacobians stacked a chunk at a time, in the bracket, commutation and
+    # symplecticity formulas over each chunk, give the bits of fresh
+    # per-point Jacobians in the per-point products
     f, s, region = build(name, **params)
     x = _points(region, 150, 11)
     fx = point_stack(lambda p: f.reduce(f.forward(p)), x, (f.dim,))
@@ -128,11 +129,10 @@ def test_jacobian_conditions_equal_the_per_point_loop(name, params):
                for fld in s.fields]
         df = np.asarray(f.jacobian_at(p), dtype=float)
         for (j, k), norms in zip(pairs, brackets):
-            assert norms[i] == core.row_norms(certify._lie_bracket(
-                v[j][i], v[k][i], jac[j], jac[k])[None])[0]
+            assert norms[i] == np.linalg.norm(jac[k] @ v[j][i]
+                                              - jac[j] @ v[k][i])
         for j, norms in enumerate(commutation):
-            assert norms[i] == core.row_norms(
-                certify._commutation(df, v[j][i], w[j][i])[None])[0]
+            assert norms[i] == np.linalg.norm(df @ v[j][i] - w[j][i])
     lifted, _ = lift_structure(f, s)
     z = _points(region, 150, 11, f.dim)
     assert np.array_equal(
@@ -313,6 +313,34 @@ def test_variant_scores_equal_with_columns_off(monkeypatch):
     with_columns = lyness_symmetry_variants(4, 2.0, seed=7)
     _columns_off(monkeypatch)
     assert lyness_symmetry_variants(4, 2.0, seed=7) == with_columns
+
+
+def test_point_stack_calls_once_per_chunk():
+    # on_columns takes a whole stack in one call; point_stack still splits
+    # it, and only a chunk that fails on columns goes point by point
+    points = np.reshape(sample(SamplingRegion(box=((0.0, 1.0),) * 2), 1000,
+                               5), (1000, 2))
+    calls = []
+
+    def fn(x, pole=np.inf):
+        calls.append(np.shape(x[0]))
+        if np.ndim(x[0]) and np.any(x[0] == pole):
+            raise ValueError("fails on columns")
+        return [x[0] * x[1], 1.0]
+
+    assert on_columns(fn, points[:300], (2,)) is not None
+    assert calls == [(300,)]
+    chunks = column_chunks(1000)
+    sizes = [(c.stop - c.start,) for c in chunks]
+    failed = next(i for i, c in enumerate(chunks) if c.start <= 300 < c.stop)
+    for pole in (np.inf, points[300, 0]):
+        calls.clear()
+        stack = point_stack(lambda x: fn(x, pole), points, (2,))
+        expected = list(sizes)
+        if pole != np.inf:  # the failed call, then one call per point
+            expected[failed + 1:failed + 1] = [()] * sizes[failed][0]
+        assert calls == expected
+        assert np.array_equal(stack, _per_point(fn, points, (2,)))
 
 
 def test_column_chunks():

@@ -11,7 +11,7 @@ from dyncert.core import (DomainError, IntegrabilityStructure,
                           RegionSamplingError, SamplingRegion, ScalarField,
                           SmoothMap, VectorField, guarded_images, iterate,
                           sample)
-from helpers import reference_sample
+from helpers import reference_sample, squaring_past_5
 
 TWO_PI = 2.0 * math.pi
 
@@ -313,6 +313,13 @@ class TestGuardedImages:
         for rows in ([[0.5]], np.empty((0, 1))):
             kept, images = guarded_images(f, np.array(rows))
             assert kept.size == 0 and images.shape == (0, 1)
+
+    def test_rows_where_forward_raises_are_left_out(self):
+        # as at the end of an orbit, DomainError from forward drops the row
+        points = np.array([[1.5], [6.0], [0.5], [7.0], [2.0]])
+        kept, images = guarded_images(squaring_past_5(), points)
+        assert kept.tolist() == [0, 2, 4]
+        assert images.tolist() == [[2.25], [0.25], [4.0]]
 
     @pytest.mark.parametrize("count", [1, 2, 300])
     def test_images_equal_apply(self, count):

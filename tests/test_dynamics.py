@@ -14,6 +14,8 @@ from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               find_periodic_points, level_set_drift,
                               lyapunov_spectrum, rotation_number)
 
+from helpers import squaring_past_5
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -103,6 +105,12 @@ class TestPeriodicPoints:
         pts = find_periodic_points(f, 2, region, seed_count=60, seed=42)
         fixed = min(pts, key=lambda p: f.distance(p.x, [0.0, 0.0]))
         assert fixed.period == 1  # divisor of 2
+
+    def test_seeds_where_forward_raises_are_dropped(self):
+        region = SamplingRegion(box=((0.5, 8.0),))
+        pts = find_periodic_points(squaring_past_5(), 1, region,
+                                   seed_count=20, seed=1)
+        assert len(pts) == 1 and pts[0].x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_k(self):
         f, _, region = catalog.build("cat_map")

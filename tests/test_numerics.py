@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dyncert import numerics
 from dyncert.constructions import _linear_field
-from dyncert.core import DomainError
+from dyncert.core import COLUMN_CHUNK, DomainError
 from dyncert.expressions import structure_from_dict
 from dyncert.numerics import (IntegrationError, eigen_moduli, integrate_flow,
                               numerical_rank)
@@ -273,6 +273,59 @@ class TestIntegrateFlow:
         assert rot.calls == 433
         assert np.array_equal(ends, [integrate_flow(lambda x: [-x[1], x[0]],
                                                     [1.0, 0.5], 3.0)] * 5)
+
+    def test_stage_calls_take_every_running_row(self):
+        # a stack the size of certify's flow phase: 100 rows per time.
+        # A row alone takes one call per stage, so the k-th call of the
+        # stack gets the columns of the rows that take more than k calls
+        # alone, in one call (a single row gets a list of floats)
+        rng = np.random.default_rng(2)
+        fld = _field("linear", 3, rng)
+        x0 = rng.uniform(-2.0, 2.0, (300, 3))
+        times = np.repeat([-1.0, 0.5, 1.0], 100)
+        alone = []
+        for row, t in zip(x0, times):
+            calls = counting(fld)
+            integrate_flow(calls, row, t)
+            alone.append(calls.calls)
+        shapes = []
+
+        def recording(x):
+            shapes.append(np.shape(x[0]))
+            return fld(x)
+
+        integrate_flow(recording, x0, times)
+        running = [sum(c > k for c in alone) for k in range(max(alone))]
+        assert running[0] == 300
+        assert shapes == [(m,) if m > 1 else () for m in running]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_control_rows_equal_alone_in_a_long_stack(self):
+        # every branch of the step update, with more rows than a column
+        # chunk: [0, 0] has zero error (the step grows 5 times), x' = e^x
+        # from 700 blows up with NaN errors (it shrinks 5 times), x' = x^2
+        # from 3 blows up with finite errors, and x' = -x decays.  Each row
+        # ends where it ends alone, and alone it takes the steps and ends
+        # where the scalar loop does, whose step update takes Python's **
+        # (np.power rounds otherwise)
+        rows = COLUMN_CHUNK + 7
+        starts = np.column_stack([np.zeros(rows), np.random.default_rng(
+            3).uniform(-2.0, 2.0, rows)])
+        starts[:3] = [[0.0, 0.0], [2.0, 700.0], [1.0, 3.0]]
+        ends = integrate_flow(_mixed, starts, 0.5)
+        for x0, end in zip(starts, ends):
+            refs, calls = [], []
+            for flow in (integrate_flow, _reference_flow):
+                fld = counting(_mixed)
+                try:
+                    refs.append(flow(fld, x0, 0.5))
+                except IntegrationError:
+                    refs.append(np.full(2, np.nan))
+                calls.append(fld.calls)
+            assert calls[0] == calls[1]
+            for ref in refs:
+                assert np.array_equal(end, ref, equal_nan=True)
+        assert np.all(np.isnan(ends[1:3])) and ends[0, 1] == 0.0
 
     def test_stack_of_zero_time_and_no_rows(self):
         x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
