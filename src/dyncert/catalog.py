@@ -178,11 +178,17 @@ def lyness_map(n: int, a: float) -> SmoothMap:
             acc = acc + v
         return [acc / x[-1]] + list(head)
 
-    def guard(x):
-        return all(v > 1e-3 for v in x)
+    return SmoothMap(dim=n, forward=fwd, inverse=bwd,
+                     domain_guard=_lyness_guard, name=f"lyness{n}")
 
-    return SmoothMap(dim=n, forward=fwd, inverse=bwd, domain_guard=guard,
-                     name=f"lyness{n}")
+
+def _lyness_guard(x):
+    """The positive orthant, 1e-3 in from its faces: the Lyness map's
+    guard and its sampling region's; one bool per point, on columns too."""
+    ok = x[0] > 1e-3
+    for v in x[1:]:
+        ok = ok & (v > 1e-3)
+    return ok
 
 
 def _prod(values):
@@ -336,7 +342,7 @@ def _build_lyness(n: int = 2, a: float = 1.0, symmetry: int = 0):
         integrals = integrals[:n]
     s = IntegrabilityStructure(dim=n, fields=fields, integrals=integrals)
     region = SamplingRegion(box=tuple((0.1, 10.0) for _ in range(n)),
-                            guard=lambda x: all(v > 1e-3 for v in x))
+                            guard=_lyness_guard)
     return f, s, region
 
 

@@ -10,8 +10,15 @@ and their derivatives, which jets always take, may be called on coordinate
 columns: a list of n arrays, each holding one coordinate of many points, or
 jets whose values are such arrays.  Each entry of the result must then give
 every point the value that point gives alone (a constant is broadcast; add
-with :func:`~dyncert.jets.left_sum`).  A callable that raises on columns,
-or returns another shape, is called once per point instead.
+with :func:`~dyncert.jets.left_sum`).  A map's ``domain_guard`` and a
+region's ``guard`` are called on plain-float columns the same way and give
+one bool per point: comparisons combined with ``&`` take columns, while
+``and``, ``all`` or a chained comparison raise on them.  A callable that
+raises on columns, or returns another shape, is called once per point
+instead.  A guard that reduces over its argument, such as
+``np.linalg.norm(x) < r``, returns one bool for the whole chunk, which is
+broadcast to every point without an error: write it per coordinate
+(``x[0] ** 2 + x[1] ** 2 < r ** 2``).
 """
 
 from __future__ import annotations
@@ -216,6 +223,48 @@ class SamplingRegion:
         return len(self.box)
 
 
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = 2**64 - 1
+_LOW, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a: int, b: np.ndarray):
+    """High and low words of the 128-bit products of the constant ``a``
+    with a uint64 array, from 32-bit halves; every operand is uint64, so
+    no promotion rule reaches the bits."""
+    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b0, b1 = b & _LOW, b >> _32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _32) + (p01 & _LOW) + (p10 & _LOW)
+    hi = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    return hi, np.uint64(a) * b
+
+
+def _philox_raw(seed: int, count: int, n: int) -> np.ndarray:
+    """A (count, n) uint64 array whose row i is
+    ``np.random.Philox(key=seed, counter=i << 64).random_raw(n)``.
+
+    Philox4x64-10 is counter-based (Salmon et al., SC'11): that stream's
+    block b is the ten-round bijection of counter (b + 1, i, 0, 0) under
+    the 128-bit key ``seed``, so every block of every row is computed at
+    once, each counter word an array broadcast over (rows, blocks)."""
+    blocks = -(-n // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = np.arange(count, dtype=np.uint64)[:, None]
+    c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k0, k1 = int(seed) & _WORD, int(seed) >> 64
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
+        c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(k0), lo1,
+                          hi0 ^ c3 ^ np.uint64(k1), lo0)
+        k0 = (k0 + _PHILOX_BUMP[0]) & _WORD
+        k1 = (k1 + _PHILOX_BUMP[1]) & _WORD
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    return words.reshape(count, 4 * blocks)[:, :n]
+
+
 def sample(region: SamplingRegion, count: int | None = None,
            seed: int | None = None) -> list[list[float]]:
     """Deterministic uniform samples on the guarded, shrunk box.
@@ -224,10 +273,11 @@ def sample(region: SamplingRegion, count: int | None = None,
     set to i, so it depends only on (seed, i), not on the count or on how
     points are spread over workers.  Philox increments word 0 before each
     block of four draws, so point i's first block is at counter
-    (1, i, 0, 0): one bit generator, its counter set per point, draws all
-    first candidates in one batch, bit for bit.  A point whose candidate
-    the guard rejects is set back to its own stream and draws on, up to
-    1000 candidates.
+    (1, i, 0, 0): :func:`_philox_raw` computes every point's first
+    candidate at once, bit for bit, and the guard checks them on columns
+    (:func:`point_stack`).  A point whose candidate the guard rejects is
+    set back to its own stream in one bit generator and draws on, one
+    guard call per candidate, up to 1000 candidates.
     """
     count = region.sample_count if count is None else count
     seed = region.rng_seed if seed is None else seed
@@ -235,22 +285,16 @@ def sample(region: SamplingRegion, count: int | None = None,
     hi = np.asarray([b[1] - region.margin for b in region.box])
     if count <= 0:
         return []
-    bits = np.random.Philox(key=seed)
-    state = bits.state
-    counter = state["state"]["counter"]
-    raw = np.empty((count, len(lo)), dtype=np.uint64)
-    for i in range(count):
-        counter[1] = i
-        bits.state = state
-        raw[i] = bits.random_raw(len(lo))
+    bits = np.random.Philox(key=seed)  # checks the seed; serves redraws
+    raw = _philox_raw(seed, count, len(lo))
     first = lo + (hi - lo) * ((raw >> 11) * 2.0 ** -53)  # Generator.uniform
     points = first.tolist()
     if region.guard is None:
         return points
+    state = bits.state
+    counter = state["state"]["counter"]
     gen = np.random.Generator(bits)
-    for i, x in enumerate(first):
-        if region.guard(list(x)):
-            continue
+    for i in np.flatnonzero(point_stack(region.guard, first) == 0):
         counter[1] = i
         bits.state = state
         bits.random_raw(len(lo))  # the rejected first candidate
@@ -309,8 +353,9 @@ def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
 
 
 def _inside(f: SmoothMap, points: np.ndarray) -> np.ndarray:
-    guard = f.domain_guard or (lambda x: True)
-    return np.array([bool(guard(x)) for x in points.tolist()], dtype=bool)
+    if f.domain_guard is None:
+        return np.ones(len(points), dtype=bool)
+    return point_stack(f.domain_guard, points) != 0
 
 
 def guarded_images(f: SmoothMap, points: np.ndarray):

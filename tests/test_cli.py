@@ -2,10 +2,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dyncert import catalog
 from dyncert.cli import main
+from dyncert.core import column_chunks
 
 
 @pytest.fixture
@@ -386,6 +389,25 @@ class TestDataCommands:
 
 
 class TestLiftCertify:
+    def test_lyness_guard_pass_calls_the_guard_on_columns(
+            self, runner, tmp_path, monkeypatch):
+        # the lift's guard and its region's take columns through their
+        # slicing wrappers: one call per chunk in sample, two in
+        # guarded_images, none point by point
+        calls = []
+        lyness_guard = catalog._lyness_guard
+
+        def recording(x):
+            calls.append(np.shape(x[0]))
+            return lyness_guard(x)
+
+        monkeypatch.setattr(catalog, "_lyness_guard", recording)
+        result = run(runner, ["lift-certify", "--map", "lyness", "--param",
+                              "n=4", "-o", str(tmp_path / "lift.json")])
+        assert result.exit_code == 0
+        sizes = [(c.stop - c.start,) for c in column_chunks(1000)]
+        assert calls == sizes * 3
+
     def test_linear_lift_passes(self, runner, tmp_path):
         out = tmp_path / "lift.json"
         result = run(runner, ["lift-certify", "--map", "linear",

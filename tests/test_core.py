@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from dyncert import catalog
 from dyncert.core import (DomainError, IntegrabilityStructure,
                           RegionSamplingError, SamplingRegion, ScalarField,
-                          SmoothMap, VectorField, guarded_images, iterate,
-                          sample)
+                          SmoothMap, VectorField, _philox_raw, column_chunks,
+                          guarded_images, iterate, sample)
 from helpers import reference_sample, squaring_past_5
 
 TWO_PI = 2.0 * math.pi
@@ -188,15 +189,45 @@ class TestBatchedSampling:
         assert sample(r, 200, seed) == reference_sample(r, 200, seed)
 
     def test_guard_sees_the_same_candidates(self):
-        calls = {sample: [], reference_sample: []}
-        for sampler, seen in calls.items():
-            def guard(x):
-                seen.append(tuple(x))
-                return upper_half(x)
+        # the first candidates go to the guard on columns, one call per
+        # chunk; the redraws go one point at a time, in the reference order
+        region = SamplingRegion(box=box(5))
+        firsts = [tuple(x) for x in reference_sample(region, 300, 7)]
+        for predicate, takes_columns in ((upper_half, True),
+                                         (lambda x: 0.5 < x[0] < 10.0, False)):
+            expected = reference_sample(replace(region, guard=predicate),
+                                        300, 7)
+            calls = {sample: [], reference_sample: []}
+            for sampler, seen in calls.items():
+                def guard(x):
+                    seen.append(tuple(x))
+                    return predicate(x)
 
-            sampler(SamplingRegion(box=box(5), guard=guard), 300, 7)
-        assert calls[sample] == calls[reference_sample]
-        assert len(calls[sample]) > 400  # about one rejection per point
+                assert sampler(replace(region, guard=guard), 300, 7) == expected
+            redraws = list(calls[reference_sample])
+            for x in firsts:  # each point's first call, then its redraws
+                redraws.remove(x)
+            assert len(calls[reference_sample]) > 400  # about one rejection
+            columns = [x for x in calls[sample] if np.ndim(x[0])]
+            assert len(columns) == len(column_chunks(300))
+            each = [x for x in calls[sample] if not np.ndim(x[0])]
+            if takes_columns:
+                assert [tuple(row) for c in columns
+                        for row in zip(*(v.tolist() for v in c))] == firsts
+                assert each == redraws
+            else:  # each column call raised: every point on its own
+                assert each == firsts + redraws
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
+    def test_philox_kernel_matches_numpy(self, seed):
+        for n in range(1, 13):  # one to three blocks of four words
+            reference = np.array(
+                [np.random.Philox(key=seed, counter=i << 64).random_raw(n)
+                 for i in range(1000)], dtype=np.uint64)
+            for count in (0, 1, 129, 1000):
+                raw = _philox_raw(seed, count, n)
+                assert raw.dtype == np.uint64
+                assert np.array_equal(raw, reference[:count].reshape(count, n))
 
     def test_error_names_the_rejected_point(self):
         seed = 3
@@ -323,19 +354,36 @@ class TestGuardedImages:
 
     @pytest.mark.parametrize("count", [1, 2, 300])
     def test_images_equal_apply(self, count):
-        f = lyness2()
         rng = np.random.default_rng(count)
         points = rng.uniform(-0.5, 3.0, (count, 2))
-        kept, images = guarded_images(f, points)
-        expected = []
-        for i, x in enumerate(points.tolist()):
-            try:
-                expected.append((i, f.apply(x)))
-            except DomainError:
-                continue
-        assert kept.tolist() == [i for i, _ in expected]
-        assert np.array_equal(images.reshape(-1, 2),
-                              np.reshape([y for _, y in expected], (-1, 2)))
+        if count > 1:
+            points[1, 0] = np.nan
+        # guards point by point (``all``) and on columns (the catalog's)
+        for f in (lyness2(), catalog.lyness_map(2, 1.0)):
+            kept, images = guarded_images(f, points)
+            expected = []
+            for i, x in enumerate(points.tolist()):
+                try:
+                    expected.append((i, f.apply(x)))
+                except DomainError:
+                    continue
+            assert kept.tolist() == [i for i, _ in expected]
+            assert np.array_equal(images.reshape(-1, 2),
+                                  np.reshape([y for _, y in expected], (-1, 2)))
+
+    def test_guard_calls_twice_per_chunk_on_columns(self):
+        calls = []
+
+        def guard(x):
+            calls.append(np.shape(x[0]))
+            return (x[0] > 0.0) & (x[1] > 0.0)
+
+        f = replace(lyness2(), domain_guard=guard)
+        points = np.random.default_rng(5).uniform(0.5, 3.0, (300, 2))
+        kept, _ = guarded_images(f, points)
+        assert kept.tolist() == list(range(300))
+        sizes = [(c.stop - c.start,) for c in column_chunks(300)]
+        assert calls == sizes + sizes
 
     def test_circle_coordinates_are_reduced(self):
         f = rotation(1.0)
