@@ -9,6 +9,19 @@ Jets nest: the ``value`` slot of a jet may itself be a jet.  This is what
 makes it possible to differentiate through code that internally computes a
 Jacobian (e.g. the momentum component of a cotangent lift), yielding exact
 second derivatives without a dedicated second-order mode.
+
+A partial that is identically zero (a seed's off-diagonal entry, and
+whatever the rules make of it) is the one shared float :data:`ZERO`, never
+an array or a jet of zeros.  Each operation tests ``a is ZERO`` and skips
+the arithmetic on it, the sparsity saving of forward mode.  Values are
+unchanged by this; a partial differs from the dense rules only in the sign
+of a zero, and where an operand is inf or NaN: dense ``0 * inf`` is NaN,
+while a structural zero stays the exact derivative 0.  Any other zero,
+``np.float64(0.0)`` included, takes the dense path.
+
+Operations may return an operand's partial object (``x + 1.0`` shares the
+partials of ``x``, and ``ZERO + b`` is ``b``), so a partial must never be
+written in place.
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "ZERO",
     "Jet",
     "DerivativeError",
     "seed_jets",
@@ -35,6 +49,10 @@ __all__ = [
     "solve_linear",
     "transpose",
 ]
+
+
+# the partial that is identically zero; compared by identity
+ZERO = 0.0
 
 
 class DerivativeError(ValueError):
@@ -56,7 +74,8 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.value + other.value,
-                       tuple(a + b for a, b in zip(self.partials, other.partials)))
+                       tuple(b if a is ZERO else a if b is ZERO else a + b
+                             for a, b in zip(self.partials, other.partials)))
         return Jet(self.value + other, self.partials)
 
     __radd__ = __add__
@@ -64,18 +83,22 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return Jet(self.value - other.value,
-                       tuple(a - b for a, b in zip(self.partials, other.partials)))
+                       tuple(a if b is ZERO else -b if a is ZERO else a - b
+                             for a, b in zip(self.partials, other.partials)))
         return Jet(self.value - other, self.partials)
 
     def __rsub__(self, other):
-        return Jet(other - self.value, tuple(-a for a in self.partials))
+        return Jet(other - self.value, _negated(self.partials))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.value * other.value,
-                       tuple(a * other.value + self.value * b
+            u, v = self.value, other.value
+            return Jet(u * v,
+                       tuple((b if b is ZERO else u * b) if a is ZERO
+                             else a * v if b is ZERO else a * v + u * b
                              for a, b in zip(self.partials, other.partials)))
-        return Jet(self.value * other, tuple(a * other for a in self.partials))
+        return Jet(self.value * other,
+                   tuple(a if a is ZERO else a * other for a in self.partials))
 
     __rmul__ = __mul__
 
@@ -83,22 +106,27 @@ class Jet:
         if isinstance(other, Jet):
             if _has_zero(other.value):
                 raise ZeroDivisionError("jet division by a jet with zero value")
-            v = other.value
-            return Jet(self.value / v,
-                       tuple((a * v - self.value * b) / (v * v)
+            u, v = self.value, other.value
+            return Jet(u / v,
+                       tuple((b if b is ZERO else -(u * b) / (v * v))
+                             if a is ZERO
+                             else a * v / (v * v) if b is ZERO
+                             else (a * v - u * b) / (v * v)
                              for a, b in zip(self.partials, other.partials)))
         if _has_zero(other):
             raise ZeroDivisionError("jet division by zero")
-        return Jet(self.value / other, tuple(a / other for a in self.partials))
+        return Jet(self.value / other,
+                   tuple(a if a is ZERO else a / other for a in self.partials))
 
     def __rtruediv__(self, other):
         if _has_zero(self.value):
             raise ZeroDivisionError("jet division by a jet with zero value")
         v = self.value
-        return Jet(other / v, tuple(-other * a / (v * v) for a in self.partials))
+        return Jet(other / v, tuple(a if a is ZERO else -other * a / (v * v)
+                                    for a in self.partials))
 
     def __neg__(self):
-        return Jet(-self.value, tuple(-a for a in self.partials))
+        return Jet(-self.value, _negated(self.partials))
 
     def __pos__(self):
         return self
@@ -107,7 +135,7 @@ class Jet:
         if isinstance(exponent, Jet):
             return exp(exponent * log(self))
         if exponent == 0:
-            return Jet(self.value * 0 + 1.0, tuple(a * 0.0 for a in self.partials))
+            return Jet(self.value * 0 + 1.0, (ZERO,) * len(self.partials))
         if isinstance(exponent, int) and exponent > 0:
             # keep integer powers exact at zero base
             out = self
@@ -116,7 +144,7 @@ class Jet:
             return out
         dv = exponent * power(self.value, exponent - 1)
         return Jet(power(self.value, exponent),
-                   tuple(dv * a for a in self.partials))
+                   tuple(a if a is ZERO else dv * a for a in self.partials))
 
     def __mod__(self, modulus):
         # constant shift per branch; derivative unchanged
@@ -124,6 +152,10 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.value!r}, {self.partials!r})"
+
+
+def _negated(partials):
+    return tuple(a if a is ZERO else -a for a in partials)
 
 
 def _base(x):
@@ -151,7 +183,7 @@ def _lift(x, fun: Callable[[float], float], dfun: Callable):
     if isinstance(x, Jet):
         d = dfun(x.value)
         return Jet(_lift(x.value, fun, dfun) if isinstance(x.value, Jet) else fun(x.value),
-                   tuple(d * a for a in x.partials))
+                   tuple(a if a is ZERO else d * a for a in x.partials))
     return fun(x)
 
 
@@ -209,7 +241,7 @@ def left_sum(terms):
 def seed_jets(x: Sequence) -> list[Jet]:
     """Wrap a point into jets with the identity seed matrix."""
     n = len(x)
-    return [Jet(x[i], tuple(1.0 if j == i else 0.0 for j in range(n)))
+    return [Jet(x[i], tuple(1.0 if j == i else ZERO for j in range(n)))
             for i in range(n)]
 
 
@@ -228,7 +260,7 @@ def jet_jacobian(f: Callable, x: Sequence) -> list[list]:
         if isinstance(comp, Jet):
             rows.append(list(comp.partials))
         else:
-            rows.append([0.0] * n)  # component does not depend on x
+            rows.append([ZERO] * n)  # component does not depend on x
     return rows
 
 
@@ -237,7 +269,7 @@ def jet_gradient(f: Callable, x: Sequence) -> list:
     y = f(jx)
     if isinstance(y, Jet):
         return list(y.partials)
-    return [0.0] * len(jx)
+    return [ZERO] * len(jx)
 
 
 # -- small generic linear algebra ----------------------------------------
@@ -253,6 +285,8 @@ def transpose(rows: list[list]) -> list[list]:
 def _where(mask, x, y):
     """x at the points of ``mask`` and y elsewhere, entry by entry of two
     jets of the same structure."""
+    if x is ZERO and y is ZERO:
+        return ZERO
     if isinstance(x, Jet) and isinstance(y, Jet):
         return Jet(_where(mask, x.value, y.value),
                    (_where(mask, u, v)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncert import jets
-from dyncert.jets import (DerivativeError, Jet, float_of, jet_gradient,
+from dyncert import core, jets
+from dyncert.catalog import build
+from dyncert.constructions import cotangent_lift
+from dyncert.jets import (ZERO, DerivativeError, Jet, float_of, jet_gradient,
                           jet_jacobian, seed_jets, solve_linear, transpose)
 from helpers import fd_jacobian
 
@@ -210,3 +212,141 @@ def test_solve_linear_matches_numpy(row_scale, b):
     expected = np.linalg.solve(np.asarray(a), np.asarray(b))
     got = solve_linear(a, list(b))
     assert np.allclose(got, expected, atol=1e-10)
+
+
+class TestStructuralZeros:
+    """A partial that is identically zero stays ``jets.ZERO`` itself."""
+
+    UNARY = [
+        lambda t: t + 2.0, lambda t: 2.0 + t, lambda t: t - 2.0,
+        lambda t: 2.0 - t, lambda t: -t, lambda t: t * 3.0,
+        lambda t: 3.0 * t, lambda t: t / 3.0, lambda t: 3.0 / t,
+        lambda t: t ** 2, lambda t: t ** 0.5, lambda t: t ** -1,
+        lambda t: t * t, lambda t: t / (t + 1.0), lambda t: t - t * t,
+        lambda t: jets.power(t, 1.5), jets.exp, jets.log, jets.sin,
+        jets.cos, jets.sqrt,
+    ]
+
+    @pytest.mark.parametrize("op", UNARY)
+    def test_identity_kept_through_each_operation(self, op):
+        x, _ = seed_jets([0.7, 1.3])
+        assert x.partials[1] is ZERO
+        y = op(x)
+        assert y.partials[1] is ZERO
+        assert y.partials[0] is not ZERO
+
+    @pytest.mark.parametrize("op", UNARY)
+    def test_identity_kept_through_nested_jets(self, op):
+        # the outer seed's ZERO stays ZERO, and so does the inner ZERO of
+        # an outer partial that is a jet (one that is not is a constant)
+        outer = seed_jets(seed_jets([0.7, 1.3]))
+        y = op(outer[0])
+        assert y.partials[1] is ZERO
+        inner = y.partials[0]
+        assert not isinstance(inner, Jet) or inner.partials[1] is ZERO
+
+    def test_products_and_quotients_keep_the_nonzero_terms(self):
+        x, y, z = seed_jets([0.7, 1.3, -0.4])
+        w = (x * y + x / y - y) ** 3
+        assert w.partials[2] is ZERO
+        assert all(p is not ZERO for p in w.partials[:2])
+        assert all(p is ZERO for p in (x ** 0).partials)
+
+    def test_where_of_two_zeros_is_zero(self):
+        assert jets._where(np.array([True, False]), ZERO, ZERO) is ZERO
+
+    def test_constant_component_has_zero_partials(self):
+        rows = jet_jacobian(lambda x: [x[0], 3.0], [2.0, 5.0])
+        assert rows[0][1] is ZERO
+        assert all(p is ZERO for p in rows[1])
+
+    def test_infinite_coefficient_on_a_zero_partial(self):
+        # the dense rule gave 0 * inf = NaN for d/dx0 of inf * x1; a
+        # structural zero keeps the exact derivative
+        g = jet_gradient(lambda x: x[0] + math.inf * x[1], [1.0, 2.0])
+        assert g == [1.0, math.inf]
+
+    def test_lift_position_block_on_columns_is_zero(self):
+        # x' = f(x) does not depend on p: the whole d x'/d p block of the
+        # lift's Jacobian stays ZERO on coordinate columns
+        f, _, region = build("lyness", n=4)
+        points = np.array(core.sample(region, 8, seed=1))
+        z = np.hstack([points, np.ones_like(points)])
+        rows = cotangent_lift(f).jacobian_at(list(z.T))
+        assert all(rows[i][j] is ZERO for i in range(4) for j in range(4, 8))
+
+
+# programs of (op, operand, operand): each appends one result to the
+# registers, which start with the seeded variables.  Coordinate columns
+# take the arithmetic only: the elementary functions take one point.
+_ARITHMETIC = [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+    lambda a, b: a / (b * b + 1.0), lambda a, b: 1.5 - a,
+    lambda a, b: -a, lambda a, b: 0.5 * a, lambda a, b: a / 3.0,
+    lambda a, b: 2.0 / (a * a + 1.0), lambda a, b: a ** 2,
+    lambda a, b: a ** 0,
+]
+_ELEMENTARY = [
+    lambda a, b: jets.power(a * a + 1.0, 0.5),
+    lambda a, b: jets.exp(jets.sin(a)), lambda a, b: jets.log(a * a + 1.0),
+    lambda a, b: jets.sin(a), lambda a, b: jets.cos(a),
+    lambda a, b: jets.sqrt(a * a + 1.0),
+]
+
+
+def _run_program(program, variables, ops):
+    regs = list(variables)
+    for op, i, j in program:
+        regs.append(ops[op % len(ops)](regs[i % len(regs)],
+                                       regs[j % len(regs)]))
+    return regs
+
+
+def _dense_seeds(x):
+    # np.float64(0.0) is not ZERO: these seeds take the dense rules
+    return [Jet(v, tuple(1.0 if j == i else np.float64(0.0)
+                         for j in range(len(x))))
+            for i, v in enumerate(x)]
+
+
+def _assert_same(sparse, dense):
+    """Equal values and equal partials, where a number equals a dense jet
+    of that value whose partials are all zero."""
+    if isinstance(dense, Jet) and not isinstance(sparse, Jet):
+        _assert_same(sparse, dense.value)
+        for p in dense.partials:
+            _assert_same(ZERO, p)
+    elif isinstance(sparse, Jet):
+        assert isinstance(dense, Jet)
+        _assert_same(sparse.value, dense.value)
+        for s, d in zip(sparse.partials, dense.partials, strict=True):
+            _assert_same(s, d)
+    else:
+        assert np.all(np.asarray(sparse) == np.asarray(dense))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 50),
+                          st.integers(0, 50), st.integers(0, 50)),
+                min_size=1, max_size=10),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=6,
+                max_size=6),
+       st.sampled_from(["point", "columns", "nested"]))
+def test_sparse_partials_equal_dense_partials(program, coords, mode):
+    # three variables, of which the program may use any subset
+    ops = _ARITHMETIC + _ELEMENTARY
+    if mode == "point":
+        x = coords[:3]
+    elif mode == "columns":
+        x = [np.array(coords[i::3]) for i in range(3)]
+        ops = _ARITHMETIC
+    else:  # outer seeds over jets: second derivatives
+        x = seed_jets(coords[:3])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            dense = _run_program(program, _dense_seeds(x), ops)
+        except (ArithmeticError, ValueError):
+            return
+        sparse = _run_program(program, seed_jets(x), ops)
+    for s, d in zip(sparse, dense, strict=True):
+        _assert_same(s, d)
