@@ -237,56 +237,40 @@ def _reference_periodic_points(f, k, starts):
 
 
 def _reference_spectrum(f, x0, n_steps):
-    """One step at a time: the blocked QR loop of ``lyapunov_spectrum``
-    with each Jacobian taken at its own point on a list of floats, the
-    loop that the chunked orbit replaced."""
-    x = f.reduce([float(v) for v in x0])
-    product = np.eye(f.dim)
-    sums = np.zeros(f.dim)
-    chained, block, rate = 0, 1, 0.0
-    for step in range(n_steps):
-        jac = np.asarray(f.jacobian_at(x), dtype=float)
-        x = f.apply(x)
-        product = jac.dot(product)
-        chained += 1
-        if chained < block and step < n_steps - 1:
-            continue
-        product, logs = dynamics._givens_qr(product)
-        sums += logs
-        block, rate = dynamics._qr_block_length(logs, chained, rate)
-        chained = 0
-    return np.sort(sums / n_steps)[::-1]
+    """One point at a time: each Jacobian taken at its own point on a list
+    of floats, the loop that the chunked orbit replaced; each chunk's
+    Jacobians then go through the blocked QR of ``lyapunov_spectrum``."""
+    def stacks():
+        x = f.reduce([float(v) for v in x0])
+        for chunk in column_chunks(n_steps):
+            jacobians = []
+            for _ in range(chunk.start, chunk.stop):
+                jacobians.append(np.asarray(f.jacobian_at(x), dtype=float))
+                x = f.apply(x)
+            yield np.array(jacobians)
+
+    return dynamics._qr_spectrum(stacks(), f.dim, n_steps)
 
 
 def _apply_loop_spectrum(f, x0, n_steps):
     """``lyapunov_spectrum`` with its orbit advanced by ``SmoothMap.apply``,
     which checks the guard of each point before and after the step: the
     loop that ``core.orbit_points`` replaced."""
-    x = f.reduce([float(v) for v in x0])
-    product = np.eye(f.dim)
-    sums = [0.0] * f.dim
-    chained, block, rate = 0, 1, 0.0
-    for chunk in column_chunks(n_steps):
-        points = []
-        for step in range(chunk.start, chunk.stop):
-            points.append(x)
-            try:
-                x = f.apply(x)
-            except DomainError as err:
-                raise DomainError(f"orbit left the domain at step {step}: "
-                                  f"{err}", step=step) from err
-        jacobians = point_stack(f.jacobian_at, np.array(points),
-                                (f.dim, f.dim))
-        for step, jac in enumerate(jacobians, chunk.start):
-            product = jac.dot(product)
-            chained += 1
-            if chained < block and step < n_steps - 1:
-                continue
-            product, logs = dynamics._givens_qr(product)
-            sums = [total + log for total, log in zip(sums, logs)]
-            block, rate = dynamics._qr_block_length(logs, chained, rate)
-            chained = 0
-    return np.sort(np.array(sums) / n_steps)[::-1]
+    def stacks():
+        x = f.reduce([float(v) for v in x0])
+        for chunk in column_chunks(n_steps):
+            points = []
+            for step in range(chunk.start, chunk.stop):
+                points.append(x)
+                try:
+                    x = f.apply(x)
+                except DomainError as err:
+                    raise DomainError(f"orbit left the domain at step "
+                                      f"{step}: {err}", step=step) from err
+            yield point_stack(f.jacobian_at, np.array(points),
+                              (f.dim, f.dim))
+
+    return dynamics._qr_spectrum(stacks(), f.dim, n_steps)
 
 
 def per_step_spectrum(f, x0, n_steps):
@@ -304,6 +288,28 @@ def per_step_spectrum(f, x0, n_steps):
         q = q * signs
         sums += np.log(np.abs(np.diag(r)))
     return np.sort(sums / n_steps)[::-1]
+
+
+def _plain_givens_qr(product):
+    """The Givens rotations of ``dynamics._givens_qr`` written out plainly:
+    the rows of R and of Q transposed, rotated together on Python
+    floats."""
+    n = len(product)
+    rows = [row + [float(i == j) for j in range(n)]
+            for i, row in enumerate(product.tolist())]
+    for k in range(n):
+        for i in range(k + 1, n):
+            upper, lower = rows[k], rows[i]
+            b = lower[k]
+            if b == 0.0:
+                continue
+            h = math.hypot(upper[k], b)
+            c, s = upper[k] / h, b / h
+            rows[k] = [c * u + s * v for u, v in zip(upper, lower)]
+            rows[i] = [c * v - s * u for u, v in zip(upper, lower)]
+    logs = [math.log(abs(row[k])) if row[k] else -math.inf
+            for k, row in enumerate(rows)]
+    return np.array([row[n:] for row in rows]).T, logs
 
 
 def standard_map(k):
@@ -341,6 +347,17 @@ class TestGivensQR:
                 # Q^T P = R is upper-triangular
                 below = np.abs(np.tril(q.T @ p, -1))
                 assert np.max(below) <= 1e-14 * np.max(np.abs(p))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_equals_the_plain_rotation_loop(self, scale):
+        rng = np.random.default_rng(20261)
+        for n in range(1, 9):
+            for p in scale * rng.standard_normal((5, n, n)):
+                p[rng.random((n, n)) < 0.2] = 0.0  # some skipped rotations
+                q, logs = dynamics._givens_qr(p)
+                plain_q, plain_logs = _plain_givens_qr(p)
+                assert np.array_equal(q, plain_q)
+                assert logs == plain_logs
 
     @pytest.mark.parametrize("column", [0, 1, 3])
     def test_zero_column_gives_minus_infinity(self, column):
@@ -472,6 +489,46 @@ class TestLyapunov:
         with pytest.raises(DomainError, match="at step 50:") as err:
             lyapunov_spectrum(f, [0.0], 200)
         assert err.value.step == 50
+
+    @pytest.mark.parametrize("n_steps", [100, 127, 128, 129, 257, 1000])
+    @pytest.mark.parametrize("forward, x0, exponents, longest", [
+        (lambda x: [3.0 * x[0], x[1] / 3.0], [0.0, 0.0],
+         [math.log(3.0), -math.log(3.0)], 6),
+        (lambda x: [2.0 * x[0]], [0.0], [math.log(2.0)], 64),
+    ], ids=["blocks_of_6", "blocks_up_to_64"])
+    def test_every_step_counted_once(self, forward, x0, exponents, longest,
+                                     n_steps, monkeypatch):
+        # across runs, blocks and chunks: a step dropped or counted twice
+        # moves an exponent by at least ln 2 / N
+        flushed, blocks = [], []
+
+        def block_length(logs, steps, rate, _block=dynamics._qr_block_length):
+            block, rate = _block(logs, steps, rate)
+            flushed.append(steps)
+            blocks.append(block)
+            return block, rate
+
+        monkeypatch.setattr(dynamics, "_qr_block_length", block_length)
+        f = SmoothMap(dim=len(x0), forward=forward)
+        spec = lyapunov_spectrum(f, x0, n_steps)
+        assert list(spec) == pytest.approx(exponents, rel=0, abs=1e-12)
+        assert sum(flushed) == n_steps
+        assert max(blocks) == longest
+
+    @pytest.mark.parametrize("f, x0", [
+        (catalog.build("cat_map")[0], [0.3, 0.7]),
+        (standard_map(3.0), [2.0, 0.01]),
+    ], ids=["cat_map", "standard_map_k3"])
+    def test_blocked_matches_per_step_qr_at_20000_steps(self, f, x0):
+        spec = lyapunov_spectrum(f, x0, 20000)
+        assert np.max(np.abs(spec - per_step_spectrum(f, x0, 20000))) <= 1e-9
+
+    def test_cat_map_at_the_benchmark_length(self):
+        # the benchmark's correctness gate: +-ln((3 + sqrt 5) / 2) to 1e-5
+        f = catalog.build("cat_map")[0]
+        lam = math.log((3 + math.sqrt(5)) / 2)
+        spec = lyapunov_spectrum(f, [0.3, 0.7], 100000)
+        assert np.max(np.abs(spec - [lam, -lam])) <= 1e-5
 
     def test_cat_map_constant_jacobian(self):
         f, _, _ = catalog.build("cat_map")
