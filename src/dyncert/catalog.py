@@ -59,10 +59,7 @@ def _build_affine1d(a: float = 2.0, b: float = 3.0):
     def fwd(x):
         return [a * x[0] + b]
 
-    def bwd(x):
-        return [(x[0] - b) / a]
-
-    f = SmoothMap(dim=1, forward=fwd, inverse=bwd, name="affine1d")
+    f = SmoothMap(dim=1, forward=fwd, name="affine1d")
     s = IntegrabilityStructure(dim=1, fields=(affine1d_symmetry(a, b),))
     region = SamplingRegion(box=((-3.0, 3.0),))
     return f, s, region
@@ -77,10 +74,7 @@ def _build_rigid_rotation(a: float = 1.0):
     def fwd(x):
         return [x[0] + a]
 
-    def bwd(x):
-        return [x[0] - a]
-
-    f = SmoothMap(dim=1, forward=fwd, inverse=bwd, phase_topology=(TWO_PI,),
+    f = SmoothMap(dim=1, forward=fwd, phase_topology=(TWO_PI,),
                   name="rigid_rotation")
     v = VectorField(dim=1, func=lambda x: [1.0], name="unit")
     s = IntegrabilityStructure(dim=1, fields=(v,))
@@ -144,10 +138,7 @@ def _build_cat_map():
     def fwd(x):
         return [2 * x[0] + x[1], x[0] + x[1]]
 
-    def bwd(x):
-        return [x[0] - x[1], -x[0] + 2 * x[1]]
-
-    f = SmoothMap(dim=2, forward=fwd, inverse=bwd, phase_topology=(1.0, 1.0),
+    f = SmoothMap(dim=2, forward=fwd, phase_topology=(1.0, 1.0),
                   name="cat_map")
     region = SamplingRegion(box=((0.0, 1.0), (0.0, 1.0)))
     return f, None, region
@@ -171,15 +162,8 @@ def lyness_map(n: int, a: float) -> SmoothMap:
             acc = acc + v
         return list(tail) + [acc / x[0]]
 
-    def bwd(x):
-        head = x[:-1]
-        acc = a
-        for v in head:
-            acc = acc + v
-        return [acc / x[-1]] + list(head)
-
-    return SmoothMap(dim=n, forward=fwd, inverse=bwd,
-                     domain_guard=_lyness_guard, name=f"lyness{n}")
+    return SmoothMap(dim=n, forward=fwd, domain_guard=_lyness_guard,
+                     name=f"lyness{n}")
 
 
 def _lyness_guard(x):
@@ -371,13 +355,7 @@ def _build_twist(n: int = 2):
               for row in rows]
         return [qi + di for qi, di in zip(q, dq)] + list(p)
 
-    def bwd(z):
-        q, p = z[:n], z[n:]
-        dq = [left_sum(rij * pj for rij, pj in zip(row, p) if rij != 0.0)
-              for row in rows]
-        return [qi - di for qi, di in zip(q, dq)] + list(p)
-
-    f = SmoothMap(dim=2 * n, forward=fwd, inverse=bwd, name="twist")
+    f = SmoothMap(dim=2 * n, forward=fwd, name="twist")
     fields = []
     for j in range(n):
         e = [0.0] * (2 * n)

@@ -414,24 +414,19 @@ def lyapunov(map_name, params, x0, n_steps, fmt):
 @_param_opt
 @click.option("--x0", type=_Floats(), default=(0.0,),
               help="comma-separated start point")
-@click.option("-N", "n_steps", type=click.IntRange(min=1), default=10000)
-@click.option("--windows", type=click.IntRange(min=1), default=4)
+@click.option("-N", "n_steps", type=click.IntRange(min=4), default=10000)
 @_reporting
-def rotation(map_name, params, x0, n_steps, windows):
-    """Rotation number of a 1-D circle map."""
+def rotation(map_name, params, x0, n_steps):
+    """Rotation number of a 1-D circle map (weighted Birkhoff average)."""
     f, _, _ = _build_target(map_name, params, x0=x0)
     if f.dim != 1 or f.phase_topology is None or f.phase_topology[0] is None:
         raise ConfigError(f"map {map_name} is not a 1-D circle map")
-    if n_steps < windows:
-        raise ConfigError(f"-N {n_steps} is smaller than --windows "
-                          f"{windows}")
-    est = rotation_number(f, x0[0], n_steps, windows)
+    est = rotation_number(f, x0[0], n_steps)
     return {
         "config": _config_dict("rotation", map=map_name, params=params, x0=x0,
-                               N=n_steps, windows=windows),
+                               N=n_steps),
         "rotation_number": est.value,
-        "window_estimates": list(est.window_estimates),
-        "dispersion": est.dispersion,
+        "gap": est.gap,
         "verdict": None,
         "caveat": CAVEAT,
     }

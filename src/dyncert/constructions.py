@@ -67,20 +67,13 @@ def _linear_field(m: np.ndarray, name: str) -> VectorField:
 
 
 def linear_map(spec: JordanBlockSpec, name: str = "linear") -> SmoothMap:
-    a = spec.matrix()
-    ainv = np.linalg.inv(a)
-    rows = [list(r) for r in a]
-    inv_rows = [list(r) for r in ainv]
+    rows = [list(r) for r in spec.matrix()]
 
     def fwd(x):
         return [left_sum(rij * xj for rij, xj in zip(row, x) if rij != 0.0)
                 for row in rows]
 
-    def bwd(x):
-        return [left_sum(rij * xj for rij, xj in zip(row, x))
-                for row in inv_rows]
-
-    return SmoothMap(dim=spec.dim, forward=fwd, inverse=bwd, name=name)
+    return SmoothMap(dim=spec.dim, forward=fwd, name=name)
 
 
 def linear_commutative_family(spec: JordanBlockSpec) -> IntegrabilityStructure:
@@ -151,17 +144,6 @@ def cotangent_lift(f: SmoothMap) -> SmoothMap:
         q = solve_linear(transpose(jac), p)
         return y + q
 
-    bwd = None
-    if f.inverse is not None:
-        def bwd(z):
-            x, p = list(z[:n]), list(z[n:])
-            y = f.reduce(f.inverse(x))
-            jac = f.jacobian_at(y)
-            jt = transpose(jac)
-            q = [left_sum(jt[i][k] * p[k] for k in range(n))
-                 for i in range(n)]
-            return y + q
-
     guard = None
     if f.domain_guard is not None:
         guard = lambda z: f.domain_guard(list(z[:n]))
@@ -170,9 +152,8 @@ def cotangent_lift(f: SmoothMap) -> SmoothMap:
     if f.phase_topology is not None:
         topo = tuple(f.phase_topology) + (None,) * n
 
-    return SmoothMap(dim=2 * n, forward=fwd, inverse=bwd,
-                     domain_guard=guard, phase_topology=topo,
-                     name=(f.name or "map") + "_lift")
+    return SmoothMap(dim=2 * n, forward=fwd, domain_guard=guard,
+                     phase_topology=topo, name=(f.name or "map") + "_lift")
 
 
 def lift_integral(v: VectorField, name: str = "") -> ScalarField:

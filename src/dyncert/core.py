@@ -24,7 +24,7 @@ broadcast to every point without an error: write it per coordinate
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -71,11 +71,12 @@ class RegionSamplingError(RuntimeError):
 class SmoothMap:
     """An evaluable diffeomorphism on a box-with-circle-flags phase space.
 
-    ``forward`` and ``inverse`` take and return sequences; ``forward``
-    must accept jet entries, which give its Jacobian.  ``phase_topology``
-    holds one entry per coordinate: ``None`` for a line, or the
-    circumference of a circle coordinate.  All callables follow the column
-    contract (module docstring).
+    ``forward`` takes and returns a sequence and must accept jet entries,
+    which give its Jacobian; dyncert never reads ``inverse``, which is kept
+    only for callers that pass one.  ``phase_topology`` holds one entry per
+    coordinate: ``None`` for a line, or the circumference of a circle
+    coordinate.  All callables follow the column contract (module
+    docstring).
     """
 
     dim: int
@@ -103,14 +104,6 @@ class SmoothMap:
         y = self.reduce(self.forward(list(x)))
         self._check_guard(y)
         return y
-
-    def apply_inverse(self, x: Sequence) -> list:
-        return self._inverted().apply(x)
-
-    def _inverted(self) -> SmoothMap:
-        if self.inverse is None:
-            raise DomainError(f"{self.name or 'map'} has no inverse")
-        return replace(self, forward=self.inverse, inverse=self.forward)
 
     def __call__(self, x: Sequence) -> list:
         return self.apply(x)
@@ -311,15 +304,15 @@ def sample(region: SamplingRegion, count: int | None = None,
 
 
 def iterate(f: SmoothMap, x0: Sequence, k: int) -> list:
-    """k-th iterate of ``f`` (negative k uses the inverse) by
-    :func:`orbit_points`, whose :class:`DomainError` gets a ``step`` of at
-    least 1; ``iterate(f, x0, 0)`` is x0 reduced, unguarded."""
+    """k-th iterate of ``f``, k >= 0, by :func:`orbit_points`, whose
+    :class:`DomainError` gets a ``step`` of at least 1;
+    ``iterate(f, x0, 0)`` is x0 reduced, unguarded."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k == 0:
         return f.reduce([float(v) for v in x0])
-    if k < 0:
-        f = f._inverted()
     try:
-        return next(islice(orbit_points(f, x0), abs(k), None))
+        return next(islice(orbit_points(f, x0), k, None))
     except DomainError as err:
         step = max(err.step, 1)
         raise DomainError(f"guard violation at step {step}: {err}",

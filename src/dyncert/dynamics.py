@@ -72,8 +72,7 @@ class PeriodicPoint:
 @dataclass(frozen=True)
 class RotationEstimate:
     value: float
-    window_estimates: tuple[float, ...]
-    dispersion: float
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -283,18 +282,24 @@ def _qr_spectrum(stacks, dim: int, n_steps: int) -> np.ndarray:
 def _orbit_jacobians(f: SmoothMap, x0, n_steps: int):
     """The Jacobians along the first ``n_steps`` steps of the orbit of x0,
     one ``point_stack`` per chunk of ``column_chunks(n_steps)``; each
-    chunk's points and the image of its last one are guarded first."""
+    chunk's points and the image of its last one are guarded first, and
+    the first point that is not finite ends the orbit with its step."""
     orbit = orbit_points(f, x0)
     ahead = islice(orbit, 1)  # x0, then each chunk's last image
     for chunk in column_chunks(n_steps):
         try:
-            points = [*ahead, *islice(orbit, chunk.stop - chunk.start)]
+            points = np.array(
+                [*ahead, *islice(orbit, chunk.stop - chunk.start)])
         except DomainError as err:
             step = max(err.step - 1, 0)  # the step whose image left
             raise DomainError(f"orbit left the domain at step {step}: "
                               f"{err}", step=step) from err
-        ahead = [points.pop()]
-        yield point_stack(f.jacobian_at, np.array(points), (f.dim, f.dim))
+        finite = np.isfinite(points)
+        if not finite.all():
+            step = chunk.start + int(np.argmin(finite.all(axis=1)))
+            raise DomainError(f"orbit point {step} is not finite", step=step)
+        ahead = [points[-1].tolist()]
+        yield point_stack(f.jacobian_at, points[:-1], (f.dim, f.dim))
 
 
 def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
@@ -320,40 +325,41 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
     return _qr_spectrum(_orbit_jacobians(f, x0, n_steps), f.dim, n_steps)
 
 
-def rotation_number(f: SmoothMap, x0: float, n_steps: int,
-                    windows: int = 4) -> RotationEstimate:
+def rotation_number(f: SmoothMap, x0: float,
+                    n_steps: int) -> RotationEstimate:
     """Lift-based rotation number of a monotone 1-D circle map.
 
-    The unreduced image of each iterate supplies the lift increment; the
-    estimate is the mean increment divided by the circumference, reported
-    per window with the max pairwise spread as dispersion.
-    """
+    The unreduced image of each iterate gives the lift increment
+    F(x) - x; the estimate is the weighted Birkhoff average of the first
+    N increments, weight exp(-1/(t(1-t))) at t = k/N, over the
+    circumference (Das, Saiki, Sander & Yorke, Nonlinearity 30, 2017).
+    ``gap`` is its distance to the average over the first N/2 steps."""
     if f.dim != 1 or f.phase_topology is None or f.phase_topology[0] is None:
         raise ValueError("rotation_number needs a 1-D circle map")
-    if not 1 <= windows <= n_steps:
-        raise ValueError("need 1 <= windows <= n_steps")
+    if n_steps < 4:  # the first N/2 steps need a weight t = k/(N/2) in (0, 1)
+        raise ValueError("n_steps must be >= 4")
     circumference = f.phase_topology[0]
     # monotonicity spot check: f' > 0 along a coarse grid
-    for i in range(16):
-        xs = [i * circumference / 16.0]
-        d = float(np.asarray(f.jacobian_at(xs), dtype=float)[0][0])
+    for x in (i * circumference / 16.0 for i in range(16)):
+        d = float(f.jacobian_at([x])[0][0])
         if d <= 0.0:
-            raise NonMonotoneMapError(f"f'({xs[0]:g}) = {d:g} <= 0")
-    per_window = n_steps // windows
+            raise NonMonotoneMapError(f"f'({x:g}) = {d:g} <= 0")
     x = float(x0) % circumference
-    estimates = []
-    for _ in range(windows):
-        total = 0.0
-        for _ in range(per_window):
-            raw = float(f.forward([x])[0])
-            total += raw - x
-            x = raw % circumference
-        estimates.append((total / per_window) / circumference % 1.0)
-    value = float(np.mean(estimates)) % 1.0
-    dispersion = max(abs(a - b) for a in estimates for b in estimates)
-    return RotationEstimate(value=value,
-                            window_estimates=tuple(estimates),
-                            dispersion=float(dispersion))
+    increments = []
+    for _ in range(n_steps):
+        raw = float(f.forward([x])[0])
+        increments.append(raw - x)
+        x = raw % circumference
+
+    def average(n):  # k = 0 has weight 0
+        weights = [math.exp(-1.0 / (k / n * (1.0 - k / n)))
+                   for k in range(1, n)]
+        return (math.fsum(w * v for w, v in zip(weights, increments[1:]))
+                / math.fsum(weights) / circumference)
+
+    value = average(n_steps)
+    return RotationEstimate(value=value % 1.0,
+                            gap=abs(value - average(n_steps // 2)))
 
 
 def level_set_drift(f: SmoothMap, integrals, x0, n_steps: int):

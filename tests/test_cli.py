@@ -208,7 +208,7 @@ BAD_INPUTS = [
     ["orbit", "--map", "cat_map", "--x0", "nan,0.2"],
     ["certify", "--map", "affine1d", "--seed", str(2**128)],
     ["rotation", "--map", "rigid_rotation", "-N", "0"],
-    ["rotation", "--map", "rigid_rotation", "--windows", "-3"],
+    ["rotation", "--map", "rigid_rotation", "-N", "3"],
     ["drift", "--map", "lyness", "--x0", "1,2", "-N", "0"],
     ["periodic", "--map", "cat_map", "--seeds", "-4"],
 ]
@@ -234,7 +234,6 @@ CONFIG_ERRORS = [
     ["translation", "--map", "affine1d", "--x0", "1,2"],
     ["rotation", "--map", "rigid_rotation", "--x0", ","],
     ["rotation", "--map", "cat_map"],
-    ["rotation", "--map", "rigid_rotation", "-N", "3", "--windows", "4"],
 ]
 
 
@@ -324,6 +323,17 @@ class TestDataCommands:
         lam = math.log((3 + math.sqrt(5)) / 2)
         assert data["exponents"][0] == pytest.approx(lam, abs=5e-3)
 
+    def test_lyapunov_orbit_overflow_exit_three(self, runner):
+        # 2^k k^2 outgrows the floats: orbit point 1011 is the first inf
+        with np.errstate(over="ignore"):
+            result = run(runner, ["lyapunov", "--map", "linear",
+                                  "--param", "blocks=2:3",
+                                  "--x0", "0.1,0.2,0.3", "-N", "3000"])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "error": "runtime",
+            "message": "orbit point 1011 is not finite"}
+
     def test_rotation(self, runner, tmp_path):
         out = tmp_path / "rot.json"
         result = run(runner, ["rotation", "--map", "rigid_rotation",
@@ -332,6 +342,21 @@ class TestDataCommands:
         assert result.exit_code == 0
         data = json.loads(out.read_text())
         assert data["rotation_number"] == pytest.approx(0.25, abs=1e-3)
+
+    def test_rotation_default_report(self, runner, tmp_path):
+        out = tmp_path / "rot.json"
+        result = run(runner, ["rotation", "--map", "rigid_rotation",
+                              "-o", str(out)])
+        assert result.exit_code == 0
+        data = json.loads(out.read_text())
+        assert list(data) == ["version", "config", "rotation_number", "gap",
+                              "verdict", "caveat", "wall_time_ms"]
+        assert data["config"] == {"N": 10000, "command": "rotation",
+                                  "map": "rigid_rotation", "params": {},
+                                  "x0": [0.0]}
+        assert data["rotation_number"] == pytest.approx(1.0 / (2 * math.pi),
+                                                        abs=1e-15)
+        assert data["gap"] == 0.0
 
     def test_periodic(self, runner, tmp_path):
         out = tmp_path / "per.json"

@@ -21,34 +21,20 @@ def lyness2(a=1.0):
     return SmoothMap(
         dim=2,
         forward=lambda x: [x[1], (x[1] + a) / x[0]],
-        inverse=lambda x: [(x[0] + a) / x[1], x[0]],
         domain_guard=lambda x: all(v > 1e-3 for v in x),
         name="lyness2")
 
 
 def rotation(a):
     return SmoothMap(dim=1, forward=lambda x: [x[0] + a],
-                     inverse=lambda x: [x[0] - a],
                      phase_topology=(TWO_PI,), name="rot")
 
 
 class TestSmoothMap:
-    def test_apply_and_inverse_roundtrip(self):
-        f = lyness2()
-        x = [1.7, 0.4]
-        y = f.apply(x)
-        back = f.apply_inverse(y)
-        assert np.allclose(back, x, atol=1e-12)
-
     def test_guard_violation_raises(self):
         f = lyness2()
         with pytest.raises(DomainError):
             f.apply([1e-4, 1.0])
-
-    def test_missing_inverse(self):
-        f = SmoothMap(dim=1, forward=lambda x: [x[0] + 1.0])
-        with pytest.raises(DomainError):
-            f.apply_inverse([0.0])
 
     def test_circle_reduction(self):
         f = rotation(1.0)
@@ -294,9 +280,9 @@ class TestIterate:
         assert seen == [(1, 2), (2, 3), (3, 2), (2, 1), (1, 1), (1, 2)]
         assert iterate(f, [1.0, 2.0], 5) == [1.0, 2.0]
 
-    def test_negative_iterations_use_inverse(self):
-        f = lyness2(a=1.0)
-        assert np.allclose(iterate(f, [1.0, 2.0], -5), [1.0, 2.0], atol=1e-12)
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            iterate(lyness2(), [1.0, 2.0], -1)
 
     def test_cat_map_period_two(self):
         f = SmoothMap(dim=2, forward=lambda x: [2 * x[0] + x[1], x[0] + x[1]],
@@ -315,22 +301,6 @@ class TestIterate:
             iterate(f, [-0.5], 2)  # x0 itself fails the first application
         assert exc.value.step == 1
         assert iterate(f, [-0.5], 0) == [-0.5]
-
-    def test_inverse_guard_failure_reports_step(self):
-        f = SmoothMap(dim=1, forward=lambda x: [x[0] - 1.0],
-                      inverse=lambda x: [x[0] + 1.0],
-                      domain_guard=lambda x: x[0] < 3.0)
-        assert iterate(f, [0.5], -2) == [2.5]
-        with pytest.raises(DomainError) as exc:
-            iterate(f, [0.5], -5)
-        assert exc.value.step == 3
-
-    def test_missing_inverse_is_not_a_guard_violation(self):
-        f = catalog.build("warned_circle")[0]
-        with pytest.raises(DomainError) as exc:
-            iterate(f, [0.1], -1)
-        assert str(exc.value) == "warned_circle has no inverse"
-        assert exc.value.step is None
 
 
 class TestGuardedImages:

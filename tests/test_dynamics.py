@@ -559,7 +559,9 @@ class TestRotationNumber:
         f, _, _ = catalog.build("rigid_rotation", a=a)
         est = rotation_number(f, 0.0, 10_000)
         assert est.value == pytest.approx(a / TWO_PI, abs=1e-3)
-        assert est.dispersion <= 1e-12
+        # every increment is 1 up to rounding, and the averages over
+        # 10000 and 5000 steps round to the same float
+        assert est.gap == 0.0
 
     def test_warned_circle_period_two(self):
         f, _, _ = catalog.build("warned_circle", k=1, eps=0.5)
@@ -570,6 +572,14 @@ class TestRotationNumber:
         f, _, _ = catalog.build("warned_circle", k=2, eps=0.3)
         est = rotation_number(f, 0.0, 5000)
         assert est.value == pytest.approx(0.25, abs=1e-3)
+
+    def test_weighted_average_off_the_periodic_orbit(self):
+        # from 0.3 the orbit is not periodic (from 0 it has period 4), and
+        # the weighted average reaches 7.1e-9 with N = 10000
+        f, _, _ = catalog.build("warned_circle", k=2, eps=0.3)
+        est = rotation_number(f, 0.3, 10_000)
+        assert abs(est.value - 0.25) <= 1e-8
+        assert est.gap <= 1e-7
 
     def test_non_monotone_rejected(self):
         f = SmoothMap(dim=1,
@@ -583,11 +593,12 @@ class TestRotationNumber:
         with pytest.raises(ValueError):
             rotation_number(f, 0.0, 100)
 
-    @pytest.mark.parametrize("n_steps, windows", [(0, 4), (3, 4), (100, 0)])
-    def test_window_count_checked(self, n_steps, windows):
+    @pytest.mark.parametrize("n_steps", [-1, 0, 1, 2, 3])
+    def test_step_count_checked(self, n_steps):
+        # the average over the first N/2 steps needs a positive weight
         f, _, _ = catalog.build("rigid_rotation", a=1.0)
-        with pytest.raises(ValueError):
-            rotation_number(f, 0.0, n_steps, windows)
+        with pytest.raises(ValueError, match="n_steps must be >= 4"):
+            rotation_number(f, 0.0, n_steps)
 
 
 class TestLevelSetDrift:
