@@ -168,7 +168,7 @@ def lyness_map(n: int, a: float) -> SmoothMap:
 
 def _lyness_guard(x):
     """The positive orthant, 1e-3 in from its faces: the Lyness map's
-    guard and its sampling region's; one bool per point, on columns too."""
+    guard, one bool per point, on columns too."""
     ok = x[0] > 1e-3
     for v in x[1:]:
         ok = ok & (v > 1e-3)
@@ -325,8 +325,7 @@ def _build_lyness(n: int = 2, a: float = 1.0, symmetry: int = 0):
         fields = ()
         integrals = integrals[:n]
     s = IntegrabilityStructure(dim=n, fields=fields, integrals=integrals)
-    region = SamplingRegion(box=tuple((0.1, 10.0) for _ in range(n)),
-                            guard=_lyness_guard)
+    region = SamplingRegion(box=tuple((0.1, 10.0) for _ in range(n)))
     return f, s, region
 
 

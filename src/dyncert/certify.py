@@ -123,11 +123,17 @@ class CertificationReport:
     n_integrals: int
     complete: bool
     conditions: tuple[ResidualStats, ...]
-    verdict: str  # PASS | FAIL | UNVERIFIED
     seed: int
     tolerances: Tolerances
     guard_failures: int = 0
     caveat: str = CAVEAT
+
+    @property
+    def verdict(self) -> str:
+        """PASS, FAIL, or UNVERIFIED when there are no conditions."""
+        if not self.conditions:
+            return "UNVERIFIED"
+        return "FAIL" if self.failing_conditions else "PASS"
 
     @property
     def failing_conditions(self) -> list[ResidualStats]:
@@ -368,12 +374,6 @@ def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int | None,
     return raw_points[kept], images, len(raw_points) - len(kept)
 
 
-def _verdict(conditions) -> str:
-    if not conditions:
-        return "UNVERIFIED"
-    return "PASS" if all(c.passed for c in conditions) else "FAIL"
-
-
 def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
                       region: SamplingRegion,
                       tol: Tolerances | None = None,
@@ -477,7 +477,6 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
         n_integrals=len(integrals),
         complete=s.complete,
         conditions=tuple(stats),
-        verdict=_verdict(stats),
         seed=seed,
         tolerances=tol,
         guard_failures=guard_failures,
@@ -535,7 +534,6 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
         n_integrals=len(integrals),
         complete=len(integrals) == f.dim // 2,
         conditions=tuple(stats),
-        verdict=_verdict(stats),
         seed=seed,
         tolerances=tol,
         guard_failures=guard_failures,

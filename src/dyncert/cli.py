@@ -236,10 +236,12 @@ def _reporting(body):
     """Turn ``body`` into a command callback with ``--output`` and
     ``--config``.
 
-    ``body`` returns a report payload, or a ``(header, rows)`` CSV table.
-    The callback times it, writes the result to ``--output`` or stdout and
-    exits 1 on a FAIL or UNVERIFIED verdict, else 0; a configuration error
-    exits 2 and a runtime failure 3, each with a JSON line on stderr.
+    ``body`` returns a report payload, or a ``(header, rows)`` CSV table;
+    a payload that names no verdict or caveat ends in ``"verdict": null``
+    and ``CAVEAT``.  The callback times it, writes the result to
+    ``--output`` or stdout and exits 1 on a FAIL or UNVERIFIED verdict,
+    else 0; a configuration error exits 2 and a runtime failure 3, each
+    with a JSON line on stderr.
     """
 
     @functools.wraps(body)
@@ -258,6 +260,8 @@ def _reporting(body):
         if isinstance(payload, tuple):
             _write_csv(*payload, output)
             sys.exit(EXIT_OK)
+        payload.setdefault("verdict", None)
+        payload.setdefault("caveat", CAVEAT)
         _write_report(payload, output, started)
         sys.exit(EXIT_OK if payload["verdict"] in (None, "PASS")
                  else EXIT_FAIL)
@@ -270,9 +274,7 @@ def _reporting(body):
 def list_cmd():
     """List catalog entries and their parameter schemas as JSON."""
     return {"config": _config_dict("list"),
-            "entries": catalog.list_entries(),
-            "verdict": None,
-            "caveat": CAVEAT}
+            "entries": catalog.list_entries()}
 
 
 @main.command()
@@ -344,21 +346,15 @@ def lift_certify(map_name, params, samples, seed, momentum_box):
     lifted, integrals = lift_structure(f, s)
     box = tuple(region.box) + tuple((-momentum_box, momentum_box)
                                     for _ in range(f.dim))
-    guard = None
-    if region.guard is not None:
-        guard = lambda z: region.guard(list(z[:f.dim]))
-    lifted_region = SamplingRegion(box=box, guard=guard,
-                                   rng_seed=region.rng_seed)
     report = certify_involution(
-        lifted, integrals, lifted_region, samples=samples, seed=seed,
-        map_name=map_name + "_lift", parameters=params)
+        lifted, integrals, SamplingRegion(box=box), samples=samples,
+        seed=seed, map_name=map_name + "_lift", parameters=params)
     return {
         "config": _config_dict("lift-certify", map=map_name, params=params,
                                samples=samples, seed=seed,
                                momentum_box=momentum_box),
         "report": report.to_dict(),
         "verdict": report.verdict,
-        "caveat": CAVEAT,
     }
 
 
@@ -381,8 +377,6 @@ def orbit(map_name, params, x0, n_steps, fmt):
                                N=n_steps),
         "points": [list(pt) for pt in orb.points],
         "guard_failures": orb.guard_failures,
-        "verdict": None,
-        "caveat": CAVEAT,
     }
 
 
@@ -404,8 +398,6 @@ def lyapunov(map_name, params, x0, n_steps, fmt):
         "config": _config_dict("lyapunov", map=map_name, params=params, x0=x0,
                                N=n_steps),
         "exponents": [float(v) for v in spectrum],
-        "verdict": None,
-        "caveat": CAVEAT,
     }
 
 
@@ -427,8 +419,6 @@ def rotation(map_name, params, x0, n_steps):
                                N=n_steps),
         "rotation_number": est.value,
         "gap": est.gap,
-        "verdict": None,
-        "caveat": CAVEAT,
     }
 
 
@@ -454,8 +444,6 @@ def periodic(map_name, params, period, seeds, seed):
              "multiplier_moduli": list(pt.multiplier_moduli),
              "classification": pt.classification}
             for pt in pts],
-        "verdict": None,
-        "caveat": CAVEAT,
     }
 
 
@@ -477,8 +465,6 @@ def drift(map_name, params, x0, n_steps):
         "drifts": {g.name or f"F{i + 1}": d
                    for i, (g, d) in enumerate(zip(s.integrals, drifts))},
         "steps_reached": reached,
-        "verdict": None,
-        "caveat": CAVEAT,
     }
 
 
@@ -498,8 +484,6 @@ def translation(map_name, params, x0):
                                x0=x0),
         "t0": list(est.t0),
         "residual": est.residual,
-        "verdict": None,
-        "caveat": CAVEAT,
     }
 
 

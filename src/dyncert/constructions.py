@@ -55,25 +55,21 @@ class JordanBlockSpec:
         return a
 
 
-def _linear_field(m: np.ndarray, name: str) -> VectorField:
-    mat = np.asarray(m, dtype=float)
-    rows = [list(r) for r in mat]
+def _linear_field(m, name: str) -> VectorField:
+    """The field x -> m x, the rows of ``m`` as Python floats; zero entries
+    are skipped."""
+    rows = np.asarray(m, dtype=float).tolist()
 
     def ev(x):
         return [left_sum(rij * xj for rij, xj in zip(row, x) if rij != 0.0)
                 for row in rows]
 
-    return VectorField(dim=mat.shape[0], func=ev, name=name)
+    return VectorField(dim=len(rows), func=ev, name=name)
 
 
 def linear_map(spec: JordanBlockSpec, name: str = "linear") -> SmoothMap:
-    rows = [list(r) for r in spec.matrix()]
-
-    def fwd(x):
-        return [left_sum(rij * xj for rij, xj in zip(row, x) if rij != 0.0)
-                for row in rows]
-
-    return SmoothMap(dim=spec.dim, forward=fwd, name=name)
+    field = _linear_field(spec.matrix(), name)
+    return SmoothMap(dim=spec.dim, forward=field.func, name=name)
 
 
 def linear_commutative_family(spec: JordanBlockSpec) -> IntegrabilityStructure:
@@ -87,23 +83,20 @@ def linear_commutative_family(spec: JordanBlockSpec) -> IntegrabilityStructure:
     wherever the leading coordinate of every block is nonzero.
     """
     n = spec.dim
+    a, shift = spec.matrix(), np.eye(n, k=-1)
     fields = []
     offset = 0
-    for bi, (lam, size) in enumerate(spec.blocks):
+    for bi, (_, size) in enumerate(spec.blocks):
+        b = slice(offset, offset + size)
+        ab = np.zeros((n, n))
         if size == 1:
-            m = np.zeros((n, n))
-            m[offset, offset] = 1.0
-            fields.append(_linear_field(m, f"scale[{bi + 1}]"))
+            ab[b, b] = 1.0
+            fields.append(_linear_field(ab, f"scale[{bi + 1}]"))
         else:
-            ab = np.zeros((n, n))
-            for i in range(size):
-                ab[offset + i, offset + i] = lam
-                if i > 0:
-                    ab[offset + i, offset + i - 1] = 1.0
+            ab[b, b] = a[b, b]
             fields.append(_linear_field(ab, f"block_linear[{bi + 1}]"))
             nil = np.zeros((n, n))
-            for i in range(1, size):
-                nil[offset + i, offset + i - 1] = 1.0
+            nil[b, b] = shift[b, b]
             power = np.eye(n)
             for j in range(1, size):
                 power = power @ nil

@@ -196,20 +196,19 @@ class IntegrabilityStructure:
 
 @dataclass(frozen=True)
 class SamplingRegion:
-    """Uniform sampling on a margin-shrunk box, filtered by a guard."""
+    """Uniform sampling on a box, filtered by an optional guard.  The
+    catalog's boxes lie inside their maps' guards and carry none: the map's
+    guard, which the certifiers apply, is then the one check per point."""
 
     box: tuple[tuple[float, float], ...]
-    margin: float = 0.0
     guard: Callable | None = None
     sample_count: int = 1000
     rng_seed: int = 42
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
         for lo, hi in self.box:
-            if lo + self.margin >= hi - self.margin:
-                raise ValueError(f"empty interval [{lo}, {hi}] after margin")
+            if lo >= hi:
+                raise ValueError(f"empty interval [{lo}, {hi}]")
 
     @property
     def dim(self) -> int:
@@ -260,7 +259,7 @@ def _philox_raw(seed: int, count: int, n: int) -> np.ndarray:
 
 def sample(region: SamplingRegion, count: int | None = None,
            seed: int | None = None) -> list[list[float]]:
-    """Deterministic uniform samples on the guarded, shrunk box.
+    """Deterministic uniform samples on the region's guarded box.
 
     Point i draws from numpy's Philox with key ``seed`` and counter word 1
     set to i, so it depends only on (seed, i), not on the count or on how
@@ -274,8 +273,7 @@ def sample(region: SamplingRegion, count: int | None = None,
     """
     count = region.sample_count if count is None else count
     seed = region.rng_seed if seed is None else seed
-    lo = np.asarray([b[0] + region.margin for b in region.box])
-    hi = np.asarray([b[1] - region.margin for b in region.box])
+    lo, hi = np.asarray(region.box, dtype=float).reshape(-1, 2).T
     if count <= 0:
         return []
     bits = np.random.Philox(key=seed)  # checks the seed; serves redraws

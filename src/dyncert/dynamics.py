@@ -52,9 +52,10 @@ class NonMonotoneMapError(ValueError):
 
 @dataclass(frozen=True)
 class Orbit:
+    """The points of an orbit from x0 on; ``guard_failures`` is 1 when it
+    ended early, before a point outside the guard or not finite."""
+
     points: tuple[tuple[float, ...], ...]
-    map_name: str
-    x0: tuple[float, ...]
     guard_failures: int = 0
 
     def __len__(self):
@@ -81,22 +82,26 @@ class TranslationEstimate:
     residual: float
 
 
+def _walk(f: SmoothMap, x0, n_steps: int):
+    """x0, f(x0), ..., f^n_steps(x0) from ``core.orbit_points``, ending
+    before the first point that leaves the guard or is not finite; an x0
+    outside the guard raises DomainError."""
+    points = orbit_points(f, x0)
+    yield next(points)
+    with suppress(DomainError):
+        for x in islice(points, n_steps):
+            if not all(map(math.isfinite, x)):
+                return
+            yield x
+
+
 def compute_orbit(f: SmoothMap, x0, n_steps: int) -> Orbit:
-    """First n_steps iterates of x0 (inclusive endpoints), with circle
-    reduction; stops early on a guard failure and records it."""
+    """x0 and its first n_steps iterates, circle coordinates reduced, as
+    far as :func:`_walk` goes; an x0 outside the guard raises."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    pts = []
-    failures = 0
-    try:
-        for x in islice(orbit_points(f, x0), n_steps + 1):
-            pts.append(tuple(x))
-    except DomainError:
-        if not pts:  # x0 itself violates the guard
-            raise
-        failures = 1
-    return Orbit(points=tuple(pts), map_name=f.name or "map",
-                 x0=tuple(float(v) for v in x0), guard_failures=failures)
+    points = tuple(map(tuple, _walk(f, x0, n_steps)))
+    return Orbit(points=points, guard_failures=int(len(points) <= n_steps))
 
 
 def _classify(moduli) -> str:
@@ -363,25 +368,22 @@ def rotation_number(f: SmoothMap, x0: float,
 
 
 def level_set_drift(f: SmoothMap, integrals, x0, n_steps: int):
-    """Max |F(f^k(x0)) - F(x0)| over k <= n_steps, per integral.
+    """Max |F(f^k(x0)) - F(x0)| per integral over the first n_steps
+    iterates, as far as :func:`_walk` goes.
 
-    Returns (drifts, steps_reached).
+    Returns (drifts, steps_reached); an x0 outside the guard gives zero
+    drifts and 0 steps.
     """
     integrals = list(integrals)
     drifts = [0.0] * len(integrals)
     reached = 0
-    orbit = orbit_points(f, x0)
+    walk = _walk(f, x0, n_steps)
     try:
-        x = next(orbit)
+        x = next(walk)
     except DomainError:
         return drifts, reached
     ref = [float(g(x)) for g in integrals]
-    for k in range(n_steps):
-        try:
-            x = next(orbit)
-        except DomainError:
-            break
-        reached = k + 1
+    for reached, x in enumerate(walk, 1):
         for i, g in enumerate(integrals):
             drifts[i] = max(drifts[i], abs(float(g(x)) - ref[i]))
     return drifts, reached

@@ -265,11 +265,8 @@ def jet_jacobian(f: Callable, x: Sequence) -> list[list]:
 
 
 def jet_gradient(f: Callable, x: Sequence) -> list:
-    jx = seed_jets(list(x))
-    y = f(jx)
-    if isinstance(y, Jet):
-        return list(y.partials)
-    return [ZERO] * len(jx)
+    """Gradient of the scalar ``f`` at ``x``, its Jacobian's one row."""
+    return jet_jacobian(lambda v: [f(v)], x)[0]
 
 
 # -- small generic linear algebra ----------------------------------------

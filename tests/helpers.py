@@ -41,8 +41,8 @@ def reference_sample(region, count=None, seed=None) -> list[list[float]]:
     batched sampler must match bit for bit."""
     count = region.sample_count if count is None else count
     seed = region.rng_seed if seed is None else seed
-    lo = np.asarray([b[0] + region.margin for b in region.box])
-    hi = np.asarray([b[1] - region.margin for b in region.box])
+    lo = np.asarray([b[0] for b in region.box])
+    hi = np.asarray([b[1] for b in region.box])
     points = []
     for i in range(count):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from dyncert.certify import (certify_structure,
                              infinitesimal_commutation_residual)
 from dyncert.cli import main as cli_main
 from dyncert.core import (IntegrabilityStructure, SamplingRegion, iterate,
-                          sample)
+                          point_stack, sample)
 from helpers import lyness_integral_values
 
 
@@ -196,6 +197,26 @@ class TestLynessSymmetry:
         a = lyness_symmetry_variants(3, 1.0, points=10, seed=7)
         b = lyness_symmetry_variants(3, 1.0, points=10, seed=7)
         assert a == b
+
+
+CONFIGURATIONS = [(name, {}) for name in sorted(catalog.CATALOG)] + [
+    ("lyness", {"n": n}) for n in (2, 3, 4, 5)] + [
+    ("lyness", {"n": 4, "symmetry": 1}), ("linear", {"blocks": "2:3"}),
+    ("linear", {"blocks": "-2:2,0.5:1"}), ("twist", {"n": 2})]
+
+
+@pytest.mark.parametrize("name, params", CONFIGURATIONS)
+def test_region_lies_inside_the_map_guard(name, params):
+    # the map's guard is the one check of a sampled point: the region
+    # restates none, and its box lies inside the guard, which is convex
+    # (an orthant), so inside wherever the box's corners are
+    f, _, region = build(name, **params)
+    assert region.guard is None
+    if f.domain_guard is not None:
+        corners = list(itertools.product(*region.box))
+        assert all(f.domain_guard(list(c)) for c in corners)
+        assert np.all(point_stack(f.domain_guard,
+                                  np.array(sample(region, 1000, 3))))
 
 
 class TestOtherEntries:

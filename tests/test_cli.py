@@ -334,6 +334,22 @@ class TestDataCommands:
             "error": "runtime",
             "message": "orbit point 1011 is not finite"}
 
+    def test_orbit_ends_before_its_first_inf(self, runner):
+        # the orbit of the lyapunov case above, one step past its last
+        # finite point: the report is strict JSON, with no Infinity
+        result = run(runner, ["orbit", "--map", "linear", "--param",
+                              "blocks=2:3", "--x0", "0.1,0.2,0.3",
+                              "-N", "1012"])
+        assert result.exit_code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        data = json.loads(result.stdout, parse_constant=reject)
+        assert len(data["points"]) == 1011
+        assert all(map(math.isfinite, data["points"][-1]))
+        assert data["guard_failures"] == 1
+
     def test_rotation(self, runner, tmp_path):
         out = tmp_path / "rot.json"
         result = run(runner, ["rotation", "--map", "rigid_rotation",
@@ -416,9 +432,9 @@ class TestDataCommands:
 class TestLiftCertify:
     def test_lyness_guard_pass_calls_the_guard_on_columns(
             self, runner, tmp_path, monkeypatch):
-        # the lift's guard and its region's take columns through their
-        # slicing wrappers: one call per chunk in sample, two in
-        # guarded_images, none point by point
+        # the lift's guard takes columns through its slicing wrapper: two
+        # calls per chunk in guarded_images, none point by point, and
+        # none in sample, as the lifted region carries no guard
         calls = []
         lyness_guard = catalog._lyness_guard
 
@@ -431,7 +447,7 @@ class TestLiftCertify:
                               "n=4", "-o", str(tmp_path / "lift.json")])
         assert result.exit_code == 0
         sizes = [(c.stop - c.start,) for c in column_chunks(1000)]
-        assert calls == sizes * 3
+        assert calls == sizes * 2
 
     def test_linear_lift_passes(self, runner, tmp_path):
         out = tmp_path / "lift.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestLinearMap:
         spec = JordanBlockSpec(blocks=((2.0, 2),))
         f = linear_map(spec)
         assert f.apply([1.0, 1.0]) == [2.0, 3.0]
+
+    def test_float_rows_overflow_quietly(self):
+        # the rows are Python floats: images are floats, and an overflow
+        # gives inf with no numpy RuntimeWarning
+        f = linear_map(JordanBlockSpec(blocks=((2.0, 1), (3.0, 2))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ([0.1, 0.2, 0.3], [1e308, 1e308, 1e308]):
+                y = f.forward(x)
+                assert [type(v) for v in y] == [float] * 3
+        assert y == [math.inf] * 3
 
 
 class TestLinearFamily:

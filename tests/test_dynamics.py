@@ -8,7 +8,7 @@ import pytest
 from dyncert import catalog, dynamics, jets
 from dyncert.core import (COLUMN_CHUNK, DomainError, SamplingRegion,
                           ScalarField, SmoothMap, VectorField, column_chunks,
-                          point_stack, sample)
+                          orbit_points, point_stack, sample)
 from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               compute_orbit, estimate_translation_vector,
                               find_periodic_points, level_set_drift,
@@ -601,7 +601,63 @@ class TestRotationNumber:
             rotation_number(f, 0.0, n_steps)
 
 
+def _drift_step_loop(f, integrals, x0, n_steps):
+    """``level_set_drift`` as one ``next`` per step of ``orbit_points``,
+    the loop it ran before it shared the orbit walk: the oracle for orbits
+    that stay finite."""
+    integrals = list(integrals)
+    drifts = [0.0] * len(integrals)
+    reached = 0
+    orbit = orbit_points(f, x0)
+    try:
+        x = next(orbit)
+    except DomainError:
+        return drifts, reached
+    ref = [float(g(x)) for g in integrals]
+    for k in range(n_steps):
+        try:
+            x = next(orbit)
+        except DomainError:
+            break
+        reached = k + 1
+        for i, g in enumerate(integrals):
+            drifts[i] = max(drifts[i], abs(float(g(x)) - ref[i]))
+    return drifts, reached
+
+
+def _countdown():
+    """x -> x - 1 inside x > 0, with two integrals that drift."""
+    f = SmoothMap(dim=1, forward=lambda x: [x[0] - 1.0],
+                  domain_guard=lambda x: x[0] > 0.0)
+    return f, (ScalarField(dim=1, func=lambda x: x[0]),
+               ScalarField(dim=1, func=lambda x: x[0] * x[0]))
+
+
 class TestLevelSetDrift:
+    @pytest.mark.parametrize("n, x0", [(2, [1.0, 2.0]),
+                                       (3, [1.0, 2.0, 1.5]),
+                                       (5, [0.5, 1.2, 2.0, 3.1, 0.9])])
+    def test_equals_the_step_loop_on_lyness(self, n, x0):
+        f, s, _ = catalog.build("lyness", n=n, a=1.5)
+        for n_steps in (1, 7, 400):
+            assert (level_set_drift(f, s.integrals, x0, n_steps)
+                    == _drift_step_loop(f, s.integrals, x0, n_steps))
+
+    @pytest.mark.parametrize("x0", [[2.5], [7.0], [-1.0]])
+    def test_equals_the_step_loop_leaving_the_guard(self, x0):
+        f, integrals = _countdown()
+        for n_steps in (1, 3, 50):
+            assert (level_set_drift(f, integrals, x0, n_steps)
+                    == _drift_step_loop(f, integrals, x0, n_steps))
+
+    def test_overflow_ends_the_orbit(self):
+        # the orbit's points overflow from step 1011 on (see lyapunov)
+        f, _, _ = catalog.build("linear", blocks="2:3")
+        g = ScalarField(dim=3, func=lambda x: x[0], name="x1")
+        drifts, reached = level_set_drift(f, [g], [0.1, 0.2, 0.3], 3000)
+        assert reached == 1010
+        assert drifts[0] == pytest.approx(1.0972248137587378e303, rel=1e-12)
+
     def test_identity_map_zero_drift(self):
         f = SmoothMap(dim=2, forward=lambda x: list(x))
         g = ScalarField(dim=2, func=lambda x: x[0] ** 2 + x[1])
