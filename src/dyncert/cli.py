@@ -377,6 +377,7 @@ def orbit(map_name, params, x0, n_steps, fmt):
                                N=n_steps),
         "points": [list(pt) for pt in orb.points],
         "guard_failures": orb.guard_failures,
+        "non_finite": orb.non_finite,
     }
 
 

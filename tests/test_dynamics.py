@@ -46,6 +46,21 @@ class TestComputeOrbit:
         assert orbit.guard_failures == 1
         assert len(orbit) < 11
 
+    def test_overflow_ends_the_orbit_as_non_finite(self):
+        # the linear map has no guard; its points overflow from step 1011 on
+        f = catalog.build("linear", blocks="2:3")[0]
+        orbit = compute_orbit(f, [0.1, 0.2, 0.3], 1012)
+        assert len(orbit) == 1011
+        assert all(map(math.isfinite, orbit.points[-1]))
+        assert (orbit.guard_failures, orbit.non_finite) == (0, 1)
+
+    def test_guard_stop_is_not_non_finite(self):
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] - 1.0],
+                      domain_guard=lambda x: x[0] > 0.0)
+        assert compute_orbit(f, [2.5], 10).non_finite == 0
+        assert compute_orbit(f, [20.5], 10) == dynamics.Orbit(points=tuple(
+            (20.5 - k,) for k in range(11)))
+
     @pytest.mark.parametrize("name, params, x0", [
         ("cat_map", {}, [0.3, 0.7]), ("lyness", {"n": 3}, [1.0, 2.0, 1.5]),
         ("warned_circle", {"k": 1, "eps": 0.5}, [7.4])])
@@ -328,8 +343,13 @@ LYAPUNOV_ORBITS = pytest.mark.parametrize("f, x0", [
     (catalog.build("warned_circle", k=1, eps=0.5)[0], [0.4]),
     (standard_map(1.5), [1.0, 0.5]),
     (standard_map(3.0), [2.0, 0.01]),
+    (catalog.build("lyness", n=5)[0], [1.0, 2.0, 1.5, 0.5, 1.2]),
+    # (x/3, 3y) sheared by (x + y, y): Q's first column starts on the
+    # contracting direction e1, so the derived last log is the expanding one
+    (SmoothMap(dim=2, forward=lambda x: [x[0] / 3.0 + 8.0 / 3.0 * x[1],
+                                         3.0 * x[1]]), [0.0, 0.0]),
 ], ids=["cat_map", "twist", "lyness", "warned_circle", "standard_map_k1.5",
-        "standard_map_k3"])
+        "standard_map_k3", "lyness_n5", "sheared"])
 
 
 class TestGivensQR:
@@ -429,6 +449,26 @@ class TestLyapunov:
             assert spec[0] == pytest.approx(upper, abs=1e-12)
             assert spec[1] == -math.inf
 
+    def test_nilpotent_jacobian_gives_minus_infinity_twice(self):
+        # J^2 = 0: every block of two steps is the zero matrix
+        f = SmoothMap(dim=2, forward=lambda x: [x[0] - x[1], x[0] - x[1]])
+        spec = lyapunov_spectrum(f, [0.1, 0.2], 500)
+        assert list(spec) == [-math.inf, -math.inf]
+
+    def test_one_singular_step_keeps_the_top_exponent_finite(self):
+        # x counts 0, 1, 2, ...; the Jacobian is singular at x = 3 only,
+        # where y becomes 0 for good, and the orbit's log-dets sum to -inf
+        # in that step's block alone
+        f = SmoothMap(dim=2, forward=lambda x: [
+            x[0] + 1.0, 2.0 * x[1] * (x[0] - 3.0) / (x[0] + 1.0)])
+        spec = lyapunov_spectrum(f, [0.0, 0.2], 2000)
+        assert math.isfinite(spec[0])
+        assert spec[0] == pytest.approx(per_step_spectrum(f, [0.0, 0.2],
+                                                          2000)[0],
+                                        rel=0, abs=1e-9)
+        # numpy's per-step QR leaves a rounding residue for R_22 there
+        assert spec[1] == -math.inf
+
     @pytest.mark.parametrize("name, params, x0", [
         ("cat_map", {}, [0.3, 0.7]), ("twist", {"n": 2}, [0.1, 0.2, 0.3, 0.4]),
         ("lyness", {"n": 2}, [1.0, 2.0]), ("lyness", {"n": 3}, [1.0, 2.0, 1.5]),
@@ -492,10 +532,15 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("n_steps", [100, 127, 128, 129, 257, 1000])
     @pytest.mark.parametrize("forward, x0, exponents, longest", [
+        # the logs but the last spread by 2 ln 3 per step
+        (lambda x: [3.0 * x[0], x[1] / 3.0, x[2]], [0.0, 0.0, 0.0],
+         [math.log(3.0), 0.0, -math.log(3.0)], 6),
+        # one log besides the last, which comes from the determinants:
+        # only the logs' size, ln 3 per step, limits the block
         (lambda x: [3.0 * x[0], x[1] / 3.0], [0.0, 0.0],
-         [math.log(3.0), -math.log(3.0)], 6),
+         [math.log(3.0), -math.log(3.0)], 64),
         (lambda x: [2.0 * x[0]], [0.0], [math.log(2.0)], 64),
-    ], ids=["blocks_of_6", "blocks_up_to_64"])
+    ], ids=["blocks_of_6", "blocks_of_64_in_2d", "blocks_up_to_64"])
     def test_every_step_counted_once(self, forward, x0, exponents, longest,
                                      n_steps, monkeypatch):
         # across runs, blocks and chunks: a step dropped or counted twice
@@ -523,12 +568,24 @@ class TestLyapunov:
         spec = lyapunov_spectrum(f, x0, 20000)
         assert np.max(np.abs(spec - per_step_spectrum(f, x0, 20000))) <= 1e-9
 
-    def test_cat_map_at_the_benchmark_length(self):
+    def test_cat_map_at_the_benchmark_length(self, monkeypatch):
         # the benchmark's correctness gate: +-ln((3 + sqrt 5) / 2) to 1e-5
+        flushes = Counter()
+
+        def block_length(logs, steps, rate, _block=dynamics._qr_block_length):
+            flushes["qr"] += 1
+            return _block(logs, steps, rate)
+
+        monkeypatch.setattr(dynamics, "_qr_block_length", block_length)
         f = catalog.build("cat_map")[0]
         lam = math.log((3 + math.sqrt(5)) / 2)
         spec = lyapunov_spectrum(f, [0.3, 0.7], 100000)
         assert np.max(np.abs(spec - [lam, -lam])) <= 1e-5
+        # det Df = 1: the last log is minus the first in every block
+        assert spec[0] + spec[1] == 0.0
+        # blocks of up to 64 steps after the first doublings (1,568 QRs);
+        # with the spread to the last log they were about 7 (14,288)
+        assert flushes["qr"] <= 1600
 
     def test_cat_map_constant_jacobian(self):
         f, _, _ = catalog.build("cat_map")
