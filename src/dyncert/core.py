@@ -319,14 +319,14 @@ def iterate(f: SmoothMap, x0: Sequence, k: int) -> list:
 
 def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
     """x0, f(x0), f^2(x0), ... as lists, their circle coordinates reduced
-    and each point checked against the domain guard once.
-
-    Reaching the k-th iterate raises :class:`DomainError` with ``step`` k
-    when it violates the guard, or when ``forward`` raises one computing
-    it."""
+    and each point checked against the domain guard once, ``f.forward``
+    looked up once: the one walk of iterates, orbits, drifts and Lyapunov
+    stacks.  Reaching the k-th iterate raises :class:`DomainError` with
+    ``step`` k when it violates the guard, or when ``forward`` raises one
+    computing it."""
     circles = [(i, c) for i, c in enumerate(f.phase_topology or ())
                if c is not None]
-    guarded = f.domain_guard is not None
+    guarded, forward = f.domain_guard is not None, f.forward
     x = [float(v) for v in x0]
     k = 0
     while True:
@@ -337,7 +337,7 @@ def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
         yield x
         k += 1
         try:
-            x = list(f.forward(list(x)))
+            x = list(forward(list(x)))
         except DomainError as err:
             err.step = k
             raise
@@ -380,10 +380,10 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(row_dot(v, v))
 
 
-def column_chunks(count: int) -> list[slice]:
-    """Near-equal slices of ``range(count)``, at most ``COLUMN_CHUNK`` long;
-    none holds a single point unless ``count`` is 1."""
-    k = -(-count // COLUMN_CHUNK)
+def column_chunks(count: int, longest: int = COLUMN_CHUNK) -> list[slice]:
+    """Near-equal slices of ``range(count)``, at most ``longest`` long; none
+    holds a single point unless ``count`` is 1."""
+    k = -(-count // longest)
     return [slice(i * count // k, (i + 1) * count // k) for i in range(k)]
 
 

@@ -253,13 +253,14 @@ def _reference_periodic_points(f, k, starts):
 
 def _reference_spectrum(f, x0, n_steps):
     """One point at a time: each Jacobian taken at its own point on a list
-    of floats, the loop that the chunked orbit replaced; each chunk's
-    Jacobians then go through the blocked QR of ``lyapunov_spectrum``."""
+    of floats, the loop that the chunked orbit replaced; each stack's
+    Jacobians then go through the blocked QR of ``lyapunov_spectrum``,
+    cut where its stacks are cut."""
     def stacks():
         x = f.reduce([float(v) for v in x0])
-        for chunk in column_chunks(n_steps):
+        for stack in column_chunks(n_steps, dynamics.JACOBIAN_STACK):
             jacobians = []
-            for _ in range(chunk.start, chunk.stop):
+            for _ in range(stack.start, stack.stop):
                 jacobians.append(np.asarray(f.jacobian_at(x), dtype=float))
                 x = f.apply(x)
             yield np.array(jacobians)
@@ -269,13 +270,18 @@ def _reference_spectrum(f, x0, n_steps):
 
 def _apply_loop_spectrum(f, x0, n_steps):
     """``lyapunov_spectrum`` with its orbit advanced by ``SmoothMap.apply``,
-    which checks the guard of each point before and after the step: the
-    loop that ``core.orbit_points`` replaced."""
+    which checks the guard of each point before and after the step, and
+    each point checked for finiteness on its own: the loop that
+    ``core.orbit_points`` replaced, its stacks cut where
+    ``lyapunov_spectrum`` cuts them."""
     def stacks():
         x = f.reduce([float(v) for v in x0])
-        for chunk in column_chunks(n_steps):
+        for stack in column_chunks(n_steps, dynamics.JACOBIAN_STACK):
             points = []
-            for step in range(chunk.start, chunk.stop):
+            for step in range(stack.start, stack.stop):
+                if not all(map(math.isfinite, x)):
+                    raise DomainError(f"orbit point {step} is not finite",
+                                      step=step)
                 points.append(x)
                 try:
                     x = f.apply(x)
@@ -284,6 +290,9 @@ def _apply_loop_spectrum(f, x0, n_steps):
                                       f"{step}: {err}", step=step) from err
             yield point_stack(f.jacobian_at, np.array(points),
                               (f.dim, f.dim))
+        if not all(map(math.isfinite, x)):
+            raise DomainError(f"orbit point {n_steps} is not finite",
+                              step=n_steps)
 
     return dynamics._qr_spectrum(stacks(), f.dim, n_steps)
 
@@ -405,7 +414,7 @@ class TestLyapunov:
     @pytest.mark.parametrize("name, params, x0", [
         ("cat_map", {}, [0.3, 0.7]), ("twist", {"n": 2}, [0.1, 0.2, 0.3, 0.4]),
         ("lyness", {"n": 3}, [1.0, 2.0, 1.5])])
-    @pytest.mark.parametrize("n_steps", [100, 129, 2000])
+    @pytest.mark.parametrize("n_steps", [100, 129, 2000, 2049])
     def test_jacobians_take_one_column_call_per_chunk(self, name, params, x0,
                                                       n_steps):
         f = catalog.build(name, **params)[0]
@@ -418,9 +427,12 @@ class TestLyapunov:
 
         lyapunov_spectrum(replace(f, forward=forward), x0, n_steps)
         # the orbit applies f once per step; its Jacobians come from one
-        # call per chunk of at most COLUMN_CHUNK steps
-        assert calls == {"points": n_steps,
-                         "columns": -(-n_steps // COLUMN_CHUNK)}
+        # call per chunk of at most COLUMN_CHUNK steps of each stack of at
+        # most JACOBIAN_STACK: 2049 steps are three stacks of 683 steps,
+        # six chunks each
+        assert (COLUMN_CHUNK, dynamics.JACOBIAN_STACK) == (128, 1024)
+        columns = {100: 1, 129: 2, 2000: 16, 2049: 18}[n_steps]
+        assert calls == {"points": n_steps, "columns": columns}
 
     @pytest.mark.parametrize("scales", [(1e200,), (1e200, 1e-200)],
                              ids=["1-D", "2-D"])
@@ -497,12 +509,13 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("x0, limit", [([0.0], 50.5), ([60.0], 50.5),
                                            ([0.0], 127.5), ([0.0], 128.5),
-                                           ([0.0], 1e9)])
+                                           ([0.0], 1e9), ([0.0], 1023.5),
+                                           ([0.0], 1024.5), ([0.0], 1025.5)])
     @pytest.mark.parametrize("raising", [False, True])
     def test_domain_errors_equal_the_apply_loop(self, x0, limit, raising):
         # the guard or forward itself stops the orbit x0, x0 + 1, ...:
-        # before the first step, inside a chunk, at a chunk's last image
-        # or never
+        # before the first step, inside a stack, at the first stack's last
+        # image (step 1023 of two stacks of 1024), after it, or never
         def forward(x):
             value = getattr(x[0], "value", x[0]) + 1.0  # jets: their value
             if raising and np.any(value > limit):
@@ -511,14 +524,30 @@ class TestLyapunov:
 
         guard = None if raising else (lambda x: x[0] < limit)
         f = SmoothMap(dim=1, forward=forward, domain_guard=guard)
+        assert column_chunks(2048, dynamics.JACOBIAN_STACK)[1].start == 1024
         try:
-            expected = _apply_loop_spectrum(f, x0, 200)
+            expected = _apply_loop_spectrum(f, x0, 2048)
         except DomainError as err:
             with pytest.raises(DomainError) as got:
-                lyapunov_spectrum(f, x0, 200)
+                lyapunov_spectrum(f, x0, 2048)
             assert (str(got.value), got.value.step) == (str(err), err.step)
         else:
-            assert np.array_equal(lyapunov_spectrum(f, x0, 200), expected)
+            assert np.array_equal(lyapunov_spectrum(f, x0, 2048), expected)
+
+    @pytest.mark.parametrize("step", [1023, 1024, 1025])
+    def test_first_non_finite_point_equals_the_apply_loop(self, step):
+        # 2^1024 overflows: the orbit of 2^(1024 - step) under x -> 2x is
+        # finite up to point step - 1; point 1024 is the first stack's
+        # last image
+        f = SmoothMap(dim=1, forward=lambda x: [2.0 * x[0]])
+        x0 = [2.0 ** (1024 - step)]
+        with pytest.raises(DomainError) as err:
+            _apply_loop_spectrum(f, x0, 2048)
+        with pytest.raises(DomainError) as got:
+            lyapunov_spectrum(f, x0, 2048)
+        assert (str(got.value), got.value.step) == (
+            f"orbit point {step} is not finite", step)
+        assert (str(err.value), err.value.step) == (str(got.value), step)
 
     def test_domain_error_reports_its_step(self):
         # f' = 1 doubles the blocks up to 64 steps: step 50 lies inside
