@@ -58,6 +58,15 @@ def reference_sample(region, count=None, seed=None) -> list[list[float]]:
     return points
 
 
+def blow_ups_by_one(points) -> int:
+    """How many ``points`` the flow of x1' = x1^2 / x2, x2' = 0 leaves
+    before t = 1 ends: x1(t) = x1 / (1 - t x1 / x2) has its pole at
+    t = x2 / x1, so a point blows up iff 0 < x2 / x1 <= 1.  ``2x``, the map
+    of ``linear blocks=2:1,2:1``, keeps that ratio, so the image of such a
+    point blows up too."""
+    return sum(0.0 < x2 / x1 <= 1.0 for x1, x2 in points)
+
+
 def squaring_past_5() -> SmoothMap:
     """x -> x^2 on the line; forward raises DomainError at x > 5 and, as
     ``float_of`` takes no column, is called one point at a time."""

@@ -26,7 +26,7 @@ from dyncert.expressions import structure_from_dict
 from dyncert.jets import Jet
 from dyncert.numerics import integrate_flow
 
-from helpers import squaring_past_5
+from helpers import blow_ups_by_one, squaring_past_5
 
 E = math.e
 
@@ -525,7 +525,7 @@ class TestPipeline:
         ("linear", {"blocks": "2:3"}, None, 60),
         ("twist", {"n": 2}, None, 60),
         # x1' = x1^2 / x2 commutes with the map but blows up in finite
-        # time: at seed 1 and t = 1, 2 of the 5 points are skipped
+        # time: at t = 1 the points with 0 < x2 / x1 <= 1 are skipped
         ("linear", {"blocks": "2:1,2:1"},
          {"dim": 2, "fields": [["x1^2/x2", "0"]]}, 5),
     ])
@@ -548,7 +548,9 @@ class TestPipeline:
         assert len(together) == len(times) * s.m
         assert together == alone
         if structure is not None:
-            assert together[2].skipped == 2
+            skipped = blow_ups_by_one(sample(region, samples, seed=1))
+            assert skipped >= 1
+            assert together[2].skipped == skipped  # t = 1
 
     def test_algebraic_phase_calls_each_integral_once_per_chunk(self):
         # at the default sample count each quantity is one call per chunk
