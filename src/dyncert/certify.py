@@ -8,11 +8,11 @@ and each condition is one formula over those stacks, reported in the order
 it is computed.  Every callable is called on coordinate columns, one call
 per chunk of points (``core.point_stack``), or once per point if it fails
 on columns.  Jacobians are stacked one chunk at a time, and the bracket,
-commutation and symplecticity formulas keep only their residuals.  The
-public pointwise residuals call the same formulas on a stack of one point.
+commutation and symplecticity formulas keep only their residuals.
 Flow commutation is a second phase: per field, one integration (one field
 call per Runge-Kutta stage) for all flow times of the first
-``FLOW_POINT_CAP`` kept points stacked over their images.
+``FLOW_POINT_CAP`` kept points stacked over their images.  The public
+pointwise residuals run the same formulas and flow phase on one point.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
@@ -28,9 +28,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
-                   SmoothMap, VectorField, column_chunks, guarded_images,
-                   point_stack, row_dot, row_norms, sample)
+from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
+                   ScalarField, SmoothMap, VectorField, column_chunks,
+                   guarded_images, point_stack, row_dot, row_norms, sample)
 from .numerics import (FLOW_TOL, IntegrationError, integrate_flow,
                        numerical_rank)
 
@@ -270,18 +270,20 @@ def commutation_residuals(f: SmoothMap, values, image_values,
 
 def flow_commutation_residual(f: SmoothMap, x_field: VectorField, x, t: float,
                               tol: float = FLOW_TOL) -> np.ndarray:
-    """f(phi^t(x)) - phi^t(f(x)), wrapped on circle coordinates."""
-    try:
-        phi_x = integrate_flow(x_field, x, t, tol)
-    except IntegrationError as err:
-        raise IntegrationError(f"flow branch phi^t(x) failed: {err}") from err
-    left = f.apply(list(phi_x))
-    fx = f.apply(x)
-    try:
-        right = integrate_flow(x_field, fx, t, tol)
-    except IntegrationError as err:
-        raise IntegrationError(f"flow branch phi^t(f(x)) failed: {err}") from err
-    return f.displacement(left, list(right))
+    """f(phi^t(x)) - phi^t(f(x)), wrapped on circle coordinates: certify's
+    flow phase (:func:`_flow_displacements`) on a stack of one point, which
+    raises where that phase would skip the point."""
+    point = np.asarray(x, dtype=float).reshape(1, -1)
+    kept, image = guarded_images(f, point)
+    if not len(kept):
+        raise DomainError(f"x = {x} or f(x) violates the domain guard of "
+                          f"{f.name or 'map'}")
+    [(used, residual)] = _flow_displacements(f, x_field, point, image, (t,),
+                                             tol)
+    if not len(used):
+        raise IntegrationError(f"a flow branch failed or f(phi^t(x)) left "
+                               f"the guard at t={t:g}, x={x}")
+    return residual[0]
 
 
 def independence_rank_stats(columns, points, threshold: float = 1e-8):
@@ -364,6 +366,25 @@ def _rank_stats(name: str, columns, points: np.ndarray,
     )
 
 
+def _flow_displacements(f: SmoothMap, x_field: VectorField,
+                        points: np.ndarray, images: np.ndarray, times,
+                        tol: float = FLOW_TOL):
+    """Per flow time t: the rows of ``points`` kept and, there,
+    f(phi^t(x)) - phi^t(f(x)) wrapped on circles, from one integration of
+    the points stacked over their ``images`` for every time at once.  A row
+    is dropped where a branch failed (NaN) or f(phi^t(x)) leaves the
+    guard."""
+    q = len(points)
+    starts = np.tile(np.concatenate([points, images]), (len(times), 1))
+    ends = integrate_flow(x_field, starts,
+                          np.repeat(np.asarray(times, dtype=float), 2 * q), tol)
+    for end in np.split(ends, len(times)):
+        finite = np.all(np.isfinite(end), axis=1)
+        both = np.flatnonzero(finite[:q] & finite[q:])
+        kept, left = guarded_images(f, end[both])
+        yield both[kept], f.displacement(left, end[q + both[kept]])
+
+
 def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int | None,
                 seed: int):
     """Sample once and keep the points that ``f`` maps inside its guard
@@ -444,30 +465,19 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     # the scale of the infinitesimal check at the same point.  Fields that
     # already failed the pointwise check are not integrated: the flow check
     # is implied by the infinitesimal one and trajectories of a
-    # non-commuting candidate routinely exhaust the step budget.  Each
-    # field is one integration, for every flow time at once, of the flow
-    # points stacked over their images from the guard pass.  A point is
-    # skipped where a branch failed (NaN) or f(phi^t(x)) leaves the guard.
+    # non-commuting candidate routinely exhaust the step budget.
     flow_points = points[:FLOW_POINT_CAP]
     q = len(flow_points)
-    starts = np.tile(np.concatenate([flow_points, images[:q]]),
-                     (len(flow_times), 1))
-    times = np.repeat(np.asarray(flow_times, dtype=float), 2 * q)
     for j, (x_fld, (passed, scales)) in enumerate(zip(fields, commutation)):
         if not passed or not len(flow_times):
             continue
-        all_ends = integrate_flow(x_fld, starts, times)
-        for t, ends in zip(flow_times, np.split(all_ends, len(flow_times))):
-            finite = np.all(np.isfinite(ends), axis=1)
-            both = np.flatnonzero(finite[:q] & finite[q:])
-            kept, left = guarded_images(f, ends[both])
-            used = both[kept]
+        for t, (used, residuals) in zip(flow_times, _flow_displacements(
+                f, x_fld, flow_points, images[:q], flow_times)):
             skipped = q - len(used)
-            residuals = row_norms(f.displacement(left, ends[q + used]))
             stats.append(_stats(f"flow_commutation[X{j + 1},t={t:g}]",
-                                residuals, scales[used], flow_points[used],
-                                tol.flow_tol, skipped=skipped,
-                                skip_fail=skipped > q / 2))
+                                row_norms(residuals), scales[used],
+                                flow_points[used], tol.flow_tol,
+                                skipped=skipped, skip_fail=skipped > q / 2))
 
     return CertificationReport(
         map_name=map_name or f.name or "map",

@@ -15,10 +15,8 @@ region's ``guard`` are called on plain-float columns the same way and give
 one bool per point: comparisons combined with ``&`` take columns, while
 ``and``, ``all`` or a chained comparison raise on them.  A callable that
 raises on columns, or returns another shape, is called once per point
-instead.  A guard that reduces over its argument, such as
-``np.linalg.norm(x) < r``, returns one bool for the whole chunk, which is
-broadcast to every point without an error: write it per coordinate
-(``x[0] ** 2 + x[1] ** 2 < r ** 2``).
+instead; so is a guard that reduces its columns to one bool, such as
+``np.linalg.norm(x) < r``.
 """
 
 from __future__ import annotations
@@ -210,94 +208,32 @@ class SamplingRegion:
             if lo >= hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
 
-    @property
-    def dim(self) -> int:
-        return len(self.box)
-
-
-_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_WORD = 2**64 - 1
-_LOW, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-
-
-def _mulhilo(a: int, b: np.ndarray):
-    """High and low words of the 128-bit products of the constant ``a``
-    with a uint64 array, from 32-bit halves; every operand is uint64, so
-    no promotion rule reaches the bits."""
-    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b0, b1 = b & _LOW, b >> _32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _32) + (p01 & _LOW) + (p10 & _LOW)
-    hi = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
-    return hi, np.uint64(a) * b
-
-
-def _philox_raw(seed: int, count: int, n: int) -> np.ndarray:
-    """A (count, n) uint64 array whose row i is
-    ``np.random.Philox(key=seed, counter=i << 64).random_raw(n)``.
-
-    Philox4x64-10 is counter-based (Salmon et al., SC'11): that stream's
-    block b is the ten-round bijection of counter (b + 1, i, 0, 0) under
-    the 128-bit key ``seed``, so every block of every row is computed at
-    once, each counter word an array broadcast over (rows, blocks)."""
-    blocks = -(-n // 4)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
-    c1 = np.arange(count, dtype=np.uint64)[:, None]
-    c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    k0, k1 = int(seed) & _WORD, int(seed) >> 64
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
-        c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(k0), lo1,
-                          hi0 ^ c3 ^ np.uint64(k1), lo0)
-        k0 = (k0 + _PHILOX_BUMP[0]) & _WORD
-        k1 = (k1 + _PHILOX_BUMP[1]) & _WORD
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
-    return words.reshape(count, 4 * blocks)[:, :n]
-
 
 def sample(region: SamplingRegion, count: int | None = None,
            seed: int | None = None) -> list[list[float]]:
     """Deterministic uniform samples on the region's guarded box.
 
-    Point i draws from numpy's Philox with key ``seed`` and counter word 1
-    set to i, so it depends only on (seed, i), not on the count or on how
-    points are spread over workers.  Philox increments word 0 before each
-    block of four draws, so point i's first block is at counter
-    (1, i, 0, 0): :func:`_philox_raw` computes every point's first
-    candidate at once, bit for bit, and the guard checks them on columns
-    (:func:`point_stack`).  A point whose candidate the guard rejects is
-    set back to its own stream in one bit generator and draws on, one
-    guard call per candidate, up to 1000 candidates.
+    One Philox stream with key ``seed`` draws candidates in rounds, each
+    as many as points are still missing, and the region's guard checks a
+    round on coordinate columns (:func:`_inside`).  The samples are the
+    first ``count`` accepted candidates in stream order, so the first k
+    points of a run are those of a k-point run.  Once 1000 or more
+    candidates are drawn and fewer than 1 in 1000 accepted,
+    :class:`RegionSamplingError` names the sample it stopped at.
     """
     count = region.sample_count if count is None else count
     seed = region.rng_seed if seed is None else seed
     lo, hi = np.asarray(region.box, dtype=float).reshape(-1, 2).T
-    if count <= 0:
-        return []
-    bits = np.random.Philox(key=seed)  # checks the seed; serves redraws
-    raw = _philox_raw(seed, count, len(lo))
-    first = lo + (hi - lo) * ((raw >> 11) * 2.0 ** -53)  # Generator.uniform
-    points = first.tolist()
-    if region.guard is None:
-        return points
-    state = bits.state
-    counter = state["state"]["counter"]
-    gen = np.random.Generator(bits)
-    for i in np.flatnonzero(point_stack(region.guard, first) == 0):
-        counter[1] = i
-        bits.state = state
-        bits.random_raw(len(lo))  # the rejected first candidate
-        for _ in range(999):
-            x = gen.uniform(lo, hi)
-            if region.guard(list(x)):
-                points[i] = [float(v) for v in x]
-                break
-        else:
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    points, drawn = [], 0
+    while len(points) < count:
+        if drawn >= 1000 and 1000 * len(points) < drawn:
             raise RegionSamplingError(
-                f"guard rejected 1000 candidates for sample {i}; "
-                "the region is misconfigured")
+                f"guard accepted fewer than 1 in 1000 of {drawn} candidates "
+                f"for sample {len(points)}; the region is misconfigured")
+        batch = gen.uniform(lo, hi, (count - len(points), len(lo)))
+        drawn += len(batch)
+        points += batch[_inside(region.guard, batch)].tolist()
     return points
 
 
@@ -343,10 +279,20 @@ def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
             raise
 
 
-def _inside(f: SmoothMap, points: np.ndarray) -> np.ndarray:
-    if f.domain_guard is None:
+def _inside(guard: Callable | None, points: np.ndarray) -> np.ndarray:
+    """One bool per row of a (points, n) stack, from :func:`point_stack`;
+    a column call that reduces the rows to one bool (as
+    ``np.linalg.norm(x) < r`` does) is redone point by point."""
+    if guard is None:
         return np.ones(len(points), dtype=bool)
-    return point_stack(f.domain_guard, points) != 0
+
+    def each(x):
+        ok = guard(x)
+        if np.ndim(ok) != np.ndim(x[0]):
+            raise ValueError("not one bool per point")
+        return ok
+
+    return point_stack(each, points) != 0
 
 
 def guarded_images(f: SmoothMap, points: np.ndarray):
@@ -355,7 +301,7 @@ def guarded_images(f: SmoothMap, points: np.ndarray):
     reduced) from one :func:`point_stack` call; a row where ``forward``
     raises DomainError is dropped, as it ends an orbit.  Many points over
     one step: one point over many steps is :func:`orbit_points`."""
-    kept = np.flatnonzero(_inside(f, points))
+    kept = np.flatnonzero(_inside(f.domain_guard, points))
     try:
         images = point_stack(lambda x: f.reduce(f.forward(x)), points[kept],
                              (f.dim,))
@@ -366,7 +312,7 @@ def guarded_images(f: SmoothMap, points: np.ndarray):
             with suppress(DomainError):
                 images[r], mapped[r] = f.reduce(f.forward(x)), True
         kept, images = kept[mapped], images[mapped]
-    inside = _inside(f, images)
+    inside = _inside(f.domain_guard, images)
     return kept[inside], images[inside]
 
 

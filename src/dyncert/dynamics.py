@@ -302,7 +302,8 @@ def _orbit_jacobians(f: SmoothMap, x0, n_steps: int):
     """The Jacobians along the first ``n_steps`` steps of the orbit of x0,
     one ``point_stack`` per stack of ``column_chunks`` up to JACOBIAN_STACK
     long; one ``np.fromiter`` reads its points and last image, guarded, from
-    the walk, and the first point not finite ends the orbit with its step."""
+    the walk, and the first point not finite ends the orbit with its step,
+    also where the walk raises DomainError after it (as in :func:`_walk`)."""
     orbit, n = orbit_points(f, x0), f.dim
     ahead = islice(orbit, 1)  # x0, then each stack's last image
     for stack in column_chunks(n_steps, JACOBIAN_STACK):
@@ -310,10 +311,13 @@ def _orbit_jacobians(f: SmoothMap, x0, n_steps: int):
         try:
             points = np.fromiter(chain.from_iterable(chain(
                 ahead, islice(orbit, m))), float, (m + 1) * n).reshape(-1, n)
-        except DomainError as err:
-            step = max(err.step - 1, 0)  # the step whose image left
-            raise DomainError(f"orbit left the domain at step {step}: "
-                              f"{err}", step=step) from err
+        except DomainError as err:  # the stack's points before it, again
+            points = np.array(list(islice(orbit_points(f, x0), stack.start,
+                                          err.step)))
+            if np.isfinite(points).all():
+                step = max(err.step - 1, 0)  # the step whose image left
+                raise DomainError(f"orbit left the domain at step {step}: "
+                                  f"{err}", step=step) from err
         finite = np.isfinite(points)
         if not finite.all():
             step = stack.start + int(np.argmin(finite.all(axis=1)))

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a finite-difference Jacobian to check
 jets against, the values of the Lyness integrals at a point, the
-per-point sampler that ``core.sample`` must match, and a map whose forward
-raises DomainError."""
+one-candidate-at-a-time sampler that ``core.sample`` must match, the count
+of flow blow-ups the certifier skips, and a map whose forward raises
+DomainError."""
 
 import numpy as np
 
@@ -37,24 +38,26 @@ def lyness_integral_values(n: int, a: float, x) -> list[float]:
 
 
 def reference_sample(region, count=None, seed=None) -> list[list[float]]:
-    """``core.sample`` as one Philox generator per point: the oracle the
-    batched sampler must match bit for bit."""
+    """``core.sample`` one candidate at a time: each is one
+    ``Generator.uniform(lo, hi)`` draw from the one Philox stream with key
+    ``seed``, the guard sees it alone, and the accepted ones are kept in
+    order; the oracle the sampler's rounds must match bit for bit.  It stops
+    as the sampler does, checking before each candidate."""
     count = region.sample_count if count is None else count
     seed = region.rng_seed if seed is None else seed
     lo = np.asarray([b[0] for b in region.box])
     hi = np.asarray([b[1] for b in region.box])
-    points = []
-    for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
-        for _ in range(1000):
-            x = gen.uniform(lo, hi)
-            if region.guard is None or region.guard(list(x)):
-                points.append([float(v) for v in x])
-                break
-        else:
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    points, drawn = [], 0
+    while len(points) < count:
+        if drawn >= 1000 and 1000 * len(points) < drawn:
             raise RegionSamplingError(
-                f"guard rejected 1000 candidates for sample {i}; "
-                "the region is misconfigured")
+                f"guard accepted fewer than 1 in 1000 of {drawn} candidates "
+                f"for sample {len(points)}; the region is misconfigured")
+        x = gen.uniform(lo, hi)
+        drawn += 1
+        if region.guard is None or region.guard(list(x)):
+            points.append([float(v) for v in x])
     return points
 
 

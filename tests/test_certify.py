@@ -525,7 +525,8 @@ class TestPipeline:
         ("linear", {"blocks": "2:3"}, None, 60),
         ("twist", {"n": 2}, None, 60),
         # x1' = x1^2 / x2 commutes with the map but blows up in finite
-        # time: at t = 1 the points with 0 < x2 / x1 <= 1 are skipped
+        # time: at t = 1 the points with 0 < x2 / x1 <= 1 are skipped (2 of
+        # 5 at seed 42)
         ("linear", {"blocks": "2:1,2:1"},
          {"dim": 2, "fields": [["x1^2/x2", "0"]]}, 5),
     ])
@@ -538,7 +539,7 @@ class TestPipeline:
 
         def flow_stats(flow_times):
             report = certify_structure(f, s, region, flow_times=flow_times,
-                                       samples=samples, seed=1)
+                                       samples=samples, seed=42)
             return [c for c in report.conditions
                     if c.condition_name.startswith("flow_commutation")]
 
@@ -548,7 +549,7 @@ class TestPipeline:
         assert len(together) == len(times) * s.m
         assert together == alone
         if structure is not None:
-            skipped = blow_ups_by_one(sample(region, samples, seed=1))
+            skipped = blow_ups_by_one(sample(region, samples, seed=42))
             assert skipped >= 1
             assert together[2].skipped == skipped  # t = 1
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dyncert import catalog
 from dyncert.core import (DomainError, IntegrabilityStructure,
                           RegionSamplingError, SamplingRegion, ScalarField,
-                          SmoothMap, VectorField, _philox_raw, column_chunks,
+                          SmoothMap, VectorField, column_chunks,
                           guarded_images, iterate, sample)
 from helpers import reference_sample, squaring_past_5
 
@@ -109,9 +109,13 @@ class TestSampling:
         assert a == b
 
     def test_prefix_stability(self):
-        # point i depends only on (seed, i), not on the total count
+        # the first k points of a run are those of a k-point run, also
+        # where the guard rejects candidates and the rounds differ
         r = SamplingRegion(box=((0.0, 1.0),))
         assert sample(r, 10, seed=1)[:4] == sample(r, 4, seed=1)
+        g = replace(r, guard=lambda x: x[0] > 0.3)
+        assert sample(g, 10, seed=1)[:4] == sample(g, 4, seed=1)
+        assert sample(g, 1000, seed=1)[:300] == sample(g, 300, seed=1)
 
     def test_seed_changes_points(self):
         r = SamplingRegion(box=((0.0, 1.0),))
@@ -156,28 +160,31 @@ def upper_half(x):
 
 
 class TestBatchedSampling:
-    """``sample`` draws every point from one bit generator; it must give
-    the points, guard calls and errors of one generator per point."""
+    """``sample`` draws candidates in rounds from one Philox stream and
+    checks each round's on columns; it must give the points, guard calls
+    and errors of drawing one point at a time (``reference_sample``)."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("dim", DIMS)
     def test_matches_per_point_generators(self, dim, seed):
         for margin in (0.0, 0.01):
             r = SamplingRegion(box=shrunk(box(dim), margin))
-            for count in (1, 1000):
+            for count in (1, 7, 1000):
                 assert sample(r, count, seed) == reference_sample(r, count, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("dim", DIMS)
     def test_matches_under_guard_rejections(self, dim, seed):
         r = SamplingRegion(box=shrunk(box(dim), 0.01), guard=upper_half)
-        assert sample(r, 200, seed) == reference_sample(r, 200, seed)
+        for count in (1, 7, 200):
+            assert sample(r, count, seed) == reference_sample(r, count, seed)
 
     def test_guard_sees_the_same_candidates(self):
-        # the first candidates go to the guard on columns, one call per
-        # chunk; the redraws go one point at a time, in the reference order
+        # the guard gets the oracle's candidates in stream order, then at
+        # most the rest of the last round, all rejected: on columns, one
+        # call per chunk of a round (a round of one point goes alone), or,
+        # where the column call raises, each candidate alone after it
         region = SamplingRegion(box=box(5))
-        firsts = [tuple(x) for x in reference_sample(region, 300, 7)]
         for predicate, takes_columns in ((upper_half, True),
                                          (lambda x: 0.5 < x[0] < 10.0, False)):
             expected = reference_sample(replace(region, guard=predicate),
@@ -185,52 +192,65 @@ class TestBatchedSampling:
             calls = {sample: [], reference_sample: []}
             for sampler, seen in calls.items():
                 def guard(x):
-                    seen.append(tuple(x))
+                    seen.append(x)
                     return predicate(x)
 
                 assert sampler(replace(region, guard=guard), 300, 7) == expected
-            redraws = list(calls[reference_sample])
-            for x in firsts:  # each point's first call, then its redraws
-                redraws.remove(x)
-            assert len(calls[reference_sample]) > 400  # about one rejection
+            oracle = [tuple(x) for x in calls[reference_sample]]
+            assert len(oracle) > 400  # about one rejection per point
             columns = [x for x in calls[sample] if np.ndim(x[0])]
-            assert len(columns) == len(column_chunks(300))
-            each = [x for x in calls[sample] if not np.ndim(x[0])]
-            if takes_columns:
-                assert [tuple(row) for c in columns
-                        for row in zip(*(v.tolist() for v in c))] == firsts
-                assert each == redraws
-            else:  # each column call raised: every point on its own
-                assert each == firsts + redraws
-
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
-    def test_philox_kernel_matches_numpy(self, seed):
-        for n in range(1, 13):  # one to three blocks of four words
-            reference = np.array(
-                [np.random.Philox(key=seed, counter=i << 64).random_raw(n)
-                 for i in range(1000)], dtype=np.uint64)
-            for count in (0, 1, 129, 1000):
-                raw = _philox_raw(seed, count, n)
-                assert raw.dtype == np.uint64
-                assert np.array_equal(raw, reference[:count].reshape(count, n))
+            assert len(columns) >= len(column_chunks(300))
+            stream = [row for x in calls[sample]
+                      for row in (zip(*(v.tolist() for v in x))
+                                  if np.ndim(x[0]) else [tuple(x)])]
+            if not takes_columns:  # each column call raised
+                stream = [tuple(x) for x in calls[sample] if not np.ndim(x[0])]
+            assert stream[:len(oracle)] == oracle
+            rest = stream[len(oracle):]
+            assert len(rest) < 300 and not any(map(predicate, rest))
 
     def test_error_names_the_rejected_point(self):
+        # the guard accepts the stream's first 3 candidates only; the
+        # rounds after the first draw 7, and the 429th of them passes 3000
+        # candidates, 1000 for each point accepted
         seed = 3
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=3 << 64))
+        gen = np.random.Generator(np.random.Philox(key=seed))
         lo, hi = np.asarray(box(2)).T
-        stream = {tuple(gen.uniform(lo, hi)) for _ in range(1000)}
-        rejected = []
+        first = {tuple(gen.uniform(lo, hi)) for _ in range(3)}
+        seen = []
 
         def guard(x):
-            if tuple(x) in stream:
-                rejected.append(x)
-                return False
-            return True
+            ok = tuple(x) in first  # columns raise: point by point
+            seen.append(ok)
+            return ok
 
         r = SamplingRegion(box=box(2), guard=guard)
-        with pytest.raises(RegionSamplingError, match="for sample 3;"):
+        with pytest.raises(RegionSamplingError,
+                           match="of 3006 candidates for sample 3;"):
             sample(r, 10, seed)
-        assert len(rejected) == 1000
+        assert (len(seen), sum(seen)) == (3006, 3)
+        with pytest.raises(RegionSamplingError,
+                           match="of 3001 candidates for sample 3;"):
+            reference_sample(r, 10, seed)
+
+    @pytest.mark.parametrize("count", [1, 7, 1000])
+    def test_impossible_guard_stops_after_1000_candidates(self, count):
+        drawn = []
+
+        def guard(x):
+            drawn.append(np.size(x[0]))
+            return x[0] > 2.0
+
+        r = SamplingRegion(box=((0.0, 1.0),), guard=guard)
+        with pytest.raises(RegionSamplingError, match="for sample 0;"):
+            sample(r, count, 5)
+        assert 1000 <= sum(drawn) < 1000 + count
+
+    def test_guard_that_reduces_goes_point_by_point(self):
+        # a column call giving one bool for the whole round is redone
+        # point by point
+        r = SamplingRegion(box=box(2), guard=lambda x: np.linalg.norm(x) < 2)
+        assert sample(r, 300, 9) == reference_sample(r, 300, 9)
 
     def test_no_points(self):
         assert sample(SamplingRegion(box=box(2)), 0, 1) == []
@@ -245,7 +265,7 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("guard", [None, upper_half])
     def test_one_bit_generator(self, monkeypatch, guard):
-        # rejected points too reset the one bit generator to their stream
+        # every round, rejections or not, draws from the one stream
         built = []
         philox = np.random.Philox
 
@@ -259,9 +279,10 @@ class TestBatchedSampling:
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**128 - 1), st.integers(1, 9), st.integers(0, 40))
-def test_sample_matches_per_point_generators(seed, dim, count):
-    r = SamplingRegion(box=box(dim))
+@given(st.integers(0, 2**128 - 1), st.integers(1, 9), st.integers(0, 40),
+       st.sampled_from([None, upper_half]))
+def test_sample_matches_per_point_generators(seed, dim, count, guard):
+    r = SamplingRegion(box=box(dim), guard=guard)
     assert sample(r, count, seed) == reference_sample(r, count, seed)
 
 
@@ -353,6 +374,14 @@ class TestGuardedImages:
         assert kept.tolist() == list(range(300))
         sizes = [(c.stop - c.start,) for c in column_chunks(300)]
         assert calls == sizes + sizes
+
+    def test_guard_that_reduces_goes_point_by_point(self):
+        # np.linalg.norm of the columns is one number for all the rows
+        f = SmoothMap(dim=2, forward=lambda x: x,
+                      domain_guard=lambda x: np.linalg.norm(x) < 2)
+        kept, images = guarded_images(f, np.array([[.1, .1], [3, 3], [.2, .2]]))
+        assert kept.tolist() == [0, 2]
+        assert images.tolist() == [[.1, .1], [.2, .2]]
 
     def test_circle_coordinates_are_reduced(self):
         f = rotation(1.0)

@@ -549,6 +549,28 @@ class TestLyapunov:
             f"orbit point {step} is not finite", step)
         assert (str(err.value), err.value.step) == (str(got.value), step)
 
+    @pytest.mark.parametrize("n_steps", [2000, 1124, 1125])
+    def test_forward_raising_past_a_non_finite_point(self, n_steps):
+        # x -> 2x from 2^-100 overflows at point 1124, and forward raises
+        # DomainError on that point: lyapunov and orbit both end the orbit
+        # at point 1124 as not finite, inside the second stack of 1000
+        def forward(x):
+            if not math.isfinite(jets.float_of(x[0])):
+                raise DomainError("not finite")
+            return [2.0 * x[0]]
+
+        f = SmoothMap(dim=1, forward=forward)
+        orbit = compute_orbit(f, [2.0 ** -100], n_steps)
+        assert (len(orbit), orbit.non_finite, orbit.guard_failures) == (
+            1124, 1, 0)
+        with pytest.raises(DomainError) as got:
+            lyapunov_spectrum(f, [2.0 ** -100], n_steps)
+        assert (str(got.value), got.value.step) == (
+            "orbit point 1124 is not finite", 1124)
+        assert str(got.value) == str(pytest.raises(
+            DomainError, _apply_loop_spectrum, f, [2.0 ** -100],
+            n_steps).value)
+
     def test_domain_error_reports_its_step(self):
         # f' = 1 doubles the blocks up to 64 steps: step 50 lies inside
         # the block of steps 31 to 62, where the orbit 0, 1, 2, ... leaves
