@@ -161,7 +161,7 @@ def upper_half(x):
 
 class TestBatchedSampling:
     """``sample`` draws candidates in rounds from one Philox stream and
-    checks each round's on columns; it must give the points, guard calls
+    checks each round on columns; it must give the points, guard calls
     and errors of drawing one point at a time (``reference_sample``)."""
 
     @pytest.mark.parametrize("seed", SEEDS)
