@@ -29,8 +29,9 @@ from itertools import combinations
 import numpy as np
 
 from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   ScalarField, SmoothMap, VectorField, column_chunks,
-                   guarded_images, point_stack, row_dot, row_norms, sample)
+                   ScalarField, SmoothMap, VectorField, chunk_length,
+                   column_chunks, guarded_images, point_stack, row_dot,
+                   row_norms, sample)
 from .numerics import (FLOW_TOL, IntegrationError, integrate_flow,
                        numerical_rank)
 
@@ -192,12 +193,14 @@ def _one(*values) -> list[np.ndarray]:
 
 
 def _jacobians(maps, points: np.ndarray):
-    """Per chunk of ``column_chunks``: its slice, and the (chunk, n, n)
-    Jacobian stacks of ``maps`` (maps or fields) there, in one list that
-    each chunk empties first, so one chunk's stacks are alive at a time."""
+    """Per chunk of an (n, n) quantity's ``chunk_length``: its slice, and
+    the (chunk, n, n) Jacobian stacks of ``maps`` (maps or fields) there,
+    in one list that each chunk empties first, so one chunk's stacks are
+    alive at a time."""
     n = points.shape[1]
     jac = []
-    for chunk in column_chunks(len(points)) if maps else ():
+    for chunk in (column_chunks(len(points), chunk_length((n, n)))
+                  if maps else ()):
         jac.clear()
         jac.extend(point_stack(g.jacobian_at, points[chunk], (n, n))
                    for g in maps)

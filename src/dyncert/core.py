@@ -17,6 +17,9 @@ one bool per point: comparisons combined with ``&`` take columns, while
 raises on columns, or returns another shape, is called once per point
 instead; so is a guard that reduces its columns to one bool, such as
 ``np.linalg.norm(x) < r``.
+Columns are taken a chunk of points at a time, COLUMN_CHUNK points of a
+16 x 16 Jacobian and more of a smaller quantity (:func:`chunk_length`);
+by the contract a value does not depend on its chunk.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
+from math import prod
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,13 +48,17 @@ __all__ = [
     "row_dot",
     "row_norms",
     "sample",
+    "chunk_length",
     "column_chunks",
     "on_columns",
     "point_stack",
 ]
 
-# points per call on coordinate columns: bounds the arrays of nested jets
+# points per call on coordinate columns of a quantity of CHUNK_FLOATS
+# floats per point (a 16 x 16 Jacobian) or more: bounds the arrays of
+# nested jets
 COLUMN_CHUNK = 128
+CHUNK_FLOATS = 16 * 16
 
 
 class DomainError(ValueError):
@@ -333,6 +341,14 @@ def column_chunks(count: int, longest: int = COLUMN_CHUNK) -> list[slice]:
     return [slice(i * count // k, (i + 1) * count // k) for i in range(k)]
 
 
+def chunk_length(shape=()) -> int:
+    """Points per call on coordinate columns of a quantity of ``shape``
+    per point: COLUMN_CHUNK times the quantities of its size that fit in
+    CHUNK_FLOATS floats, at least one (8192 points of a 2 x 2 Jacobian,
+    32768 of a scalar, 128 of a 16 x 16 Jacobian or larger)."""
+    return COLUMN_CHUNK * max(1, CHUNK_FLOATS // prod(shape))
+
+
 def _leaves(value, shape) -> list:
     """The entries of a nested sequence of ``shape``, in row-major order."""
     if not shape:
@@ -370,11 +386,12 @@ def on_columns(func: Callable, points: np.ndarray, shape=()):
 
 def point_stack(func: Callable, points: np.ndarray, shape=()) -> np.ndarray:
     """``func`` at each row of ``points`` as a (points, *shape) float stack:
-    one :func:`on_columns` call per chunk of :func:`column_chunks`, or,
-    where that gives None, one call per point of the chunk on a list of
-    plain floats, which raises a pole's error at its point."""
+    one :func:`on_columns` call per chunk of :func:`column_chunks` up to
+    :func:`chunk_length` long, or, where that gives None, one call per
+    point of the chunk on a list of plain floats, which raises a pole's
+    error at its point."""
     out = np.empty((len(points), *shape))
-    for chunk in column_chunks(len(points)):
+    for chunk in column_chunks(len(points), chunk_length(shape)):
         values = on_columns(func, points[chunk], shape)
         out[chunk] = (values if values is not None
                       else [func(x) for x in points[chunk].tolist()])

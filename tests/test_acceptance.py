@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dyncert import catalog
+from dyncert import catalog, core
 from dyncert.certify import (Tolerances, certify_structure,
                              flow_commutation_residual,
                              independence_rank_stats,
@@ -364,25 +364,28 @@ def test_criterion_10_lyness_symmetry_discrepancy(tmp_path):
     assert ok
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
+    # each report at the default column budget, which takes these runs'
+    # quantities in one chunk of points, against 128-point chunks for all
     runner = CliRunner()
     commands = [
         ["certify", "--map", "twist", "--samples", "150", "--seed", "42"],
         ["certify", "--map", "lyness", "--param", "n=3", "--param", "a=1",
-         "--param", "symmetry=1", "--samples", "60", "--seed", "42"],
+         "--param", "symmetry=1", "--samples", "200", "--seed", "42"],
         ["lift-certify", "--map", "linear", "--param", "blocks=2:2",
-         "--samples", "60", "--seed", "42"],
+         "--samples", "200", "--seed", "42"],
+        ["lyapunov", "--map", "cat_map", "--x0", "0.3,0.7", "-N", "1500"],
+        ["periodic", "--map", "cat_map", "-k", "2", "--seeds", "200"],
         ["list"],
     ]
-    identical = True
-    for i, cmd in enumerate(commands):
-        blobs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"c{i}_{threads}.json"
-            runner.invoke(cli_main, cmd + ["-o", str(out)],
-                          env={"DYNINT_THREADS": threads})
-            blobs.append(out.read_bytes())
-        if blobs[0] != blobs[1]:
-            identical = False
-    _report(11, "byte-identical reports across thread counts", identical)
+    blobs = {}
+    for budget in ("default", "128 points"):
+        if budget != "default":
+            monkeypatch.setattr(core, "CHUNK_FLOATS", 1)
+        for i, cmd in enumerate(commands):
+            out = tmp_path / f"c{i}_{budget}.json"
+            runner.invoke(cli_main, cmd + ["-o", str(out)])
+            blobs.setdefault(i, []).append(out.read_bytes())
+    identical = all(a == b for a, b in blobs.values())
+    _report(11, "byte-identical reports across column budgets", identical)
     assert identical

@@ -20,8 +20,8 @@ from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
 from dyncert.catalog import build
 from dyncert.constructions import lift_structure
 from dyncert.core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                          ScalarField, SmoothMap, VectorField, column_chunks,
-                          sample)
+                          ScalarField, SmoothMap, VectorField, chunk_length,
+                          column_chunks, sample)
 from dyncert.expressions import structure_from_dict
 from dyncert.jets import Jet
 from dyncert.numerics import integrate_flow
@@ -553,9 +553,13 @@ class TestPipeline:
             assert skipped >= 1
             assert together[2].skipped == skipped  # t = 1
 
-    def test_algebraic_phase_calls_each_integral_once_per_chunk(self):
-        # at the default sample count each quantity is one call per chunk
-        # of points on coordinate columns, not one call per point
+    def test_algebraic_phase_calls_each_integral_once_per_chunk(
+            self, monkeypatch):
+        # each quantity is one call on coordinate columns per chunk of
+        # points, sized by its floats per point, not one call per point; a
+        # budget of 2 points of a 16 x 16 Jacobian cuts the values into 2
+        # chunks and the gradients into 10
+        monkeypatch.setattr(core, "COLUMN_CHUNK", 2)
         f, s, region = build("lyness", n=5)
         calls = Counter()
 
@@ -567,10 +571,12 @@ class TestPipeline:
 
         s = replace(s, integrals=tuple(calling(g) for g in s.integrals))
         report = certify_structure(f, s, region, samples=1000, flow_times=())
-        chunks = len(column_chunks(1000 - report.guard_failures))
-        assert chunks > 1
+        values, gradients = (
+            len(column_chunks(1000 - report.guard_failures, chunk_length(q)))
+            for q in ((), (f.dim,)))
+        assert 1 < values < gradients
         # values at the points and at their images, and gradients
-        assert calls == {g.name: 3 * chunks for g in s.integrals}
+        assert calls == {g.name: 2 * values + gradients for g in s.integrals}
 
     def test_symplecticity_calls_the_lift_once_per_chunk(self):
         lifted, integrals, region = _lifted_target("lyness", n=4)
@@ -583,10 +589,15 @@ class TestPipeline:
         report = certify_involution(replace(lifted, forward=forward),
                                     integrals, region, samples=1000)
         # the guard pass applies the lift to every sampled point (all pass
-        # the base guard), symplecticity differentiates it at the kept ones
+        # the base guard) in one chunk of its 8 coordinates, symplecticity
+        # differentiates it at the kept ones in chunks of its 8 x 8
+        # Jacobian
+        n = lifted.dim
         assert calls == {
-            "columns": len(column_chunks(1000)),
-            "jets": len(column_chunks(1000 - report.guard_failures))}
+            "columns": len(column_chunks(1000, chunk_length((n,)))),
+            "jets": len(column_chunks(1000 - report.guard_failures,
+                                      chunk_length((n, n))))}
+        assert calls["columns"] == 1 and calls["jets"] > 1
 
     def test_involution_evaluates_the_lift_once(self):
         lifted, integrals, region = _lifted_target("lyness", n=5)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dyncert import catalog
+from dyncert import catalog, core
 from dyncert.cli import main
-from dyncert.core import column_chunks, sample
+from dyncert.core import chunk_length, column_chunks, sample
 
 from helpers import blow_ups_by_one
 
@@ -18,8 +18,8 @@ def runner():
     return CliRunner()
 
 
-def run(runner, args, env=None):
-    return runner.invoke(main, args, env=env, catch_exceptions=False)
+def run(runner, args):
+    return runner.invoke(main, args, catch_exceptions=False)
 
 
 class TestList:
@@ -439,8 +439,9 @@ class TestLiftCertify:
     def test_lyness_guard_pass_calls_the_guard_on_columns(
             self, runner, tmp_path, monkeypatch):
         # the lift's guard takes columns through its slicing wrapper: two
-        # calls per chunk in guarded_images, none point by point, and
-        # none in sample, as the lifted region carries no guard
+        # calls per chunk of its one bool per point in guarded_images, none
+        # point by point, and none in sample, as the lifted region carries
+        # no guard
         calls = []
         lyness_guard = catalog._lyness_guard
 
@@ -452,7 +453,8 @@ class TestLiftCertify:
         result = run(runner, ["lift-certify", "--map", "lyness", "--param",
                               "n=4", "-o", str(tmp_path / "lift.json")])
         assert result.exit_code == 0
-        sizes = [(c.stop - c.start,) for c in column_chunks(1000)]
+        sizes = [(c.stop - c.start,)
+                 for c in column_chunks(1000, chunk_length())]
         assert calls == sizes * 2
 
     def test_linear_lift_passes(self, runner, tmp_path):
@@ -469,18 +471,28 @@ class TestLiftCertify:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical_across_thread_counts(self, runner,
-                                                         tmp_path):
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"report_{threads}.json"
-            result = run(runner, ["certify", "--map", "twist",
-                                  "--samples", "120", "--seed", "42",
-                                  "-o", str(out)],
-                         env={"DYNINT_THREADS": threads})
-            assert result.exit_code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_reports_byte_identical_across_column_budgets(
+            self, runner, tmp_path, monkeypatch):
+        # the default budget takes each quantity of these runs in one
+        # chunk of points; a budget of 128 points for every quantity cuts
+        # them into several
+        commands = [
+            ["certify", "--map", "twist", "--samples", "300", "--seed", "42"],
+            ["lift-certify", "--map", "lyness", "--param", "n=4",
+             "--samples", "300", "--seed", "42"],
+            ["lyapunov", "--map", "cat_map", "--x0", "0.3,0.7", "-N", "2000"],
+            ["periodic", "--map", "cat_map", "-k", "2", "--seeds", "300"],
+        ]
+        outputs = {}
+        for budget in ("default", "128 points"):
+            if budget != "default":
+                monkeypatch.setattr(core, "CHUNK_FLOATS", 1)
+            for i, args in enumerate(commands):
+                out = tmp_path / f"report_{i}_{budget}.json"
+                result = run(runner, [*args, "-o", str(out)])
+                assert result.exit_code == 0
+                outputs.setdefault(i, []).append(out.read_bytes())
+        assert all(a == b for a, b in outputs.values())
 
     def test_repeat_run_identical(self, runner, tmp_path):
         blobs = []

@@ -1,8 +1,9 @@
 """Calls on coordinate columns give each point the bits of its own call.
 
 ``core.on_columns`` evaluates a callable once on a whole stack of points,
-``core.point_stack`` once per chunk of points, or one point at a time in a
-chunk where the columns fail.  These tests hold column stacks to per-point
+``core.point_stack`` once per chunk of points sized by the quantity's
+floats (``core.chunk_length``), or one point at a time in a chunk where
+the columns fail.  These tests hold column stacks to per-point
 stacks with ``np.array_equal``, a pole to the error of its own point, and
 whole reports to those of a run with the column calls switched off.
 """
@@ -23,7 +24,8 @@ from dyncert.certify import (certify_involution, certify_structure,
                              symplecticity_residual)
 from dyncert.constructions import _linear_field, cotangent_lift, lift_structure
 from dyncert.core import (IntegrabilityStructure, SamplingRegion, SmoothMap,
-                          column_chunks, on_columns, point_stack, sample)
+                          chunk_length, column_chunks, on_columns,
+                          point_stack, sample)
 from dyncert.expressions import structure_from_dict
 from dyncert.jets import DerivativeError, Jet, solve_linear
 
@@ -310,9 +312,11 @@ def test_variant_scores_equal_with_columns_off(monkeypatch):
     assert lyness_symmetry_variants(4, 2.0, seed=7) == with_columns
 
 
-def test_point_stack_calls_once_per_chunk():
-    # on_columns takes a whole stack in one call; point_stack still splits
-    # it, and only a chunk that fails on columns goes point by point
+def test_point_stack_calls_once_per_chunk(monkeypatch):
+    # on_columns takes a whole stack in one call; point_stack splits it,
+    # here under a budget of one 16 x 16 Jacobian (128 points of 2 floats),
+    # and only a chunk that fails on columns goes point by point
+    monkeypatch.setattr(core, "COLUMN_CHUNK", 1)
     points = np.reshape(sample(SamplingRegion(box=((0.0, 1.0),) * 2), 1000,
                                5), (1000, 2))
     calls = []
@@ -325,8 +329,9 @@ def test_point_stack_calls_once_per_chunk():
 
     assert on_columns(fn, points[:300], (2,)) is not None
     assert calls == [(300,)]
-    chunks = column_chunks(1000)
+    chunks = column_chunks(1000, chunk_length((2,)))
     sizes = [(c.stop - c.start,) for c in chunks]
+    assert len(chunks) == 8
     failed = next(i for i, c in enumerate(chunks) if c.start <= 300 < c.stop)
     for pole in (np.inf, points[300, 0]):
         calls.clear()
@@ -341,11 +346,24 @@ def test_point_stack_calls_once_per_chunk():
 def test_column_chunks():
     assert column_chunks(0) == []
     assert column_chunks(1) == [slice(0, 1)]
-    for count in (2, core.COLUMN_CHUNK, core.COLUMN_CHUNK + 1, 1000):
-        chunks = column_chunks(count)
-        sizes = [c.stop - c.start for c in chunks]
-        assert sum(sizes) == count and chunks[-1].stop == count
-        assert 2 <= min(sizes) and max(sizes) <= core.COLUMN_CHUNK
+    for longest in (core.COLUMN_CHUNK, chunk_length((5, 5)), 1024):
+        for count in (2, longest, longest + 1, 1000, 3 * longest - 1):
+            chunks = column_chunks(count, longest)
+            sizes = [c.stop - c.start for c in chunks]
+            assert sum(sizes) == count and chunks[-1].stop == count
+            assert 2 <= min(sizes) and max(sizes) <= longest
+            assert len(chunks) == -(-count // longest)
+    assert column_chunks(1000) == column_chunks(1000, core.COLUMN_CHUNK)
+
+
+def test_chunk_length():
+    # a budget of COLUMN_CHUNK 16 x 16 Jacobians in floats, in multiples
+    # of COLUMN_CHUNK points and never fewer
+    shapes = [(), (2,), (2, 2), (5, 5), (8, 8), (16, 16), (17, 17), (4, 8, 8)]
+    assert ([chunk_length(shape) for shape in shapes]
+            == [32768, 16384, 8192, 1280, 512, 128, 128, 128])
+    for shape in shapes:
+        assert chunk_length(shape) * min(np.prod(shape), 256) <= 128 * 256
 
 
 def _peak(run):
@@ -365,7 +383,8 @@ def test_chunked_jacobians_bound_memory():
     assert s.m == 16
     assert _peak(lambda: certify_structure(f, s, region, samples=1000,
                                            flow_times=())) < 10e6
-    # the lift's nested jets, chunk by chunk (about 0.75 MB measured)
+    # the lift's nested jets, in chunks of 512 points of its 8 x 8
+    # Jacobian (about 1.44 MB measured)
     f, s, region = build("lyness", n=4)
     lifted, integrals = lift_structure(f, s)
     assert _peak(lambda: certify_involution(

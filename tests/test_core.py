@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncert import catalog
+from dyncert import catalog, core
 from dyncert.core import (DomainError, IntegrabilityStructure,
                           RegionSamplingError, SamplingRegion, ScalarField,
-                          SmoothMap, VectorField, column_chunks,
+                          SmoothMap, VectorField, chunk_length, column_chunks,
                           guarded_images, iterate, sample)
 from helpers import reference_sample, squaring_past_5
 
@@ -179,11 +179,13 @@ class TestBatchedSampling:
         for count in (1, 7, 200):
             assert sample(r, count, seed) == reference_sample(r, count, seed)
 
-    def test_guard_sees_the_same_candidates(self):
+    def test_guard_sees_the_same_candidates(self, monkeypatch):
         # the guard gets the oracle's candidates in stream order, then at
         # most the rest of the last round, all rejected: on columns, one
         # call per chunk of a round (a round of one point goes alone), or,
-        # where the column call raises, each candidate alone after it
+        # where the column call raises, each candidate alone after it;
+        # chunks of 256 bools cut the first round of 300 in two
+        monkeypatch.setattr(core, "COLUMN_CHUNK", 1)
         region = SamplingRegion(box=box(5))
         for predicate, takes_columns in ((upper_half, True),
                                          (lambda x: 0.5 < x[0] < 10.0, False)):
@@ -199,7 +201,8 @@ class TestBatchedSampling:
             oracle = [tuple(x) for x in calls[reference_sample]]
             assert len(oracle) > 400  # about one rejection per point
             columns = [x for x in calls[sample] if np.ndim(x[0])]
-            assert len(columns) >= len(column_chunks(300))
+            chunks = column_chunks(300, chunk_length())
+            assert len(columns) >= len(chunks) == 2
             stream = [row for x in calls[sample]
                       for row in (zip(*(v.tolist() for v in x))
                                   if np.ndim(x[0]) else [tuple(x)])]
@@ -361,7 +364,9 @@ class TestGuardedImages:
             assert np.array_equal(images.reshape(-1, 2),
                                   np.reshape([y for _, y in expected], (-1, 2)))
 
-    def test_guard_calls_twice_per_chunk_on_columns(self):
+    def test_guard_calls_twice_per_chunk_on_columns(self, monkeypatch):
+        # chunks of 256 bools, on the 300 points and on their images
+        monkeypatch.setattr(core, "COLUMN_CHUNK", 1)
         calls = []
 
         def guard(x):
@@ -372,8 +377,9 @@ class TestGuardedImages:
         points = np.random.default_rng(5).uniform(0.5, 3.0, (300, 2))
         kept, _ = guarded_images(f, points)
         assert kept.tolist() == list(range(300))
-        sizes = [(c.stop - c.start,) for c in column_chunks(300)]
-        assert calls == sizes + sizes
+        sizes = [(c.stop - c.start,)
+                 for c in column_chunks(300, chunk_length())]
+        assert len(sizes) == 2 and calls == sizes + sizes
 
     def test_guard_that_reduces_goes_point_by_point(self):
         # np.linalg.norm of the columns is one number for all the rows

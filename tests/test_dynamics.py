@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyncert import catalog, dynamics, jets
-from dyncert.core import (COLUMN_CHUNK, DomainError, SamplingRegion,
-                          ScalarField, SmoothMap, VectorField, column_chunks,
+from dyncert import catalog, core, dynamics, jets
+from dyncert.core import (DomainError, SamplingRegion, ScalarField, SmoothMap,
+                          VectorField, chunk_length, column_chunks,
                           orbit_points, point_stack, sample)
 from dyncert.dynamics import (ConvergenceError, NonMonotoneMapError,
                               compute_orbit, estimate_translation_vector,
@@ -184,10 +184,15 @@ class TestPeriodicPoints:
             kept_rows.append(len(kept))
             return kept, images
 
-        # the rows run from three chunks down to one as seeds converge
+        # the rows run from three chunks down to one as seeds converge,
+        # under a budget that takes 128 points of the 2 x 2 Jacobian (the
+        # default takes 8192, all the seeds in one chunk), and the roots
+        # are those found at the default budget
         lyness, _, region = catalog.build("lyness", n=2, a=2.0)
-        seeds = 2 * COLUMN_CHUNK + 50
+        seeds = 306
         expected = find_periodic_points(lyness, 3, region, seeds, 1)
+        monkeypatch.setattr(core, "COLUMN_CHUNK", 2)
+        assert chunk_length((2, 2)) == 128
         core_guarded_images = dynamics.guarded_images
         monkeypatch.setattr(dynamics, "guarded_images", guarded_images)
         f = Counting(**vars(lyness))
@@ -197,7 +202,7 @@ class TestPeriodicPoints:
         # one call on columns per chunk of the rows kept; the divisor check
         # takes no Jacobian
         assert calls == [(c.stop - c.start,) for rows in kept_rows
-                         for c in column_chunks(rows)]
+                         for c in column_chunks(rows, 128)]
 
 
 def _reference_periodic_points(f, k, starts):
@@ -416,7 +421,7 @@ class TestLyapunov:
         ("lyness", {"n": 3}, [1.0, 2.0, 1.5])])
     @pytest.mark.parametrize("n_steps", [100, 129, 2000, 2049])
     def test_jacobians_take_one_column_call_per_chunk(self, name, params, x0,
-                                                      n_steps):
+                                                      n_steps, monkeypatch):
         f = catalog.build(name, **params)[0]
         calls = Counter()
 
@@ -425,14 +430,25 @@ class TestLyapunov:
             calls["columns" if column else "points"] += 1
             return _forward(z)
 
-        lyapunov_spectrum(replace(f, forward=forward), x0, n_steps)
         # the orbit applies f once per step; its Jacobians come from one
-        # call per chunk of at most COLUMN_CHUNK steps of each stack of at
-        # most JACOBIAN_STACK: 2049 steps are three stacks of 683 steps,
-        # six chunks each
-        assert (COLUMN_CHUNK, dynamics.JACOBIAN_STACK) == (128, 1024)
-        columns = {100: 1, 129: 2, 2000: 16, 2049: 18}[n_steps]
-        assert calls == {"points": n_steps, "columns": columns}
+        # call per chunk of chunk_length((n, n)) steps of each stack of at
+        # most JACOBIAN_STACK: 2049 steps are three stacks of 683 steps.
+        # At the default budget (8192 steps of the cat map's Jacobian, 2048
+        # of the twist's, 3584 of Lyness n = 3) a stack is one chunk; a
+        # budget of 2 points of a 16 x 16 Jacobian (128 steps of the cat
+        # map's, 32 of the twist's, 56 of Lyness n = 3) cuts it into several
+        assert dynamics.JACOBIAN_STACK == 1024
+        columns = []
+        for column_chunk in (core.COLUMN_CHUNK, 2):
+            monkeypatch.setattr(core, "COLUMN_CHUNK", column_chunk)
+            calls.clear()
+            lyapunov_spectrum(replace(f, forward=forward), x0, n_steps)
+            length = chunk_length((f.dim, f.dim))
+            columns.append(sum(
+                len(column_chunks(c.stop - c.start, length))
+                for c in column_chunks(n_steps, dynamics.JACOBIAN_STACK)))
+            assert calls == {"points": n_steps, "columns": columns[-1]}
+        assert columns[0] == {100: 1, 129: 1, 2000: 2, 2049: 3}[n_steps]
 
     @pytest.mark.parametrize("scales", [(1e200,), (1e200, 1e-200)],
                              ids=["1-D", "2-D"])

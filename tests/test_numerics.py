@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dyncert import numerics
 from dyncert.constructions import _linear_field
-from dyncert.core import COLUMN_CHUNK, DomainError
+from dyncert.core import DomainError
 from dyncert.expressions import structure_from_dict
 from dyncert.numerics import (IntegrationError, eigen_moduli, integrate_flow,
                               numerical_rank)
@@ -301,14 +301,14 @@ class TestIntegrateFlow:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step_control_rows_equal_alone_in_a_long_stack(self):
-        # every branch of the step update, with more rows than a column
-        # chunk: [0, 0] has zero error (the step grows 5 times), x' = e^x
+        # every branch of the step update, in one stack of 135 rows (the
+        # integrator takes all rows in each call): [0, 0] has zero error (the step grows 5 times), x' = e^x
         # from 700 blows up with NaN errors (it shrinks 5 times), x' = x^2
         # from 3 blows up with finite errors, and x' = -x decays.  Each row
         # ends where it ends alone, and alone it takes the steps and ends
         # where the scalar loop does, whose step update takes Python's **
         # (np.power rounds otherwise)
-        rows = COLUMN_CHUNK + 7
+        rows = 135
         starts = np.column_stack([np.zeros(rows), np.random.default_rng(
             3).uniform(-2.0, 2.0, rows)])
         starts[:3] = [[0.0, 0.0], [2.0, 700.0], [1.0, 3.0]]
