@@ -14,9 +14,9 @@ with :func:`~dyncert.jets.left_sum`).  A map's ``domain_guard`` and a
 region's ``guard`` are called on plain-float columns the same way and give
 one bool per point: comparisons combined with ``&`` take columns, while
 ``and``, ``all`` or a chained comparison raise on them.  A callable that
-raises on columns, or returns another shape, is called once per point
-instead; so is a guard that reduces its columns to one bool, such as
-``np.linalg.norm(x) < r``.
+raises on columns, or returns another shape or a complex entry, is called
+once per point instead; so is a guard that reduces its columns to one
+bool, such as ``np.linalg.norm(x) < r``.
 Columns are taken a chunk of points at a time, COLUMN_CHUNK points of a
 16 x 16 Jacobian and more of a smaller quantity (:func:`chunk_length`);
 by the contract a value does not depend on its chunk.
@@ -363,25 +363,37 @@ def on_columns(func: Callable, points: np.ndarray, shape=()):
     list of its n coordinate columns (:func:`point_stack` splits jets into
     chunks); a (points, *shape) float stack, or None.
 
-    A constant entry of the result is broadcast over the rows.  The call
-    runs under ``np.errstate(all="raise")``, so a pole or an overflow
-    raises; when the call raises, an entry has another shape, or ``points``
-    holds fewer than two points, the result is None and the caller
-    evaluates each point on its own."""
-    if len(points) < 2:
+    A result whose entries are all columns is copied in one piece, any
+    other entry by entry, a constant entry broadcast over the rows.  Either
+    way the stack is the transpose of a C-ordered (*shape, points) array,
+    so each column of a (points, n) stack is contiguous.  The call runs
+    under ``np.errstate(all="raise")``, so a pole or an overflow raises;
+    when the call raises, an entry has another shape or a complex value, or
+    ``points`` holds fewer than two points, the result is None and the
+    caller evaluates each point on its own."""
+    count = len(points)
+    if count < 2:
         return None
-    out = np.empty((len(points), *shape))
     try:
         with np.errstate(all="raise"):
-            leaves = _leaves(func(list(points.T)), shape)
-            for column, leaf in zip(out.reshape(len(points), -1).T, leaves,
-                                    strict=True):
-                if np.shape(leaf) not in ((), column.shape):
-                    raise ValueError("wrong shape")
-                column[...] = leaf
+            value = func(list(points.T))
+            try:
+                out = np.array(value)
+                whole = (out.shape == (*shape, count)
+                         and out.dtype.kind in "biuf")
+            except (ValueError, TypeError):  # ragged
+                whole = False
+            if not whole:
+                out = np.empty((*shape, count))
+                for row, leaf in zip(out.reshape(-1, count),
+                                     _leaves(value, shape), strict=True):
+                    if np.shape(leaf) not in ((), row.shape):
+                        raise ValueError("wrong shape")
+                    np.copyto(row, leaf, casting="same_kind")  # not complex
     except Exception:  # a real error recurs in the per-point call
         return None
-    return out
+    return out.astype(float, copy=False).transpose(len(shape),
+                                                   *range(len(shape)))
 
 
 def point_stack(func: Callable, points: np.ndarray, shape=()) -> np.ndarray:

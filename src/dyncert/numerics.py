@@ -11,7 +11,9 @@ last stage as the next step's first, so a step costs six field evaluations.
 On a stack of points each stage is one field call on the coordinate columns
 of all running rows; each row keeps its own flow time and step size and
 ends bit for bit where it would alone, so the flows of one field for
-several times are one call.
+several times are one call.  The state is kept coordinate by coordinate,
+so the field gets contiguous columns, and the seven stages of a step are
+one stack: each stage sum is one product and one reduction over it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ _A = [
 ]
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
+# the weights of each stage sum, and the fourth-order weights last, as
+# (stages, 1, 1) arrays over a (7, n, rows) stage stack
+_WEIGHTS = [np.reshape(w, (-1, 1, 1)) for w in (*_A, _B4)]
 
 
 def integrate_flow(field, x0, t: float | np.ndarray,
@@ -108,35 +113,44 @@ def integrate_flow(field, x0, t: float | np.ndarray,
     errors = {}  # row -> the error that ended it
     columns = True  # until the field fails on columns, or one row runs
 
-    def rhs(state, rows):  # a row that has failed reads NaN
+    def rhs(state, rows):  # (n, rows) to (n, rows); a failed row reads NaN
         nonlocal columns
-        values = on_columns(field, state, state.shape[1:]) if columns else None
+        values = (on_columns(field, state.T, state.shape[:1]) if columns
+                  else None)
         columns = values is not None
         if columns:
-            return values
+            return values.T
         values = np.empty_like(state)
         for r, i in enumerate(rows):
             try:
-                values[r] = np.nan if i in errors else field(list(state[r]))
+                values[:, r] = (np.nan if i in errors
+                                else field(list(state[:, r])))
             except DomainError as err:
                 errors[i] = err
-                values[r] = np.nan
+                values[:, r] = np.nan
         return values
 
     def fail(mask, message):
         for i, e in zip(rows[mask], (direction * elapsed)[mask]):
             errors[i] = IntegrationError(f"{message} t={e:g}")
 
-    # the rows still running, and their state, time, direction, step size
-    # and elapsed time; every running row has attempted ``steps`` steps
+    # the rows still running: their state y and stages k (k[0] is the
+    # first stage, FSAL), coordinate by coordinate, as one (8, n, rows)
+    # stack; and their time, direction, step size and elapsed time as one
+    # (4, rows) stack, so the rows that end are dropped by two takes once
+    # every state is written out.  Every running row has attempted
+    # ``steps`` steps
     times = np.broadcast_to(times, out.shape[:1])
     rows = np.flatnonzero(times)
-    y, times = out[rows], times[rows]
-    t_abs, direction = np.abs(times), np.sign(times)
-    h = t_abs / 100.0
-    elapsed = np.zeros(len(y))
+    stack = np.empty((8, out.shape[1], len(rows)))
+    stack[0] = out[rows].T
+    t_abs = np.abs(times[rows])
+    per_row = np.array([t_abs, np.sign(times[rows]), t_abs / 100.0,
+                        np.zeros(len(rows))])
+    y, k = stack[0], stack[1:]
+    t_abs, direction, h, elapsed = per_row
     steps = 0
-    first = rhs(y, rows)  # each row's first stage (FSAL)
+    k[0] = rhs(y, rows)
     while True:
         running = elapsed < t_abs
         if errors:
@@ -149,33 +163,48 @@ def integrate_flow(field, x0, t: float | np.ndarray,
             fail(under, "step size underflow near")
             running &= ~under
         if not running.all():
-            out[rows[~running]] = y[~running]
-            rows, y, first, t_abs, direction, h, elapsed = (
-                v[running] for v in (rows, y, first, t_abs, direction, h,
-                                     elapsed))
+            out[rows] = y.T
+            keep = np.flatnonzero(running)
+            rows, per_row = rows[keep], per_row.take(keep, 1)
+            kept, stack = stack[:2], np.empty((8, len(y), len(rows)))
+            kept.take(keep, 2, out=stack[:2])
+            y, k = stack[0], stack[1:]
+            t_abs, direction, h, elapsed = per_row
         if not rows.size:
             break
         steps += 1
-        last = h >= t_abs - elapsed
-        h = np.where(last, t_abs - elapsed, h)
-        hd = (direction * h)[:, None]
-        k = [first] + [None] * 6
+        left = t_abs - elapsed
+        last = h >= left
+        np.copyto(h, left, where=last)
+        hd = direction * h
+        # a reduction over the stages from an initial 0 adds them left to
+        # right, as Python's sum does
         for i in range(1, 7):
-            yi = y + hd * sum(_A[i][j] * k[j] for j in range(i))
+            yi = y + hd * np.add.reduce(_WEIGHTS[i] * k[:i], initial=0.0)
             k[i] = rhs(yi, rows)
         # the last stage's point yi is the fifth-order solution
-        y4 = y + hd * sum(_B4[i] * k[i] for i in range(7))
+        y4 = y + hd * np.add.reduce(_WEIGHTS[7] * k, initial=0.0)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(yi))
-        err = np.sqrt(np.mean(((yi - y4) / scale) ** 2, axis=1))
+        # squared into (rows, n) C order: a row's n entries are then summed
+        # as np.mean sums one point's
+        err = np.sqrt(np.add.reduce(np.square(((yi - y4) / scale).T,
+                                              order="C"), axis=1) / len(y))
         ok = err <= 1.0
-        y = np.where(ok[:, None], yi, y)
-        first = np.where(ok[:, None], k[6], first)
-        elapsed = np.where(ok, np.where(last, t_abs, elapsed + h), elapsed)
+        if ok.all():  # no row rejected its step: plain copies
+            y[...] = yi
+            k[0] = k[6]
+            np.add(elapsed, h, out=elapsed)
+            np.copyto(elapsed, t_abs, where=last)
+        else:
+            np.copyto(y, yi, where=ok)
+            np.copyto(k[0], k[6], where=ok)
+            np.add(elapsed, h, out=elapsed, where=ok)
+            np.copyto(elapsed, t_abs, where=ok & last)
         # Python's **: np.power rounds some errors otherwise.  A zero error
         # gives inf (the step grows 5 times), fmax takes NaN to 0.2
         with np.errstate(divide="ignore"):
             growth = [u ** 0.2 for u in (1.0 / err).tolist()]
-        h = h * np.fmin(5.0, np.fmax(0.2, 0.9 * np.array(growth)))
+        h *= np.fmin(5.0, np.fmax(0.2, 0.9 * np.array(growth)))
     if single and errors:
         raise errors[0]
     out[list(errors)] = np.nan

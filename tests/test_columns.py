@@ -10,6 +10,7 @@ whole reports to those of a run with the column calls switched off.
 
 import builtins
 import json
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -27,7 +28,7 @@ from dyncert.core import (IntegrabilityStructure, SamplingRegion, SmoothMap,
                           chunk_length, column_chunks, on_columns,
                           point_stack, sample)
 from dyncert.expressions import structure_from_dict
-from dyncert.jets import DerivativeError, Jet, solve_linear
+from dyncert.jets import DerivativeError, Jet, jet_jacobian, solve_linear
 
 # every catalog entry that ships a structure
 STRUCTURES = [
@@ -341,6 +342,74 @@ def test_point_stack_calls_once_per_chunk(monkeypatch):
             expected[failed + 1:failed + 1] = [()] * sizes[failed][0]
         assert calls == expected
         assert np.array_equal(stack, _per_point(fn, points, (2,)))
+
+
+def _counted(fn):
+    """``fn`` with a ``calls`` attribute counting its calls."""
+    def counted(x):
+        counted.calls += 1
+        return fn(x)
+    counted.calls = 0
+    return counted
+
+
+def _leaf_path(value, shape, count):
+    """A column result copied entry by entry into a (count, *shape) stack,
+    a constant entry broadcast: what ``on_columns`` gives whether or not
+    the entries are all whole columns."""
+    out = np.empty((count, *shape))
+    for column, leaf in zip(out.reshape(count, -1).T,
+                            core._leaves(value, shape), strict=True):
+        column[...] = leaf
+    return out
+
+
+# (label, callable, shape) that on_columns takes: whole columns, a
+# broadcast constant (a negative zero and an int), a Jacobian whose rows
+# hold jets.ZERO, and a guard's bools
+TAKEN = [
+    ("whole columns", lambda x: [x[0] * x[1], x[1] - x[0], x[2]], (3,)),
+    ("constant entries", lambda x: [x[0] * 2.0, -0.0, 1], (3,)),
+    ("jacobian with ZERO", lambda x: jet_jacobian(
+        lambda v: [v[0] * v[1], 2.0, v[2]], x), (3, 3)),
+    ("guard bools", lambda x: (x[0] > 0.5) & (x[1] < 0.7), ()),
+]
+# and those it refuses: a raise, a pole, a wrong shape, a complex value
+REFUSED = [
+    ("raises", lambda x: [math.sin(x[0]), x[1], x[2]], (3,)),
+    ("pole", lambda x: [x[1] / (x[0] - x[0]), x[1], x[2]], (3,)),
+    ("too few entries", lambda x: [x[0], x[1]], (3,)),
+    ("short column", lambda x: [x[0][:-1], x[1], x[2]], (3,)),
+    ("nested entry", lambda x: [x, x[1], x[2]], (3,)),
+    ("complex column", lambda x: [x[0] * 1j, x[1], x[2]], (3,)),
+    ("complex constant", lambda x: [x[0], 1j, x[2]], (3,)),
+]
+
+
+@pytest.mark.parametrize("label, fn, shape", TAKEN, ids=[c[0] for c in TAKEN])
+def test_on_columns_equals_the_leaf_path(monkeypatch, label, fn, shape):
+    # bit for bit, signs of zero included, from one call per chunk
+    points = np.random.default_rng(4).uniform(0.0, 1.0, (200, 3))
+    counted = _counted(fn)
+    stack = on_columns(counted, points, shape)
+    assert counted.calls == 1
+    assert stack.shape == (200, *shape) and stack.dtype == float
+    leaf = _leaf_path(fn(list(points.T)), shape, 200)
+    assert stack.tobytes() == leaf.tobytes()
+    assert np.array_equal(stack, _per_point(fn, points, shape))
+    monkeypatch.setattr(core, "COLUMN_CHUNK", 1)  # several chunks
+    counted = _counted(fn)
+    assert point_stack(counted, points, shape).tobytes() == leaf.tobytes()
+    assert counted.calls == len(column_chunks(200, chunk_length(shape)))
+
+
+@pytest.mark.parametrize("label, fn, shape", REFUSED,
+                         ids=[c[0] for c in REFUSED])
+def test_on_columns_refuses(label, fn, shape):
+    counted = _counted(fn)
+    points = np.random.default_rng(4).uniform(0.0, 1.0, (20, 3))
+    assert on_columns(counted, points, shape) is None
+    assert counted.calls == 1
 
 
 def test_column_chunks():

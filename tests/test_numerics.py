@@ -338,10 +338,12 @@ class TestIntegrateFlow:
     @given(st.sampled_from(["linear", "constant", "rotation", "expression",
                             "late", "branching"]),
            st.integers(min_value=1, max_value=12),
-           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=16),
            st.floats(min_value=-2.0, max_value=2.0),
            st.integers(min_value=0, max_value=2**32 - 1))
     def test_stack_rows_equal_the_scalar_loop(self, kind, p, n, t, seed):
+        # up to the dimension numerics is sized for: from n = 8 on, a
+        # point's error norm sums its n entries pairwise, not in order
         rng = np.random.default_rng(seed)
         fld = _field(kind, n, rng)
         x0 = rng.uniform(-2.0, 2.0, (p, n))
@@ -353,6 +355,24 @@ class TestIntegrateFlow:
             except IntegrationError:
                 ref = np.full(n, np.nan)
             assert np.array_equal(end, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_start_layout_leaves_the_ends(self, n):
+        # C order, F order and a strided view of the same starts end in
+        # the same bits: the state is kept coordinate by coordinate and
+        # each row's error norm is summed over its own n entries
+        rng = np.random.default_rng(n)
+        fld = _field("linear", n, rng)
+        x0 = rng.uniform(-2.0, 2.0, (40, n))
+        times = rng.uniform(-1.0, 1.0, 40)
+        ends = integrate_flow(fld, x0, times)
+        wide = np.zeros((80, 2 * n))
+        wide[::2, ::2] = x0
+        for start in (np.asfortranarray(x0), wide[::2, ::2]):
+            assert (integrate_flow(fld, start, times).tobytes()
+                    == ends.tobytes())
+        for row, t, end in zip(x0, times, ends):
+            assert np.array_equal(end, _reference_flow(fld, row, t))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["linear", "constant", "rotation", "expression",
