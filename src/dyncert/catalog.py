@@ -14,9 +14,9 @@ from . import jets
 from .certify import commutation_residuals
 from .constructions import (JordanBlockSpec, affine1d_symmetry,
                             linear_commutative_family, linear_map)
-from .core import (IntegrabilityStructure, SamplingRegion, ScalarField,
-                   SmoothMap, VectorField, guarded_images, point_stack,
-                   sample)
+from .core import (SEED, IntegrabilityStructure, SamplingRegion,
+                   ScalarField, SmoothMap, VectorField, guarded_images,
+                   point_stack, sample)
 from .jets import left_sum
 
 __all__ = [
@@ -41,7 +41,6 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     parameters: dict  # name -> {"default": ..., "doc": ...}
     builder: Callable
     expected: dict
@@ -51,7 +50,7 @@ class CatalogEntry:
 # -- affine 1-D ------------------------------------------------------------
 
 
-def _build_affine1d(a: float = 2.0, b: float = 3.0):
+def _build_affine1d(a, b):
     a, b = float(a), float(b)
     if a == 0.0:
         raise ParameterError("affine1d needs a != 0")
@@ -68,7 +67,7 @@ def _build_affine1d(a: float = 2.0, b: float = 3.0):
 # -- rigid rotation ---------------------------------------------------------
 
 
-def _build_rigid_rotation(a: float = 1.0):
+def _build_rigid_rotation(a):
     a = float(a)
 
     def fwd(x):
@@ -85,7 +84,7 @@ def _build_rigid_rotation(a: float = 1.0):
 # -- warned circle map (near-identity but not C^1 integrable) ---------------
 
 
-def _build_warned_circle(k: int = 2, eps: float = 0.3):
+def _build_warned_circle(k, eps):
     k = int(k)
     eps = float(eps)
     if k < 1:
@@ -123,7 +122,7 @@ def parse_blocks(text: str) -> JordanBlockSpec:
     return JordanBlockSpec(blocks=tuple(blocks))
 
 
-def _build_linear(blocks="2:2"):
+def _build_linear(blocks):
     spec = blocks if isinstance(blocks, JordanBlockSpec) else parse_blocks(blocks)
     f = linear_map(spec)
     s = linear_commutative_family(spec)
@@ -157,10 +156,7 @@ def lyness_map(n: int, a: float) -> SmoothMap:
 
     def fwd(x):
         tail = x[1:]
-        acc = a
-        for v in tail:
-            acc = acc + v
-        return list(tail) + [acc / x[0]]
+        return list(tail) + [left_sum((a, *tail)) / x[0]]
 
     return SmoothMap(dim=n, forward=fwd, domain_guard=_lyness_guard,
                      name=f"lyness{n}")
@@ -173,13 +169,6 @@ def _lyness_guard(x):
     for v in x[1:]:
         ok = ok & (v > 1e-3)
     return ok
-
-
-def _prod(values):
-    acc = 1.0
-    for v in values:
-        acc = acc * v
-    return acc
 
 
 def lyness_integrals(n: int, a: float) -> tuple[ScalarField, ...]:
@@ -197,20 +186,15 @@ def lyness_integrals(n: int, a: float) -> tuple[ScalarField, ...]:
     out = []
 
     def f1(x):
-        s = a
-        for v in x:
-            s = s + v
-        return s * _prod(v + 1 for v in x) / _prod(x)
+        return left_sum((a, *x)) * math.prod(v + 1 for v in x) / math.prod(x)
 
     out.append(ScalarField(dim=n, func=f1, name="F1"))
 
     if n >= 3:
         def f2(x):
-            s = a + x[0] * x[n - 1]
-            for v in x:
-                s = s + v
-            return s * _prod(x[j] + x[j + 1] + 1 for j in range(n - 1)) \
-                / _prod(x)
+            s = left_sum((a + x[0] * x[n - 1], *x))
+            return s * math.prod(x[j] + x[j + 1] + 1 for j in range(n - 1)) \
+                / math.prod(x)
 
         out.append(ScalarField(dim=n, func=f2, name="F2"))
 
@@ -218,12 +202,10 @@ def lyness_integrals(n: int, a: float) -> tuple[ScalarField, ...]:
         k = (n - 1) // 2
 
         def f3(x):
-            odd = _prod(x[2 * j] * (x[2 * j] + 1) for j in range(k + 1))
-            s = a
-            for v in x:
-                s = s + v
-            even = _prod(x[2 * j + 1] * (x[2 * j + 1] + 1) for j in range(k))
-            return (odd + s * even) / _prod(x)
+            odd = math.prod(x[2 * j] * (x[2 * j] + 1) for j in range(k + 1))
+            even = math.prod(x[2 * j + 1] * (x[2 * j + 1] + 1)
+                             for j in range(k))
+            return (odd + left_sum((a, *x)) * even) / math.prod(x)
 
         out.append(ScalarField(dim=n, func=f3, name="F3"))
     return tuple(out)
@@ -236,24 +218,24 @@ def _lyness_v1_components(n: int, signs=(1.0, 1.0, 1.0, 1.0),
     s1, s2, s3, s4 = signs
 
     def ev(x):
-        px = _prod(x)
+        px = math.prod(x)
         out = []
         # first component
         s = left_sum(x[j] for j in range(n - 1)) + s1 * (-x[1] * x[n - 1])
-        p = _prod(x[j] + x[j + 1] + 1 for j in range(1, n - 1))
+        p = math.prod(x[j] + x[j + 1] + 1 for j in range(1, n - 1))
         out.append((x[0] + 1) * s * p / px)
         # middle components l = 2..n-1 (1-based)
         for l in range(2, n):
             s_mid = left_sum(x[j] for j in range(n - 1)) + s3 * (x[0] * x[n - 1])
             diff = s4 * (x[l - 2] - x[l])
             hi = n - 1 + mid_hi_shift
-            p_mid = _prod(x[j] + x[j + 1] + 1
-                          for j in range(hi)
-                          if j not in (l - 2, l - 1))
+            p_mid = math.prod(x[j] + x[j + 1] + 1
+                              for j in range(hi)
+                              if j not in (l - 2, l - 1))
             out.append((x[l - 1] + 1) * s_mid * diff * p_mid / px)
         # last component
         s_last = left_sum(x[j] for j in range(1, n - 1)) + s2 * (-x[0] * x[n - 2])
-        p_last = _prod(x[j] + x[j + 1] + 1 for j in range(n - 2))
+        p_last = math.prod(x[j] + x[j + 1] + 1 for j in range(n - 2))
         out.append((x[n - 1] + 1) * s_last * p_last / px)
         return out
 
@@ -274,14 +256,15 @@ def lyness_symmetry_field(n: int, a: float) -> VectorField:
                        name="v1_unverified")
 
 
-def lyness_symmetry_variants(n: int, a: float, points: int = 50,
-                             seed: int = 42):
-    """Score sign/index-bound perturbations of the candidate symmetry field.
+def lyness_symmetry_variants(f: SmoothMap, points: int = 50,
+                             seed: int = SEED):
+    """Score sign/index-bound perturbations of the candidate symmetry field
+    against ``f``, a Lyness map (:func:`lyness_map`).
 
     Returns (descriptor, max normalized commutation residual) pairs for the
     48 variants that evaluate, sorted best first.
     """
-    f = lyness_map(n, a)
+    n = f.dim
     region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
     pts = np.reshape(sample(region, points, seed), (points, n))
     kept, images = guarded_images(f, pts)
@@ -307,7 +290,7 @@ def lyness_symmetry_variants(n: int, a: float, points: int = 50,
     return results
 
 
-def _build_lyness(n: int = 2, a: float = 1.0, symmetry: int = 0):
+def _build_lyness(n, a, symmetry):
     n = int(n)
     a = float(a)
     f = lyness_map(n, a)
@@ -342,7 +325,7 @@ def _twist_gradient_matrix(n: int) -> np.ndarray:
     return c
 
 
-def _build_twist(n: int = 2):
+def _build_twist(n):
     n = int(n)
     if n < 1:
         raise ParameterError("twist needs n >= 1")
@@ -375,21 +358,18 @@ def _build_twist(n: int = 2):
 
 CATALOG: dict[str, CatalogEntry] = {
     "affine1d": CatalogEntry(
-        name="affine1d",
         parameters={"a": {"default": 2.0, "doc": "slope, nonzero"},
                     "b": {"default": 3.0, "doc": "offset"}},
         builder=_build_affine1d,
         expected={"verdict": "PASS", "structure": "(1,0)"},
     ),
     "rigid_rotation": CatalogEntry(
-        name="rigid_rotation",
         parameters={"a": {"default": 1.0, "doc": "rotation angle"}},
         builder=_build_rigid_rotation,
         expected={"verdict": "PASS", "structure": "(1,0)",
                   "rotation_number": "a / 2 pi"},
     ),
     "warned_circle": CatalogEntry(
-        name="warned_circle",
         parameters={"k": {"default": 2, "doc": "integer >= 1"},
                     "eps": {"default": 0.3, "doc": "0 < eps < 1/k"}},
         builder=_build_warned_circle,
@@ -401,14 +381,12 @@ CATALOG: dict[str, CatalogEntry] = {
                "or first integral; ships without a structure"),
     ),
     "linear": CatalogEntry(
-        name="linear",
         parameters={"blocks": {"default": "2:2",
                                "doc": "block list 'lambda:size,...'"}},
         builder=_build_linear,
         expected={"verdict": "PASS", "structure": "(n,0)"},
     ),
     "cat_map": CatalogEntry(
-        name="cat_map",
         parameters={},
         builder=_build_cat_map,
         expected={"verdict": None,
@@ -417,7 +395,6 @@ CATALOG: dict[str, CatalogEntry] = {
         notes="no structure certified; chaotic on the torus",
     ),
     "lyness": CatalogEntry(
-        name="lyness",
         parameters={"n": {"default": 2, "doc": "dimension, 2..5"},
                     "a": {"default": 1.0, "doc": "positive parameter"},
                     "symmetry": {"default": 0,
@@ -435,7 +412,6 @@ CATALOG: dict[str, CatalogEntry] = {
                "as F1 and F2"),
     ),
     "twist": CatalogEntry(
-        name="twist",
         parameters={"n": {"default": 2, "doc": "degrees of freedom"}},
         builder=_build_twist,
         expected={"verdict": "PASS", "structure": "(n,n)"},
@@ -444,7 +420,8 @@ CATALOG: dict[str, CatalogEntry] = {
 
 
 def build(name: str, **params):
-    """Instantiate a catalog entry: (map, structure or None, region)."""
+    """Instantiate a catalog entry: (map, structure or None, region), from
+    the entry's declared defaults overridden by ``params``."""
     if name not in CATALOG:
         raise ParameterError(f"unknown catalog map '{name}'; "
                              f"known: {', '.join(sorted(CATALOG))}")
@@ -453,7 +430,8 @@ def build(name: str, **params):
     if unknown:
         raise ParameterError(f"unknown parameters for {name}: "
                              f"{', '.join(sorted(unknown))}")
-    return entry.builder(**params)
+    defaults = {k: spec["default"] for k, spec in entry.parameters.items()}
+    return entry.builder(**defaults | params)
 
 
 def list_entries() -> list[dict]:
@@ -461,7 +439,7 @@ def list_entries() -> list[dict]:
     for name in sorted(CATALOG):
         e = CATALOG[name]
         item = {
-            "name": e.name,
+            "name": name,
             "parameters": {k: v for k, v in sorted(e.parameters.items())},
             "expected": e.expected,
         }

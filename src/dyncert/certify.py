@@ -28,12 +28,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   ScalarField, SmoothMap, VectorField, chunk_length,
-                   column_chunks, guarded_images, point_stack, row_dot,
-                   row_norms, sample)
-from .numerics import (FLOW_TOL, IntegrationError, integrate_flow,
-                       numerical_rank)
+from .core import (SAMPLES, SEED, DomainError, IntegrabilityStructure,
+                   SamplingRegion, ScalarField, SmoothMap, VectorField,
+                   chunk_length, column_chunks, guarded_images, point_stack,
+                   row_dot, row_norms, sample)
+from .numerics import (DEFAULT_RANK_THRESHOLD, FLOW_TOL, IntegrationError,
+                       integrate_flow, numerical_rank)
 
 __all__ = [
     "CAVEAT",
@@ -67,7 +67,7 @@ FLOW_POINT_CAP = 50
 class Tolerances:
     algebraic_tol: float = 1e-9
     flow_tol: float = 1e-7
-    rank_threshold: float = 1e-8
+    rank_threshold: float = DEFAULT_RANK_THRESHOLD
     ae_fraction: float = 0.99
 
     def __post_init__(self):
@@ -127,7 +127,6 @@ class CertificationReport:
     seed: int
     tolerances: Tolerances
     guard_failures: int = 0
-    caveat: str = CAVEAT
 
     @property
     def verdict(self) -> str:
@@ -157,7 +156,7 @@ class CertificationReport:
             "guard_failures": self.guard_failures,
             "conditions": [c.to_dict() for c in self.conditions],
             "verdict": self.verdict,
-            "caveat": self.caveat,
+            "caveat": CAVEAT,
         }
 
 
@@ -289,7 +288,8 @@ def flow_commutation_residual(f: SmoothMap, x_field: VectorField, x, t: float,
     return residual[0]
 
 
-def independence_rank_stats(columns, points, threshold: float = 1e-8):
+def independence_rank_stats(columns, points,
+                            threshold: float = DEFAULT_RANK_THRESHOLD):
     """Fraction of points where the given columns have full rank.
 
     ``columns`` is a list of vector fields (values as columns) or scalar
@@ -388,7 +388,7 @@ def _flow_displacements(f: SmoothMap, x_field: VectorField,
         yield both[kept], f.displacement(left, end[q + both[kept]])
 
 
-def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int | None,
+def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int,
                 seed: int):
     """Sample once and keep the points that ``f`` maps inside its guard
     (``core.guarded_images``), counting the others.  Returns the kept
@@ -400,10 +400,10 @@ def _guard_pass(f: SmoothMap, region: SamplingRegion, samples: int | None,
 
 def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
                       region: SamplingRegion,
-                      tol: Tolerances | None = None,
+                      tol: Tolerances = Tolerances(),
                       flow_times=FLOW_TIMES,
-                      samples: int | None = None,
-                      seed: int | None = None,
+                      samples: int = SAMPLES,
+                      seed: int = SEED,
                       map_name: str = "",
                       parameters: dict | None = None) -> CertificationReport:
     """Run every applicable integrability condition over sampled points.
@@ -417,8 +417,6 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     if not all(abs(t) <= MAX_FLOW_TIME for t in flow_times):
         raise ValueError(f"flow times must be finite with |t| <= "
                          f"{MAX_FLOW_TIME:g}, got {tuple(flow_times)}")
-    tol = tol or Tolerances()
-    seed = region.rng_seed if seed is None else seed
     fields, integrals = s.fields, s.integrals
     pairs = list(combinations(range(len(fields)), 2))
     dim = f.dim
@@ -497,9 +495,9 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
 
 
 def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
-                       tol: Tolerances | None = None,
-                       samples: int | None = None,
-                       seed: int | None = None,
+                       tol: Tolerances = Tolerances(),
+                       samples: int = SAMPLES,
+                       seed: int = SEED,
                        map_name: str = "",
                        parameters: dict | None = None) -> CertificationReport:
     """Liouville-style certification of a symplectic map with integrals.
@@ -508,8 +506,6 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
     Poisson brackets (involution) and gradient independence over sampled
     points.  Intended for cotangent lifts and other even-dimensional maps.
     """
-    tol = tol or Tolerances()
-    seed = region.rng_seed if seed is None else seed
     if f.dim % 2 != 0:
         raise ValueError("symplecticity needs an even-dimensional map")
     integrals = tuple(integrals)

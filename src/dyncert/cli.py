@@ -27,11 +27,12 @@ from . import __version__, catalog
 from .certify import (CAVEAT, FLOW_TIMES, MAX_FLOW_TIME, Tolerances,
                       certify_involution, certify_structure)
 from .constructions import lift_structure
-from .core import (DomainError, IntegrabilityStructure, RegionSamplingError,
-                   SamplingRegion)
-from .dynamics import (ConvergenceError, NonMonotoneMapError, compute_orbit,
-                       estimate_translation_vector, find_periodic_points,
-                       level_set_drift, lyapunov_spectrum, rotation_number)
+from .core import (SAMPLES, SEED, DomainError, IntegrabilityStructure,
+                   RegionSamplingError, SamplingRegion)
+from .dynamics import (PERIODIC_SEEDS, ConvergenceError, NonMonotoneMapError,
+                       compute_orbit, estimate_translation_vector,
+                       find_periodic_points, level_set_drift,
+                       lyapunov_spectrum, rotation_number)
 from .expressions import ExpressionError, structure_from_dict
 from .jets import DerivativeError
 from .numerics import IntegrationError
@@ -216,9 +217,9 @@ _param_opt = click.option("--param", "params", multiple=True,
                           help="map parameter key=value (repeatable)")
 _seed_opt = click.option("--seed",
                          type=click.IntRange(min=0, max=2**128 - 1),
-                         default=42, help="sampling seed")
+                         default=SEED, help="sampling seed")
 _samples_opt = click.option("--samples", type=click.IntRange(min=1),
-                            default=1000, help="sample count")
+                            default=SAMPLES, help="sample count")
 _x0_opt = click.option("--x0", type=_Floats(), required=True,
                        help="comma-separated start point")
 _format_opt = click.option("--format", "fmt",
@@ -313,7 +314,8 @@ def certify(map_name, params, samples, seed, flow_times, algebraic_tol,
     payload = {
         "config": _config_dict("certify", map=map_name, params=params,
                                samples=samples, seed=seed,
-                               flow_times=flow_times),
+                               flow_times=flow_times,
+                               structure_file=structure_file),
         "report": report.to_dict(),
         "verdict": report.verdict,
         "caveat": CAVEAT,
@@ -321,8 +323,7 @@ def certify(map_name, params, samples, seed, flow_times, algebraic_tol,
     # the variant search scores the catalog's own candidate field only
     if (report.verdict == "FAIL" and map_name == "lyness"
             and not structure_file and s.m >= 1):
-        variants = catalog.lyness_symmetry_variants(
-            f.dim, float(params.get("a", 1.0)), seed=seed)
+        variants = catalog.lyness_symmetry_variants(f, seed=seed)
         payload["variant_search"] = [
             {"variant": desc, "max_residual": score}
             for desc, score in variants[:10]
@@ -428,7 +429,7 @@ def rotation(map_name, params, x0, n_steps):
 @_param_opt
 @click.option("-k", "period", type=click.IntRange(min=1), default=1,
               help="iterate whose fixed points are sought")
-@click.option("--seeds", type=click.IntRange(min=1), default=100)
+@click.option("--seeds", type=click.IntRange(min=1), default=PERIODIC_SEEDS)
 @_seed_opt
 @_reporting
 def periodic(map_name, params, period, seeds, seed):

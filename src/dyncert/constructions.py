@@ -67,9 +67,9 @@ def _linear_field(m, name: str) -> VectorField:
     return VectorField(dim=len(rows), func=ev, name=name)
 
 
-def linear_map(spec: JordanBlockSpec, name: str = "linear") -> SmoothMap:
-    field = _linear_field(spec.matrix(), name)
-    return SmoothMap(dim=spec.dim, forward=field.func, name=name)
+def linear_map(spec: JordanBlockSpec) -> SmoothMap:
+    field = _linear_field(spec.matrix(), "linear")
+    return SmoothMap(dim=spec.dim, forward=field.func, name="linear")
 
 
 def linear_commutative_family(spec: JordanBlockSpec) -> IntegrabilityStructure:

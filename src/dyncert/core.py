@@ -54,6 +54,9 @@ __all__ = [
     "point_stack",
 ]
 
+SAMPLES = 1000  # default sample count of the sampler, certifiers and CLI
+SEED = 42  # default sampling seed of the same
+
 # points per call on coordinate columns of a quantity of CHUNK_FLOATS
 # floats per point (a 16 x 16 Jacobian) or more: bounds the arrays of
 # nested jets
@@ -208,8 +211,6 @@ class SamplingRegion:
 
     box: tuple[tuple[float, float], ...]
     guard: Callable | None = None
-    sample_count: int = 1000
-    rng_seed: int = 42
 
     def __post_init__(self):
         for lo, hi in self.box:
@@ -217,8 +218,8 @@ class SamplingRegion:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
 
 
-def sample(region: SamplingRegion, count: int | None = None,
-           seed: int | None = None) -> list[list[float]]:
+def sample(region: SamplingRegion, count: int = SAMPLES,
+           seed: int = SEED) -> list[list[float]]:
     """Deterministic uniform samples on the region's guarded box.
 
     One Philox stream with key ``seed`` draws candidates in rounds, each
@@ -229,8 +230,6 @@ def sample(region: SamplingRegion, count: int | None = None,
     candidates are drawn and fewer than 1 in 1000 accepted,
     :class:`RegionSamplingError` names the sample it stopped at.
     """
-    count = region.sample_count if count is None else count
-    seed = region.rng_seed if seed is None else seed
     lo, hi = np.asarray(region.box, dtype=float).reshape(-1, 2).T
     gen = np.random.Generator(np.random.Philox(key=seed))
     points, drawn = [], 0

@@ -11,9 +11,9 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                   SmoothMap, column_chunks, guarded_images, iterate,
-                   orbit_points, point_stack, row_norms, sample)
+from .core import (SEED, DomainError, IntegrabilityStructure,
+                   SamplingRegion, SmoothMap, column_chunks, guarded_images,
+                   iterate, orbit_points, point_stack, row_norms, sample)
 from .numerics import eigen_moduli, integrate_flow
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 
 HYPERBOLICITY_TOL = 1e-6
 NEWTON_ITERATIONS = 50  # per start point of either Newton search
+PERIODIC_SEEDS = 100  # default start points of the periodic-point search
 PERIODIC_TOL = 1e-12  # |f^k(x) - x| relative to 1 + |x|
 DEDUP_RADIUS = 1e-6  # periodic points closer than this are one point
 TRANSLATION_TOL = 1e-11  # shooting residual relative to 1 + |f(x)|
@@ -122,8 +123,8 @@ def _classify(moduli) -> str:
 
 
 def find_periodic_points(f: SmoothMap, k: int, region: SamplingRegion,
-                         seed_count: int = 100,
-                         seed: int | None = None) -> list[PeriodicPoint]:
+                         seed_count: int = PERIODIC_SEEDS,
+                         seed: int = SEED) -> list[PeriodicPoint]:
     """Newton search for roots of f^k(x) - x from sampled starting points.
 
     The seeds run in lockstep, each iterate one ``guarded_images`` call
@@ -391,17 +392,14 @@ def level_set_drift(f: SmoothMap, integrals, x0, n_steps: int):
     """Max |F(f^k(x0)) - F(x0)| per integral over the first n_steps
     iterates, as far as :func:`_walk` goes.
 
-    Returns (drifts, steps_reached); an x0 outside the guard gives zero
-    drifts and 0 steps.
+    Returns (drifts, steps_reached); an x0 outside the guard raises
+    DomainError.
     """
     integrals = list(integrals)
     drifts = [0.0] * len(integrals)
     reached = 0
     walk = _walk(f, x0, n_steps)
-    try:
-        x = next(walk)
-    except DomainError:
-        return drifts, reached
+    x = next(walk)
     ref = [float(g(x)) for g in integrals]
     for reached, x in enumerate(walk, 1):
         for i, g in enumerate(integrals):

@@ -7,7 +7,8 @@ DomainError."""
 import numpy as np
 
 from dyncert.catalog import ParameterError, lyness_integrals
-from dyncert.core import DomainError, RegionSamplingError, SmoothMap
+from dyncert.core import (SAMPLES, SEED, DomainError, RegionSamplingError,
+                          SmoothMap)
 from dyncert.jets import float_of
 
 _FD_CBRT_EPS = 6.055454452393343e-06  # eps**(1/3)
@@ -37,14 +38,12 @@ def lyness_integral_values(n: int, a: float, x) -> list[float]:
     return [float(g(list(x))) for g in lyness_integrals(n, a)]
 
 
-def reference_sample(region, count=None, seed=None) -> list[list[float]]:
+def reference_sample(region, count=SAMPLES, seed=SEED) -> list[list[float]]:
     """``core.sample`` one candidate at a time: each is one
     ``Generator.uniform(lo, hi)`` draw from the one Philox stream with key
     ``seed``, the guard sees it alone, and the accepted ones are kept in
     order; the oracle the sampler's rounds must match bit for bit.  It stops
     as the sampler does, checking before each candidate."""
-    count = region.sample_count if count is None else count
-    seed = region.rng_seed if seed is None else seed
     lo = np.asarray([b[0] for b in region.box])
     hi = np.asarray([b[1] for b in region.box])
     gen = np.random.Generator(np.random.Philox(key=seed))

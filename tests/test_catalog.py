@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from dyncert.certify import (certify_structure,
 from dyncert.cli import main as cli_main
 from dyncert.core import (IntegrabilityStructure, SamplingRegion, iterate,
                           point_stack, sample)
+from dyncert.jets import ZERO, Jet, left_sum, seed_jets
 from helpers import lyness_integral_values
 
 
@@ -40,6 +42,33 @@ class TestRegistry:
         f, s, _ = build("cat_map")
         assert f.phase_topology == (1.0, 1.0)
         assert s is None
+
+
+def _fingerprint(f, s, region):
+    """What a built entry is, up to its closures: its map's and region's
+    data, its structure's names, and the bytes of every callable at a few
+    points of the region."""
+    points = np.array(sample(region, 16, 5))
+    fields = s.fields if s is not None else ()
+    integrals = s.integrals if s is not None else ()
+    stacks = [point_stack(f.forward, points, (f.dim,))]
+    stacks += [point_stack(v, points, (f.dim,)) for v in fields]
+    stacks += [point_stack(g, points) for g in integrals]
+    return (f.dim, f.name, f.phase_topology, region,
+            [v.name for v in fields], [g.name for g in integrals],
+            [stack.tobytes() for stack in stacks])
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CATALOG))
+def test_build_takes_the_listed_defaults(name):
+    # a builder declares no default: build passes the entry's, which
+    # list_entries shows, and given parameters override them
+    builder = inspect.signature(catalog.CATALOG[name].builder)
+    assert all(p.default is p.empty for p in builder.parameters.values())
+    listed = next(e for e in list_entries() if e["name"] == name)
+    defaults = {k: p["default"] for k, p in listed["parameters"].items()}
+    assert (_fingerprint(*build(name))
+            == _fingerprint(*build(name, **defaults)))
 
 
 class TestParameterValidation:
@@ -173,7 +202,8 @@ class TestLynessSymmetry:
         assert np.max(np.abs(r)) > 1e-2
 
     def test_variant_search_is_bounded_and_sorted(self):
-        results = lyness_symmetry_variants(3, 1.0, points=20, seed=42)
+        results = lyness_symmetry_variants(lyness_map(3, 1.0), points=20,
+                                           seed=42)
         assert 0 < len(results) <= 100
         scores = [s for _, s in results]
         assert scores == sorted(scores)
@@ -190,12 +220,13 @@ class TestLynessSymmetry:
             / (1.0 + max(np.linalg.norm(x), np.linalg.norm(f.apply(x)),
                          np.linalg.norm(v(x))))
             for x in pts)
-        scores = dict(lyness_symmetry_variants(3, 2.0, points=20, seed=42))
+        scores = dict(lyness_symmetry_variants(f, points=20, seed=42))
         assert scores["signs=(1, 1, 1, 1), mid_product_bound=2"] == expected
 
     def test_variant_search_deterministic(self):
-        a = lyness_symmetry_variants(3, 1.0, points=10, seed=7)
-        b = lyness_symmetry_variants(3, 1.0, points=10, seed=7)
+        f = lyness_map(3, 1.0)
+        a = lyness_symmetry_variants(f, points=10, seed=7)
+        b = lyness_symmetry_variants(f, points=10, seed=7)
         assert a == b
 
 
@@ -252,3 +283,122 @@ class TestOtherEntries:
         f, _, region = build("lyness", n=3, a=1.0)
         for x in sample(region, 100, seed=42):
             assert all(v > 0 for v in f.apply(x))
+
+
+# -- the Lyness formulas as hand-written loops: the bit-for-bit oracle -----
+
+
+def _loop_prod(values):
+    acc = 1.0
+    for v in values:
+        acc = acc * v
+    return acc
+
+
+def _loop_lyness_forward(a):
+    def fwd(x):
+        tail = x[1:]
+        acc = a
+        for v in tail:
+            acc = acc + v
+        return list(tail) + [acc / x[0]]
+    return fwd
+
+
+def _loop_lyness_integrals(n, a):
+    def f1(x):
+        s = a
+        for v in x:
+            s = s + v
+        return s * _loop_prod(v + 1 for v in x) / _loop_prod(x)
+
+    def f2(x):
+        s = a + x[0] * x[n - 1]
+        for v in x:
+            s = s + v
+        return (s * _loop_prod(x[j] + x[j + 1] + 1 for j in range(n - 1))
+                / _loop_prod(x))
+
+    def f3(x):
+        k = (n - 1) // 2
+        odd = _loop_prod(x[2 * j] * (x[2 * j] + 1) for j in range(k + 1))
+        s = a
+        for v in x:
+            s = s + v
+        even = _loop_prod(x[2 * j + 1] * (x[2 * j + 1] + 1)
+                          for j in range(k))
+        return (odd + s * even) / _loop_prod(x)
+
+    return [f1] + [f2] * (n >= 3) + [f3] * (n >= 3 and n % 2 == 1)
+
+
+def _loop_v1(n, signs, shift):
+    s1, s2, s3, s4 = signs
+
+    def ev(x):
+        px = _loop_prod(x)
+        s = left_sum(x[j] for j in range(n - 1)) + s1 * (-x[1] * x[n - 1])
+        p = _loop_prod(x[j] + x[j + 1] + 1 for j in range(1, n - 1))
+        out = [(x[0] + 1) * s * p / px]
+        for l in range(2, n):
+            s_mid = (left_sum(x[j] for j in range(n - 1))
+                     + s3 * (x[0] * x[n - 1]))
+            diff = s4 * (x[l - 2] - x[l])
+            p_mid = _loop_prod(x[j] + x[j + 1] + 1
+                               for j in range(n - 1 + shift)
+                               if j not in (l - 2, l - 1))
+            out.append((x[l - 1] + 1) * s_mid * diff * p_mid / px)
+        s_last = (left_sum(x[j] for j in range(1, n - 1))
+                  + s2 * (-x[0] * x[n - 2]))
+        p_last = _loop_prod(x[j] + x[j + 1] + 1 for j in range(n - 2))
+        out.append((x[n - 1] + 1) * s_last * p_last / px)
+        return out
+
+    return ev
+
+
+def _bits(value):
+    """A value's type and bytes, through lists and jets; a structurally
+    zero partial is told apart from any other zero."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, Jet):
+        return ("Jet", _bits(value.value),
+                ["ZERO" if p is ZERO else _bits(p) for p in value.partials])
+    return type(value).__name__, np.asarray(value).tobytes()
+
+
+def _outcome(func, x):
+    try:
+        return _bits(func(x))
+    except (ArithmeticError, IndexError) as err:
+        return type(err).__name__
+
+
+def _lyness_inputs(n):
+    """Points on floats and coordinate columns, plain, as jets and as
+    nested jets; a few columns reach outside the positive orthant."""
+    rng = np.random.default_rng(n)
+    columns = list(rng.uniform(0.1, 10.0, (n, 7)))
+    columns[0][3], columns[-1][5] = -0.75, -2.5
+    point = [float(v) for v in rng.uniform(0.1, 10.0, n)]
+    return [point, seed_jets(point), seed_jets(seed_jets(point)),
+            columns, seed_jets(columns), seed_jets(seed_jets(columns))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lyness_folds_equal_the_loops(n):
+    # left_sum and math.prod give the map, the integrals and every
+    # variant of the candidate field the bits of the old loops
+    a = 1.7
+    new = [lyness_map(n, a).forward] + [g.func
+                                        for g in lyness_integrals(n, a)]
+    old = [_loop_lyness_forward(a)] + _loop_lyness_integrals(n, a)
+    if n >= 3:
+        for signs, shift in itertools.product(
+                itertools.product((1.0, -1.0), repeat=4), (0, -1, 1)):
+            new.append(catalog._lyness_v1_components(n, signs, shift))
+            old.append(_loop_v1(n, signs, shift))
+    for x in _lyness_inputs(n):
+        for mine, loop in zip(new, old, strict=True):
+            assert _outcome(mine, x) == _outcome(loop, x)

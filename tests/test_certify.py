@@ -19,9 +19,9 @@ from dyncert.certify import (CAVEAT, Tolerances, certify_involution,
                              poisson_bracket, symplecticity_residual)
 from dyncert.catalog import build
 from dyncert.constructions import lift_structure
-from dyncert.core import (DomainError, IntegrabilityStructure, SamplingRegion,
-                          ScalarField, SmoothMap, VectorField, chunk_length,
-                          column_chunks, sample)
+from dyncert.core import (SEED, DomainError, IntegrabilityStructure,
+                          SamplingRegion, ScalarField, SmoothMap, VectorField,
+                          chunk_length, column_chunks, sample)
 from dyncert.expressions import structure_from_dict
 from dyncert.jets import Jet
 from dyncert.numerics import integrate_flow
@@ -307,7 +307,7 @@ class TestCertifyStructure:
         assert "gradient_independence" in names
         assert not any(n.startswith("lie_bracket") for n in names)
         assert not any(n.startswith("flow_commutation") for n in names)
-        assert report.caveat == CAVEAT
+        assert report.to_dict()["caveat"] == CAVEAT
 
     def test_report_shape(self):
         f, s, region = self._lyness2()
@@ -629,7 +629,7 @@ class TestPipeline:
         x1, x2 = s.fields[0], s.fields[1]
         worst = max(_norm(lie_bracket_residual(x1, x2, x))
                     / (1.0 + max(_norm(x), _norm(x1(x)), _norm(x2(x))))
-                    for x in _kept(f, region, 60, region.rng_seed))
+                    for x in _kept(f, region, 60, SEED))
         assert _condition(report, "lie_bracket[X1,X2]").max_abs == worst
 
     def test_first_integral_agrees_with_reference(self):
@@ -638,7 +638,7 @@ class TestPipeline:
         g, v = s.integrals[1], s.fields[0]
         worst = max(abs(first_integral_residual(g, v, x))
                     / (1.0 + max(_norm(x), abs(float(g(x))), _norm(v(x))))
-                    for x in _kept(f, region, 60, region.rng_seed))
+                    for x in _kept(f, region, 60, SEED))
         assert _condition(report, "first_integral[F2,X1]").max_abs == worst
 
     def test_involution_agrees_with_reference(self):

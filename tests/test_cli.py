@@ -43,6 +43,7 @@ class TestCertify:
         assert data["caveat"] == "numerical evidence, not proof"
         assert data["wall_time_ms"] is None
         assert data["config"]["map"] == "twist"
+        assert "structure_file" not in data["config"]
         assert data["report"]["seed"] == 42
 
     def test_lyness_n2_default(self, runner, tmp_path):
@@ -89,7 +90,9 @@ class TestCertify:
                               "--structure-file", str(struct),
                               "-o", str(out)])
         assert result.exit_code == 0
-        assert json.loads(out.read_text())["verdict"] == "PASS"
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "PASS"
+        assert data["config"]["structure_file"] == str(struct)
 
     def test_flow_blow_up_is_a_skipped_point(self, runner, tmp_path):
         # x1' = x1^2 / x2 commutes with the map but blows up in finite time
@@ -398,6 +401,16 @@ class TestDataCommands:
         assert result.exit_code == 0
         data = json.loads(out.read_text())
         assert data["drifts"]["F1"] <= 1e-6
+
+    def test_drift_from_outside_the_guard_exit_three(self, runner):
+        # as orbit and lyapunov do on the same start point
+        for command in ("drift", "orbit", "lyapunov"):
+            result = run(runner, [command, "--map", "lyness", "--param",
+                                  "n=2", "--x0", "-1,2", "-N", "100"])
+            assert result.exit_code == 3
+            error = json.loads(result.stderr.splitlines()[-1])
+            assert error["error"] == "runtime"
+            assert "violates the domain guard" in error["message"]
 
     def test_drift_without_integrals_exit_two(self, runner):
         result = run(runner, ["drift", "--map", "cat_map", "--x0", "0.1,0.1",

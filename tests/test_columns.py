@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncert import certify, core, numerics
-from dyncert.catalog import build, lyness_symmetry_variants
+from dyncert.catalog import build, lyness_map, lyness_symmetry_variants
 from dyncert.certify import (certify_involution, certify_structure,
                              symplecticity_residual)
 from dyncert.constructions import _linear_field, cotangent_lift, lift_structure
@@ -308,9 +308,10 @@ def test_reports_equal_with_columns_off(monkeypatch, name, params):
 
 
 def test_variant_scores_equal_with_columns_off(monkeypatch):
-    with_columns = lyness_symmetry_variants(4, 2.0, seed=7)
+    f = lyness_map(4, 2.0)
+    with_columns = lyness_symmetry_variants(f, seed=7)
     _columns_off(monkeypatch)
-    assert lyness_symmetry_variants(4, 2.0, seed=7) == with_columns
+    assert lyness_symmetry_variants(f, seed=7) == with_columns
 
 
 def test_point_stack_calls_once_per_chunk(monkeypatch):

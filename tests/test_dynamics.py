@@ -84,7 +84,8 @@ class TestComputeOrbit:
         with pytest.raises(DomainError, match="violates the domain guard"):
             compute_orbit(f, [-1.0], 10)
         g = ScalarField(dim=1, func=lambda x: x[0])
-        assert level_set_drift(f, [g], [-1.0], 10) == ([0.0], 0)
+        with pytest.raises(DomainError, match="violates the domain guard"):
+            level_set_drift(f, [g], [-1.0], 10)
 
 
 class TestPeriodicPoints:
@@ -728,15 +729,12 @@ class TestRotationNumber:
 def _drift_step_loop(f, integrals, x0, n_steps):
     """``level_set_drift`` as one ``next`` per step of ``orbit_points``,
     the loop it ran before it shared the orbit walk: the oracle for orbits
-    that stay finite."""
+    that stay finite.  An x0 outside the guard raises DomainError."""
     integrals = list(integrals)
     drifts = [0.0] * len(integrals)
     reached = 0
     orbit = orbit_points(f, x0)
-    try:
-        x = next(orbit)
-    except DomainError:
-        return drifts, reached
+    x = next(orbit)
     ref = [float(g(x)) for g in integrals]
     for k in range(n_steps):
         try:
@@ -771,8 +769,13 @@ class TestLevelSetDrift:
     def test_equals_the_step_loop_leaving_the_guard(self, x0):
         f, integrals = _countdown()
         for n_steps in (1, 3, 50):
-            assert (level_set_drift(f, integrals, x0, n_steps)
-                    == _drift_step_loop(f, integrals, x0, n_steps))
+            if f.domain_guard(x0):
+                assert (level_set_drift(f, integrals, x0, n_steps)
+                        == _drift_step_loop(f, integrals, x0, n_steps))
+                continue
+            for drift in (level_set_drift, _drift_step_loop):
+                with pytest.raises(DomainError, match="violates"):
+                    drift(f, integrals, x0, n_steps)
 
     def test_overflow_ends_the_orbit(self):
         # the orbit's points overflow from step 1011 on (see lyapunov)
