@@ -262,26 +262,39 @@ def lyness_symmetry_variants(f: SmoothMap, points: int = 50,
     against ``f``, a Lyness map (:func:`lyness_map`).
 
     Returns (descriptor, max normalized commutation residual) pairs for the
-    48 variants that evaluate, sorted best first.
+    32 variants (16 sign patterns, middle product bound n - 1 or n - 2),
+    sorted best first, ties in sign-major, bound-minor order.  The signs
+    are four extra coordinate columns, so each bound is one
+    :func:`point_stack` over the points and their images, tiled once per
+    sign pattern.
     """
     n = f.dim
     region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
     pts = np.reshape(sample(region, points, seed), (points, n))
     kept, images = guarded_images(f, pts)
     pts = pts[kept]
-    descs, values, image_values = [], [], []
-    for signs, shift in product(product((1.0, -1.0), repeat=4), (0, -1, 1)):
-        v = VectorField(dim=n,
-                        func=_lyness_v1_components(n, signs, shift),
-                        name="variant")
+    signs = list(product((1.0, -1.0), repeat=4))
+    rows = np.concatenate([pts, images])
+    stack = np.hstack([np.tile(rows, (len(signs), 1)),
+                       np.repeat(signs, len(rows), axis=0)])
+    by_shift = {}
+    for shift in (0, -1):
+        def variant(z, shift=shift):  # a point's n coordinates, then signs
+            return _lyness_v1_components(n, z[n:], shift)(z[:n])
         try:
-            vx, vfx = (point_stack(v, xs, (n,)) for xs in (pts, images))
-        except (ZeroDivisionError, ValueError, IndexError):
+            by_shift[shift] = np.reshape(point_stack(variant, stack, (n,)),
+                                         (len(signs), 2, len(pts), n))
+        except (ZeroDivisionError, ValueError):
             continue
-        descs.append(f"signs={tuple(int(s) for s in signs)}, "
-                     f"mid_product_bound={n - 1 + shift}")
-        values.append(vx)
-        image_values.append(vfx)
+    descs, values, image_values = [], [], []
+    for i, sign in enumerate(signs):
+        for shift, stacks in by_shift.items():
+            descs.append(f"signs={tuple(int(s) for s in sign)}, "
+                         f"mid_product_bound={n - 1 + shift}")
+            # fresh copies: a variant's scores must not depend on where
+            # its rows lie in the shared stack
+            values.append(stacks[i, 0].copy())
+            image_values.append(stacks[i, 1].copy())
     # scored like certify's infinitesimal_commutation
     scored = commutation_residuals(f, values, image_values, pts, images)
     results = [(desc, float(np.max(residual / scale, initial=0.0)))

@@ -3,7 +3,9 @@
 Matrices here are plain ``numpy`` arrays; everything is sized for phase
 spaces of dimension <= 16, so backward-stable LAPACK routines (SVD, QR
 eigenvalue iteration) are used directly.  ``numerical_rank`` also takes a
-stack of matrices, one per sample point, and ranks them in one SVD call.
+stack of matrices, one per sample point.  A Gram-determinant bound gives
+full rank, exactly where the SVD would, to every matrix whose smallest
+singular value lies well above the cut; one SVD call ranks the rest.
 
 ``integrate_flow`` is Dormand-Prince 5(4) with one tolerance, used as both
 the absolute and the relative error bound.  It reuses each accepted step's
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, on_columns
+from .core import DomainError, chunk_length, column_chunks, on_columns
 
 __all__ = [
     "IntegrationError",
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_RANK_THRESHOLD = 1e-8
+# how far above the rank threshold the Gram screen of numerical_rank
+# places sigma_k / sigma_1 before it gives full rank without the SVD
+SCREEN_MARGIN = 1e3
 FLOW_TOL = 1e-10  # default absolute and relative tolerance of integrate_flow
 MAX_STEPS = 10**6  # steps integrate_flow takes before it gives up
 
@@ -42,15 +47,44 @@ class IntegrationError(RuntimeError):
 
 def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD):
     """Rank of a matrix, or of each matrix in a stack, via SVD: the number
-    of singular values above ``threshold`` times the largest one."""
+    of singular values above ``threshold`` times the largest one; 0 for a
+    matrix with a non-finite entry.
+
+    A Gram screen decides most full-rank matrices without the SVD.  With
+    the k = min(rows, cols) vectors of a matrix A as columns, G = A^T A
+    has eigenvalues sigma_i^2, so sigma_k^2 / sigma_1^2 >= det G / tr(G)^k.
+    Where det G > (SCREEN_MARGIN * threshold)^2 tr(G)^k, sigma_k / sigma_1
+    lies SCREEN_MARGIN times above the cut, farther than rounding in G, its
+    determinant or the SVD can move it, and the rank is k.  G is formed one
+    chunk of matrices at a time.  Where G or tr(G)^k overflows, or an entry
+    is not finite, the comparison fails; where they underflow, the
+    determinant of a matrix below the cut, at most threshold^2 tr(G)^k,
+    underflows first.  The undecided finite matrices go to the SVD, in
+    their own orientation."""
     a = np.asarray(m, dtype=float)
     if 0 in a.shape[-2:]:
         raise ValueError("empty matrix")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    sv = np.linalg.svd(a, compute_uv=False)  # descending
-    rank = np.count_nonzero(sv > threshold * sv[..., :1], axis=-1)
-    return int(rank) if a.ndim == 2 else rank
+    stack = a.reshape(-1, *a.shape[-2:])
+    vectors = stack if stack.shape[1] >= stack.shape[2] else \
+        stack.transpose(0, 2, 1)
+    k = vectors.shape[2]
+    bound = (SCREEN_MARGIN * threshold) ** 2
+    full = np.zeros(len(stack), dtype=bool)
+    with np.errstate(all="ignore"):
+        for chunk in column_chunks(len(stack), chunk_length((k, k))):
+            columns = vectors[chunk]
+            # a contiguous left factor lets @ take the BLAS path
+            gram = columns.transpose(0, 2, 1).copy() @ columns
+            floor = bound * np.trace(gram, axis1=1, axis2=2) ** k
+            full[chunk] = np.linalg.det(gram) > floor
+    rank = np.where(full, k, 0)
+    rest = np.flatnonzero(~full & np.isfinite(stack).all(axis=(1, 2)))
+    if len(rest):
+        sv = np.linalg.svd(stack[rest], compute_uv=False)  # descending
+        rank[rest] = np.count_nonzero(sv > threshold * sv[:, :1], axis=-1)
+    return int(rank[0]) if a.ndim == 2 else rank.reshape(a.shape[:-2])
 
 
 def eigen_moduli(m) -> np.ndarray:

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dyncert import catalog
+from dyncert import catalog, core
 from dyncert.catalog import (ParameterError, build, list_entries,
                              lyness_integrals, lyness_map,
                              lyness_symmetry_field, lyness_symmetry_variants,
                              parse_blocks)
-from dyncert.certify import (certify_structure,
+from dyncert.certify import (certify_structure, commutation_residuals,
                              infinitesimal_commutation_residual)
 from dyncert.cli import main as cli_main
-from dyncert.core import (IntegrabilityStructure, SamplingRegion, iterate,
-                          point_stack, sample)
+from dyncert.core import (IntegrabilityStructure, SamplingRegion,
+                          VectorField, guarded_images, iterate, point_stack,
+                          sample)
 from dyncert.jets import ZERO, Jet, left_sum, seed_jets
 from helpers import lyness_integral_values
 
@@ -228,6 +229,67 @@ class TestLynessSymmetry:
         a = lyness_symmetry_variants(f, points=10, seed=7)
         b = lyness_symmetry_variants(f, points=10, seed=7)
         assert a == b
+
+
+def _loop_variants(f, points=50, seed=42):
+    """The variant search as one field and two point_stack calls per sign
+    pattern and bound, the reference that the signed column stacks must
+    match; it also tries the bound n (shift +1), which never evaluates."""
+    n = f.dim
+    region = SamplingRegion(box=tuple((0.5, 3.0) for _ in range(n)))
+    pts = np.reshape(sample(region, points, seed), (points, n))
+    kept, images = guarded_images(f, pts)
+    pts = pts[kept]
+    descs, values, image_values = [], [], []
+    for signs, shift in itertools.product(
+            itertools.product((1.0, -1.0), repeat=4), (0, -1, 1)):
+        v = VectorField(dim=n,
+                        func=catalog._lyness_v1_components(n, signs, shift),
+                        name="variant")
+        try:
+            vx, vfx = (point_stack(v, xs, (n,)) for xs in (pts, images))
+        except (ZeroDivisionError, ValueError, IndexError):
+            continue
+        descs.append(f"signs={tuple(int(s) for s in signs)}, "
+                     f"mid_product_bound={n - 1 + shift}")
+        values.append(vx)
+        image_values.append(vfx)
+    scored = commutation_residuals(f, values, image_values, pts, images)
+    results = [(desc, float(np.max(residual / scale, initial=0.0)))
+               for desc, (residual, scale) in zip(descs, scored)]
+    results.sort(key=lambda item: item[1])
+    return results
+
+
+@pytest.mark.parametrize("columns", [True, False], ids=["columns",
+                                                        "point_by_point"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_variant_search_equals_the_loop(n, columns, monkeypatch):
+    # the same 32 descriptors, the same scores bit for bit, the same order
+    if not columns:
+        monkeypatch.setattr(core, "on_columns", lambda *args: None)
+    for a in (1.0, 2.0):
+        f = lyness_map(n, a)
+        for seed in (1, 3, 42):
+            results = lyness_symmetry_variants(f, seed=seed)
+            assert len(results) == 32
+            assert results == _loop_variants(f, seed=seed)
+
+
+def test_variant_search_calls_once_per_bound(monkeypatch):
+    # the 16 sign patterns ride as four extra columns: one column call on
+    # the points and images per product bound
+    calls = []
+    on_columns = core.on_columns
+
+    def counted(func, points, shape=()):
+        calls.append(points.shape)
+        return on_columns(func, points, shape)
+
+    monkeypatch.setattr(core, "on_columns", counted)
+    lyness_symmetry_variants(lyness_map(5, 1.0), points=50, seed=3)
+    signed = [shape for shape in calls if shape[1] == 5 + 4]
+    assert signed == [(16 * 2 * 50, 9)] * 2
 
 
 CONFIGURATIONS = [(name, {}) for name in sorted(catalog.CATALOG)] + [

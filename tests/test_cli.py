@@ -114,6 +114,25 @@ class TestCertify:
         assert (flow["pass"], flow["count"], flow["skipped"]) == (
             True, 5 - skipped, skipped)
 
+    def test_nan_gradient_is_a_deficient_point(self, runner, tmp_path):
+        # x1*1e308*10 overflows, so every gradient is NaN: rank 0 at every
+        # point, an honest FAIL rather than an SVD that does not converge
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({
+            "dim": 2, "integrals": ["x1*1e308*10 - x1*1e308*10 + x2"]}))
+        result = runner.invoke(main, ["certify", "--map", "linear",
+                                      "--param", "blocks=1:1,1:1",
+                                      "--samples", "50",
+                                      "--structure-file", str(struct)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        [rank] = [c for c in json.loads(result.stdout)["report"]["conditions"]
+                  if c["name"] == "gradient_independence"]
+        region = catalog.build("linear", blocks="1:1,1:1")[2]
+        assert (rank["pass"], rank["full_rank_fraction"]) == (False, 0.0)
+        assert rank["worst_point"] == sample(region, 50, seed=42)[0]
+
     @pytest.mark.parametrize("entry, structure", [
         pytest.param(("lyness", "n=2"), {"integrals": ["log(x1 - 5)"]},
                      id="log(x1 - 5)"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,46 @@ def _mixed_per_point(z):
     return [float(v) for v in _mixed([float(v) for v in z])]
 
 
+def _reference_rank(stack, threshold=numerics.DEFAULT_RANK_THRESHOLD):
+    """The rank of each matrix of a stack from its singular values alone,
+    which numerical_rank's Gram screen must agree with; 0 where an entry
+    is not finite (where the SVD does not converge or gives NaN)."""
+    a = np.asarray(stack, dtype=float)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], a, 0.0),
+                       compute_uv=False)
+    return np.where(finite,
+                    np.count_nonzero(sv > threshold * sv[..., :1], axis=-1),
+                    0)
+
+
+def _spread_stack(rng, count, rows, cols, decades):
+    """``count`` random rows x cols matrices whose singular value ratios
+    spread log-uniformly over 1e-12..1, some of them exactly zero, each
+    scaled by 10^e with e uniform in (-decades, decades)."""
+    k = min(rows, cols)
+    sv = np.sort(10.0 ** rng.uniform(-12.0, 0.0, (count, k)), axis=1)[:, ::-1]
+    sv[:, 0] = 1.0
+    sv[rng.random((count, k)) < 0.05] = 0.0
+    u = np.linalg.qr(rng.normal(size=(count, rows, rows)))[0]
+    v = np.linalg.qr(rng.normal(size=(count, cols, cols)))[0]
+    scale = 10.0 ** rng.uniform(-decades, decades, (count, 1, 1))
+    return (u[:, :, :k] * (scale * sv[:, None, :])) @ v[:, :k, :]
+
+
+def _counted_svd(monkeypatch):
+    """Patch np.linalg.svd to record the shape of each stack it gets."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
 class TestNumericalRank:
     def test_identity_full_rank(self):
         assert numerical_rank(np.eye(3)) == 3
@@ -164,6 +205,55 @@ class TestNumericalRank:
         assert numerical_rank(scale * m) == base
         perm = rng.permutation(4)
         assert numerical_rank(m[perm]) == base
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (3, 2), (2, 3),
+                                            (5, 3), (3, 5), (4, 4), (6, 1),
+                                            (1, 6), (6, 6)])
+    @pytest.mark.parametrize("decades", [0, 150])
+    def test_agrees_with_plain_svd(self, rows, cols, decades):
+        # ratios straddle each threshold; the Gram screen may decide only
+        # what the SVD would
+        rng = np.random.default_rng([rows, cols, decades])
+        stack = _spread_stack(rng, 3000, rows, cols, decades)
+        for threshold in (1e-8, 1e-3, 0.3):
+            assert np.array_equal(numerical_rank(stack, threshold),
+                                  _reference_rank(stack, threshold))
+
+    def test_special_matrices_agree_with_plain_svd(self):
+        rng = np.random.default_rng(5)
+        full = rng.normal(size=(4, 3))
+        nan = full.copy()
+        nan[2, 1] = np.nan
+        inf = full.copy()
+        inf[0, 0] = -np.inf
+        # the Gram matrix of the first two over- and underflows
+        stack = np.stack([1e300 * full, 1e-300 * full, np.zeros((4, 3)),
+                          nan, inf, np.full((4, 3), np.inf), full])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks = numerical_rank(stack)
+            assert ranks.tolist() == [3, 3, 0, 0, 0, 0, 3]
+            assert np.array_equal(ranks, _reference_rank(stack))
+            for m in [*stack, *([[v]] for v in (0.0, 1e-320, -2.0, np.nan,
+                                                 np.inf))]:
+                assert numerical_rank(m) == _reference_rank(m)
+
+    def test_screen_spares_the_svd(self, monkeypatch):
+        # a well-conditioned stack makes no SVD call; one rank-deficient
+        # matrix in it is the only one sent to the SVD
+        stack = np.random.default_rng(8).normal(size=(1000, 5, 3))
+        shapes = _counted_svd(monkeypatch)
+        assert numerical_rank(stack).tolist() == [3] * 1000
+        assert shapes == []
+        stack[417, :, 2] = stack[417, :, 0]
+        ranks = numerical_rank(stack)
+        assert shapes == [(1, 5, 3)]
+        assert ranks[417] == 2 and np.count_nonzero(ranks == 3) == 999
+
+    def test_nan_matrix_makes_no_svd_call(self, monkeypatch):
+        shapes = _counted_svd(monkeypatch)
+        assert numerical_rank([[np.nan, 1.0], [0.0, 1.0]]) == 0
+        assert shapes == []
 
 
 class TestEigenModuli:
