@@ -277,18 +277,16 @@ def lyness_symmetry_variants(f: SmoothMap, points: int = 50,
     rows = np.concatenate([pts, images])
     stack = np.hstack([np.tile(rows, (len(signs), 1)),
                        np.repeat(signs, len(rows), axis=0)])
-    by_shift = {}
-    for shift in (0, -1):
+    shifts = (0, -1)
+    by_shift = []
+    for shift in shifts:
         def variant(z, shift=shift):  # a point's n coordinates, then signs
             return _lyness_v1_components(n, z[n:], shift)(z[:n])
-        try:
-            by_shift[shift] = np.reshape(point_stack(variant, stack, (n,)),
-                                         (len(signs), 2, len(pts), n))
-        except (ZeroDivisionError, ValueError):
-            continue
+        by_shift.append(np.reshape(point_stack(variant, stack, (n,)),
+                                   (len(signs), 2, len(pts), n)))
     descs, values, image_values = [], [], []
     for i, sign in enumerate(signs):
-        for shift, stacks in by_shift.items():
+        for shift, stacks in zip(shifts, by_shift):
             descs.append(f"signs={tuple(int(s) for s in sign)}, "
                          f"mid_product_bound={n - 1 + shift}")
             # fresh copies: a variant's scores must not depend on where

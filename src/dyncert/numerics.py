@@ -51,26 +51,32 @@ def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD):
     matrix with a non-finite entry.
 
     A Gram screen decides most full-rank matrices without the SVD.  With
-    the k = min(rows, cols) vectors of a matrix A as columns, G = A^T A
-    has eigenvalues sigma_i^2, so sigma_k^2 / sigma_1^2 >= det G / tr(G)^k.
-    Where det G > (SCREEN_MARGIN * threshold)^2 tr(G)^k, sigma_k / sigma_1
-    lies SCREEN_MARGIN times above the cut, farther than rounding in G, its
-    determinant or the SVD can move it, and the rank is k.  G is formed one
-    chunk of matrices at a time.  Where G or tr(G)^k overflows, or an entry
-    is not finite, the comparison fails; where they underflow, the
-    determinant of a matrix below the cut, at most threshold^2 tr(G)^k,
-    underflows first.  The undecided finite matrices go to the SVD, in
-    their own orientation."""
+    the k = min(rows, cols) vectors of A as columns, G = A^T A has
+    eigenvalues sigma_i^2; the k - 1 largest multiply to at most
+    (tr(G) / (k - 1))^(k - 1) (AM-GM), and sigma_1^2 <= tr(G), so
+    sigma_k^2 / sigma_1^2 >= q = (k - 1)^(k - 1) det G / tr(G)^k.  An
+    orthonormal A has q = (1 - 1/k)^(k - 1) / k > 1 / (e k).  Rounding in
+    G and det G moves q by about (rows + k^2) eps.  The screen gives rank
+    k where q > SCREEN_MARGIN max(SCREEN_MARGIN threshold^2, that
+    rounding): sigma_k / sigma_1 then lies far above the cut, farther
+    than rounding in q or in the SVD can move it.  G is formed one chunk
+    of matrices at a time.  Near underflow, det G and the right-hand side
+    round to the same subnormal step, which can flip the comparison only
+    for q within about a factor 2 of the bound; where G overflows, or an
+    entry is not finite, it fails.  The undecided finite matrices go to
+    the SVD, in their own orientation."""
     a = np.asarray(m, dtype=float)
-    if 0 in a.shape[-2:]:
-        raise ValueError("empty matrix")
+    if a.ndim < 2 or 0 in a.shape[-2:]:
+        raise ValueError("numerical_rank needs a non-empty matrix")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     stack = a.reshape(-1, *a.shape[-2:])
     vectors = stack if stack.shape[1] >= stack.shape[2] else \
         stack.transpose(0, 2, 1)
-    k = vectors.shape[2]
-    bound = (SCREEN_MARGIN * threshold) ** 2
+    rows, k = vectors.shape[1:]
+    rounding = (rows + k * k) * np.finfo(float).eps
+    bound = SCREEN_MARGIN * max(SCREEN_MARGIN * threshold ** 2, rounding) \
+        / (k - 1) ** (k - 1)
     full = np.zeros(len(stack), dtype=bool)
     with np.errstate(all="ignore"):
         for chunk in column_chunks(len(stack), chunk_length((k, k))):

@@ -135,10 +135,10 @@ def _reference_rank(stack, threshold=numerics.DEFAULT_RANK_THRESHOLD):
 
 def _spread_stack(rng, count, rows, cols, decades):
     """``count`` random rows x cols matrices whose singular value ratios
-    spread log-uniformly over 1e-12..1, some of them exactly zero, each
+    spread log-uniformly over 1e-18..1, some of them exactly zero, each
     scaled by 10^e with e uniform in (-decades, decades)."""
     k = min(rows, cols)
-    sv = np.sort(10.0 ** rng.uniform(-12.0, 0.0, (count, k)), axis=1)[:, ::-1]
+    sv = np.sort(10.0 ** rng.uniform(-18.0, 0.0, (count, k)), axis=1)[:, ::-1]
     sv[:, 0] = 1.0
     sv[rng.random((count, k)) < 0.05] = 0.0
     u = np.linalg.qr(rng.normal(size=(count, rows, rows)))[0]
@@ -186,8 +186,9 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((0, 4, 3))).shape == (0,)
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.zeros((0, 2)))
+        for m in (np.zeros((0, 2)), [1.0, 2.0], 3.0):
+            with pytest.raises(ValueError):
+                numerical_rank(m)
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
@@ -211,11 +212,12 @@ class TestNumericalRank:
                                             (1, 6), (6, 6)])
     @pytest.mark.parametrize("decades", [0, 150])
     def test_agrees_with_plain_svd(self, rows, cols, decades):
-        # ratios straddle each threshold; the Gram screen may decide only
+        # ratios straddle each threshold, and the rounding of the exact
+        # zeros lies above the smallest; the Gram screen may decide only
         # what the SVD would
         rng = np.random.default_rng([rows, cols, decades])
         stack = _spread_stack(rng, 3000, rows, cols, decades)
-        for threshold in (1e-8, 1e-3, 0.3):
+        for threshold in (1e-8, 1e-3, 0.3, 1e-12, 1e-14, 1e-200):
             assert np.array_equal(numerical_rank(stack, threshold),
                                   _reference_rank(stack, threshold))
 
@@ -238,6 +240,16 @@ class TestNumericalRank:
                                                  np.inf))]:
                 assert numerical_rank(m) == _reference_rank(m)
 
+    @pytest.mark.parametrize("threshold", [1e-12, 1e-13, 1e-14, 1e-200])
+    def test_rounding_is_not_rank(self, threshold):
+        # a column and a rounded tenth of it: sigma_2 / sigma_1 is rounding,
+        # far below every threshold but the last; det G is rounding too
+        c = np.random.default_rng(2).normal(size=(2000, 5))
+        stack = np.stack([c, 0.1 * c], axis=2)
+        ranks = numerical_rank(stack, threshold)
+        assert np.array_equal(ranks, _reference_rank(stack, threshold))
+        assert threshold == 1e-200 or ranks.tolist() == [1] * 2000
+
     def test_screen_spares_the_svd(self, monkeypatch):
         # a well-conditioned stack makes no SVD call; one rank-deficient
         # matrix in it is the only one sent to the SVD
@@ -249,6 +261,19 @@ class TestNumericalRank:
         ranks = numerical_rank(stack)
         assert shapes == [(1, 5, 3)]
         assert ranks[417] == 2 and np.count_nonzero(ranks == 3) == 999
+
+    @pytest.mark.parametrize("rows", [16, 20])
+    def test_screen_spares_the_svd_up_to_dimension_16(self, monkeypatch,
+                                                       rows):
+        # orthonormal 16 x 16 matrices score q > 1 / (16 e), and so do the
+        # tall Gaussian ones
+        rng = np.random.default_rng(rows)
+        stack = rng.normal(size=(300, rows, 16))
+        if rows == 16:
+            stack = np.linalg.qr(stack)[0]
+        shapes = _counted_svd(monkeypatch)
+        assert numerical_rank(stack).tolist() == [16] * 300
+        assert shapes == []
 
     def test_nan_matrix_makes_no_svd_call(self, monkeypatch):
         shapes = _counted_svd(monkeypatch)
