@@ -9,16 +9,19 @@ it is computed.  Every callable is called on coordinate columns, one call
 per chunk of points (``core.point_stack``), or once per point if it fails
 on columns.  Jacobians are stacked one chunk at a time, and the bracket,
 commutation and symplecticity formulas keep only their residuals.
-Flow commutation is a second phase: per field, one integration (one field
-call per Runge-Kutta stage) for all flow times of the first
-``FLOW_POINT_CAP`` kept points stacked over their images.  The public
-pointwise residuals run the same formulas and flow phase on one point.
+Flow commutation is a second phase: per field, one DOP853 integration (one
+field call per stage, 12 per step, on a (13, n, rows) stage stack) for all
+flow times of the first ``FLOW_POINT_CAP`` kept points stacked over their
+images.  The public pointwise residuals run the same formulas and flow
+phase on one point.
 
 Residuals are normalized by a per-point scale ``1 + max(|x|, |f(x)|, ...)``
 and tolerances are relative to it.  A condition reports the scale at its
 ``worst_point``, so ``max_abs * scale`` is the raw residual there; rank and
-empty conditions report 1.0.  A PASS verdict means "no counterexample found
-at these tolerances", never a proof.
+empty conditions report 1.0.  A residual that is not finite fails its
+condition and is counted in ``non_finite``; the statistics are taken over
+the finite ones.  A PASS verdict means "no counterexample found at these
+tolerances", never a proof.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .core import (SAMPLES, SEED, DomainError, IntegrabilityStructure,
                    SamplingRegion, ScalarField, SmoothMap, VectorField,
                    chunk_length, column_chunks, guarded_images, point_stack,
                    row_dot, row_norms, sample)
-from .numerics import (DEFAULT_RANK_THRESHOLD, FLOW_TOL, IntegrationError,
-                       integrate_flow, numerical_rank)
+from .numerics import (DEFAULT_RANK_THRESHOLD, FLOW_TOL, MAX_FLOW_TIME,
+                       IntegrationError, integrate_flow, numerical_rank)
 
 __all__ = [
     "CAVEAT",
@@ -57,9 +60,6 @@ CAVEAT = "numerical evidence, not proof"
 # default spot-check times of flow commutation and the number of kept points
 # it integrates from
 FLOW_TIMES = (-1.0, 0.5, 1.0)
-# largest |t| accepted as a spot-check time: the flow of a unit-rate linear
-# field overflows a double near t = 709
-MAX_FLOW_TIME = 1e3
 FLOW_POINT_CAP = 50
 
 
@@ -84,16 +84,17 @@ class Tolerances:
 class ResidualStats:
     condition_name: str
     count: int
-    max_abs: float
-    mean_abs: float
-    p99_abs: float
+    max_abs: float | None
+    mean_abs: float | None
+    p99_abs: float | None
     worst_point: tuple[float, ...] | None
-    scale: float
+    scale: float | None
     passed: bool
     kind: str = "residual"  # "residual" | "rank" | "empty"
     tolerance: float | None = None
     full_rank_fraction: float | None = None
     skipped: int = 0
+    non_finite: int = 0
 
     def to_dict(self) -> dict:
         d = {
@@ -112,6 +113,8 @@ class ResidualStats:
             d["full_rank_fraction"] = self.full_rank_fraction
         if self.skipped:
             d["skipped"] = self.skipped
+        if self.non_finite:
+            d["non_finite"] = self.non_finite
         return d
 
 
@@ -325,27 +328,38 @@ def symplecticity_residual(f: SmoothMap, z) -> float:
 
 def _stats(name: str, residuals, scales, points: np.ndarray, tol: float,
            skipped: int = 0, skip_fail: bool = False) -> ResidualStats:
-    """Statistics of ``residuals / scales`` over ``points``."""
+    """Statistics of ``residuals / scales`` over ``points``.  A residual
+    that is not finite is a failing point, counted in ``non_finite``; the
+    statistics are those of the finite ones, None where there are none."""
     if len(residuals) == 0:
         return ResidualStats(name, 0, 0.0, 0.0, 0.0, None, 1.0,
                              passed=not skip_fail, kind="empty",
                              tolerance=tol, skipped=skipped)
     arr = residuals / scales
-    worst = int(np.argmax(arr))
-    mean = float(np.mean(arr))
-    p99 = float(np.percentile(arr, 99))
-    p99 = min(max(p99, mean), float(arr.max()))
+    finite = np.flatnonzero(np.isfinite(arr))
+    non_finite = len(arr) - len(finite)
+    if not len(finite):
+        return ResidualStats(name, len(arr), None, None, None, None, None,
+                             passed=False, tolerance=tol, skipped=skipped,
+                             non_finite=non_finite)
+    kept = arr[finite]
+    worst = finite[np.argmax(kept)]
+    mean = float(np.mean(kept))
+    p99 = float(np.percentile(kept, 99))
+    p99 = min(max(p99, mean), float(kept.max()))
     return ResidualStats(
         condition_name=name,
         count=len(arr),
-        max_abs=float(arr.max()),
+        max_abs=float(kept.max()),
         mean_abs=mean,
         p99_abs=p99,
         worst_point=tuple(points[worst].tolist()),
         scale=float(scales[worst]),
-        passed=(float(arr.max()) <= tol) and not skip_fail,
+        passed=(float(kept.max()) <= tol and not non_finite
+                and not skip_fail),
         tolerance=tol,
         skipped=skipped,
+        non_finite=non_finite,
     )
 
 

@@ -24,8 +24,8 @@ import click
 import numpy as np
 
 from . import __version__, catalog
-from .certify import (CAVEAT, FLOW_TIMES, MAX_FLOW_TIME, Tolerances,
-                      certify_involution, certify_structure)
+from .certify import (CAVEAT, FLOW_TIMES, Tolerances, certify_involution,
+                      certify_structure)
 from .constructions import lift_structure
 from .core import (SAMPLES, SEED, DomainError, IntegrabilityStructure,
                    RegionSamplingError, SamplingRegion)
@@ -35,7 +35,7 @@ from .dynamics import (PERIODIC_SEEDS, ConvergenceError, NonMonotoneMapError,
                        lyapunov_spectrum, rotation_number)
 from .expressions import ExpressionError, structure_from_dict
 from .jets import DerivativeError
-from .numerics import IntegrationError
+from .numerics import MAX_FLOW_TIME, IntegrationError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -90,7 +90,12 @@ def _write_report(payload: dict, output: str | None, started: float):
         **payload,
         "wall_time_ms": None,  # timing on stderr keeps reports byte-stable
     }
-    text = json.dumps(_json_ready(report), indent=2) + "\n"
+    try:  # strict JSON: a value that is not finite is a runtime failure
+        text = json.dumps(_json_ready(report), indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError as err:
+        _emit_error("runtime", f"report not written: {err}")
+        sys.exit(EXIT_RUNTIME)
     if output:
         with open(output, "w", newline="\n") as fh:
             fh.write(text)

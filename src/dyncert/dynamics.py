@@ -14,7 +14,7 @@ import numpy as np
 from .core import (SEED, DomainError, IntegrabilityStructure,
                    SamplingRegion, SmoothMap, column_chunks, guarded_images,
                    iterate, orbit_points, point_stack, row_norms, sample)
-from .numerics import eigen_moduli, integrate_flow
+from .numerics import MAX_FLOW_TIME, eigen_moduli, integrate_flow
 
 __all__ = [
     "Orbit",
@@ -416,7 +416,8 @@ def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure,
     shooting Jacobian's column j; each step is one least-squares solve.  On
     fields that do not commute the iteration need not converge, and where
     the fields are dependent the times are not unique; both end in
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`, as does an iterate with some |t_j| above
+    ``MAX_FLOW_TIME``, before its flows are integrated.
     """
     if s.m < 1:
         raise ValueError("at least one symmetry field is required")
@@ -425,6 +426,10 @@ def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure,
     tol = TRANSLATION_TOL * (1.0 + np.linalg.norm(target))
     ts = np.zeros(s.m)
     for _ in range(NEWTON_ITERATIONS):
+        if np.max(np.abs(ts)) > MAX_FLOW_TIME:
+            raise ConvergenceError(
+                f"flow times {[float(v) for v in ts]} pass the cap "
+                f"|t| <= {MAX_FLOW_TIME:g}")
         y = np.asarray(x)
         for fld, t in zip(reversed(s.fields), reversed(ts)):
             if t != 0.0:

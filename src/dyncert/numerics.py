@@ -7,15 +7,17 @@ stack of matrices, one per sample point.  A Gram-determinant bound gives
 full rank, exactly where the SVD would, to every matrix whose smallest
 singular value lies well above the cut; one SVD call ranks the rest.
 
-``integrate_flow`` is Dormand-Prince 5(4) with one tolerance, used as both
-the absolute and the relative error bound.  It reuses each accepted step's
-last stage as the next step's first, so a step costs six field evaluations.
-On a stack of points each stage is one field call on the coordinate columns
-of all running rows; each row keeps its own flow time and step size and
-ends bit for bit where it would alone, so the flows of one field for
-several times are one call.  The state is kept coordinate by coordinate,
-so the field gets contiguous columns, and the seven stages of a step are
-one stack: each stage sum is one product and one reduction over it.
+``integrate_flow`` is DOP853, the Dormand-Prince 8(5,3) pair, with one
+tolerance, used as both the absolute and the relative error bound.  Each
+step ends with the derivative at its new point, which an accepted step
+reuses as the next step's first stage, so a step costs 12 field
+evaluations.  On a stack of points each stage is one field call on the
+coordinate columns of all running rows; each row keeps its own flow time
+and step size and ends bit for bit where it would alone, so the flows of
+one field for several times are one call.  The state is kept coordinate
+by coordinate, so the field gets contiguous columns, and the 13 stages of
+a step are one (13, n, rows) stack; each stage is added to every later
+stage sum as soon as it is known, one product and one sum per stage.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ DEFAULT_RANK_THRESHOLD = 1e-8
 SCREEN_MARGIN = 1e3
 FLOW_TOL = 1e-10  # default absolute and relative tolerance of integrate_flow
 MAX_STEPS = 10**6  # steps integrate_flow takes before it gives up
+# largest |t| that certify's flow checks and the translation fit accept:
+# the flow of a unit-rate linear field overflows a double near t = 709
+MAX_FLOW_TIME = 1e3
 
 
 class IntegrationError(RuntimeError):
@@ -101,35 +106,69 @@ def eigen_moduli(m) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
 
 
-# Dormand-Prince 5(4) tableau.  Its last row is the fifth-order weights, so
-# the seventh stage is the derivative at the fifth-order solution.
+# DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, sec. II.10), as scipy's
+# dop853_coefficients.py gives it: row i of A weights stages 0..i-1 of
+# stage i, B gives the eighth-order solution, and E5 and E3 the fifth- and
+# third-order error terms.  The derivative at the new point has weight 0
+# in all three; it becomes the next step's first stage.
 _A = [
     [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
 ]
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
-# the weights of each stage sum, and the fourth-order weights last, as
-# (stages, 1, 1) arrays over a (7, n, rows) stage stack
-_WEIGHTS = [np.reshape(w, (-1, 1, 1)) for w in (*_A, _B4)]
+_B = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259]
+_E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294]
+_E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082]
+# the 14 sums a step builds, stages 1..11, B, E5 and E3, as rows; column j
+# holds each later sum's weight of stage j, as a (sums, 1, 1) array over
+# the (n, rows) stage j
+_SUMS = [*_A[1:], _B, _E5, _E3]
+_COLUMNS = [np.reshape([row[j] for row in _SUMS[j:]], (-1, 1, 1))
+            for j in range(12)]
 
 
 def integrate_flow(field, x0, t: float | np.ndarray,
                    tol: float = FLOW_TOL) -> np.ndarray:
-    """Flow of an autonomous field (DOPRI 5(4)) from a point ``x0`` of
-    shape (n,), or from each row of a (points, n) stack, for time ``t``: a
+    """Flow of an autonomous field (DOP853) from a point ``x0`` of shape
+    (n,), or from each row of a (points, n) stack, for time ``t``: a
     number, or one time per row.
 
     Negative ``t`` integrates backwards; ``tol`` is both the absolute and
-    the relative error tolerance per step.  The rows of a stack advance in
-    lockstep, each with its own time and step size: every stage is one
-    call of ``field`` on the n coordinate columns of all running rows
-    (``core.on_columns``).  A field that fails on columns, for the rest of
+    the relative error tolerance per step.  A step costs 12 field calls,
+    11 stages and the derivative at the new point, which is the next
+    step's first stage.  Its error is Hairer's, h |e5|^2 / sqrt((|e5|^2 +
+    0.01 |e3|^2) n) over the scaled fifth- and third-order error terms, and
+    the step size changes by 0.9 err^(-1/8), clipped to [0.2, 5], with the
+    root taken by Python's ``**`` one row at a time.  The rows of a stack
+    advance in lockstep, each with its own time and step size: every stage
+    is one call of ``field`` on the n coordinate columns of all running
+    rows (``core.on_columns``).  A field that fails on columns, for the rest of
     the integration, and a single running row get one list of floats per
     row.  A row whose time is 0 is returned as it is.
 
@@ -175,14 +214,15 @@ def integrate_flow(field, x0, t: float | np.ndarray,
             errors[i] = IntegrationError(f"{message} t={e:g}")
 
     # the rows still running: their state y and stages k (k[0] is the
-    # first stage, FSAL), coordinate by coordinate, as one (8, n, rows)
-    # stack; and their time, direction, step size and elapsed time as one
-    # (4, rows) stack, so the rows that end are dropped by two takes once
-    # every state is written out.  Every running row has attempted
-    # ``steps`` steps
+    # first stage, the derivative at y; k[12] the derivative at the new
+    # point), coordinate by coordinate, as one (14, n, rows) stack; and
+    # their time, direction, step size and elapsed time as one (4, rows)
+    # stack, so the rows that end are dropped by two takes once every
+    # state is written out.  Every running row has attempted ``steps``
+    # steps
     times = np.broadcast_to(times, out.shape[:1])
     rows = np.flatnonzero(times)
-    stack = np.empty((8, out.shape[1], len(rows)))
+    stack = np.empty((14, out.shape[1], len(rows)))
     stack[0] = out[rows].T
     t_abs = np.abs(times[rows])
     per_row = np.array([t_abs, np.sign(times[rows]), t_abs / 100.0,
@@ -206,7 +246,7 @@ def integrate_flow(field, x0, t: float | np.ndarray,
             out[rows] = y.T
             keep = np.flatnonzero(running)
             rows, per_row = rows[keep], per_row.take(keep, 1)
-            kept, stack = stack[:2], np.empty((8, len(y), len(rows)))
+            kept, stack = stack[:2], np.empty((14, len(y), len(rows)))
             kept.take(keep, 2, out=stack[:2])
             y, k = stack[0], stack[1:]
             t_abs, direction, h, elapsed = per_row
@@ -217,33 +257,42 @@ def integrate_flow(field, x0, t: float | np.ndarray,
         last = h >= left
         np.copyto(h, left, where=last)
         hd = direction * h
-        # a reduction over the stages from an initial 0 adds them left to
-        # right, as Python's sum does
-        for i in range(1, 7):
-            yi = y + hd * np.add.reduce(_WEIGHTS[i] * k[:i], initial=0.0)
-            k[i] = rhs(yi, rows)
-        # the last stage's point yi is the fifth-order solution
-        y4 = y + hd * np.add.reduce(_WEIGHTS[7] * k, initial=0.0)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(yi))
-        # squared into (rows, n) C order: a row's n entries are then summed
-        # as np.mean sums one point's
-        err = np.sqrt(np.add.reduce(np.square(((yi - y4) / scale).T,
-                                              order="C"), axis=1) / len(y))
+        # sums[r] gathers the weighted stages of the r-th sum, each stage
+        # added to all the sums that use it as soon as it is known, so
+        # every sum adds its stages left to right, whatever the shape
+        sums = _COLUMNS[0] * k[0]
+        for j in range(1, 12):
+            k[j] = rhs(y + hd * sums[j - 1], rows)
+            sums[j:] += _COLUMNS[j] * k[j]
+        new = y + hd * sums[11]
+        k[12] = rhs(new, rows)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(new))
+        # squared into (2, rows, n) C order: a row's n entries are then
+        # summed as np.add.reduce sums one point's
+        e5, e3 = np.add.reduce(np.square((sums[12:] / scale).transpose(
+            0, 2, 1), order="C"), axis=2)
+        with np.errstate(invalid="ignore"):
+            err = h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y))
+        # no error where both error terms vanish (0/0); a new state that
+        # is not finite reads NaN, so its step is rejected and shrinks
+        err[e5 == 0.0] = 0.0
+        err[~np.isfinite(scale).all(axis=0)] = np.nan
         ok = err <= 1.0
         if ok.all():  # no row rejected its step: plain copies
-            y[...] = yi
-            k[0] = k[6]
+            y[...] = new
+            k[0] = k[12]
             np.add(elapsed, h, out=elapsed)
             np.copyto(elapsed, t_abs, where=last)
         else:
-            np.copyto(y, yi, where=ok)
-            np.copyto(k[0], k[6], where=ok)
+            np.copyto(y, new, where=ok)
+            np.copyto(k[0], k[12], where=ok)
             np.add(elapsed, h, out=elapsed, where=ok)
             np.copyto(elapsed, t_abs, where=ok & last)
-        # Python's **: np.power rounds some errors otherwise.  A zero error
-        # gives inf (the step grows 5 times), fmax takes NaN to 0.2
-        with np.errstate(divide="ignore"):
-            growth = [u ** 0.2 for u in (1.0 / err).tolist()]
+        # Python's **: np.power rounds some errors otherwise.  A zero or
+        # subnormal error gives inf (the step grows 5 times), fmax takes
+        # NaN to 0.2
+        with np.errstate(divide="ignore", over="ignore"):
+            growth = [u ** 0.125 for u in (1.0 / err).tolist()]
         h *= np.fmin(5.0, np.fmax(0.2, 0.9 * np.array(growth)))
     if single and errors:
         raise errors[0]

@@ -323,6 +323,25 @@ class TestCertifyStructure:
             assert {"name", "kind", "count", "max_abs", "mean_abs", "p99_abs",
                     "worst_point", "scale", "tolerance", "pass"} <= set(cond)
 
+    def test_non_finite_residuals_fail_and_are_counted(self):
+        points = np.arange(8.0).reshape(4, 2)
+        stats = certify._stats("c", np.array([np.nan, 3e-10, np.inf, 1e-10]),
+                               np.array([1.0, 1.5, 2.0, np.nan]), points,
+                               1e-9)
+        assert (stats.passed, stats.count, stats.non_finite) == (False, 4, 3)
+        assert (stats.max_abs, stats.worst_point, stats.scale) == (
+            2e-10, (2.0, 3.0), 1.5)
+        assert stats.to_dict()["non_finite"] == 3
+        nothing = certify._stats("c", np.array([np.nan, np.inf]),
+                                 np.ones(2), points[:2], 1e-9)
+        assert (nothing.passed, nothing.non_finite) == (False, 2)
+        d = nothing.to_dict()
+        assert [d[k] for k in ("max_abs", "mean_abs", "p99_abs",
+                               "worst_point", "scale")] == [None] * 5
+        finite = certify._stats("c", np.array([1e-10]), np.ones(1),
+                                points[:1], 1e-9)
+        assert finite.passed and "non_finite" not in finite.to_dict()
+
     def test_corrupted_integral_fails_with_worst_point(self):
         f, _, region = self._lyness2()
         bad = ScalarField(dim=2, func=lambda x: x[0] + x[1], name="bogus")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dyncert import catalog, core
+from dyncert import catalog, cli, core
 from dyncert.cli import main
 from dyncert.core import chunk_length, column_chunks, sample
 
@@ -132,6 +132,43 @@ class TestCertify:
         region = catalog.build("linear", blocks="1:1,1:1")[2]
         assert (rank["pass"], rank["full_rank_fraction"]) == (False, 0.0)
         assert rank["worst_point"] == sample(region, 50, seed=42)[0]
+
+    def test_nan_invariance_is_strict_json(self, runner, tmp_path):
+        # the same integral is NaN wherever x1*1e308*10 overflows: each such
+        # point fails map invariance and is counted, the statistics are
+        # those of the finite residuals, and no bare NaN reaches the report
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({
+            "dim": 2, "integrals": ["x1*1e308*10 - x1*1e308*10 + x2"]}))
+        result = run(runner, ["certify", "--map", "linear",
+                              "--param", "blocks=1:1,1:1", "--samples", "50",
+                              "--structure-file", str(struct)])
+        assert result.exit_code == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data = json.loads(result.stdout, parse_constant=reject)
+        [inv] = [c for c in data["report"]["conditions"]
+                 if c["name"] == "map_invariance[F1]"]
+        region = catalog.build("linear", blocks="1:1,1:1")[2]
+        overflows = sum(math.isinf(x[0] * 1e308 * 10)
+                        for x in sample(region, 50, seed=42))
+        assert 0 < overflows < 50
+        assert (inv["pass"], inv["count"], inv["non_finite"]) == (
+            False, 50, overflows)
+        assert inv["max_abs"] == 0.0 and math.isfinite(inv["scale"])
+        assert math.isfinite(inv["worst_point"][0] * 1e308 * 10)
+
+    def test_non_finite_report_value_exit_three(self, capsys):
+        # a value that is not finite when the report is written ends in a
+        # runtime error, never in a report that strict parsers reject
+        with pytest.raises(SystemExit) as stop:
+            cli._write_report({"config": {}, "value": math.nan}, None, 0.0)
+        assert stop.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["error"] == "runtime"
 
     @pytest.mark.parametrize("entry, structure", [
         pytest.param(("lyness", "n=2"), {"integrals": ["log(x1 - 5)"]},
@@ -465,6 +502,17 @@ class TestDataCommands:
             assert result.exit_code == 3
             error = json.loads(result.stderr.splitlines()[-1])
             assert error["error"] == "runtime"
+
+    def test_translation_times_past_the_cap_exit_three(self, runner):
+        # f swaps the two orbits x < 1 and x > 1 of the field x - 1, so no
+        # flow time reaches f(x) and Newton drives t without bound; the fit
+        # stops at the flow-time cap, before it integrates that far
+        result = run(runner, ["translation", "--map", "affine1d",
+                              "--param", "a=-2", "--x0", "0.5"])
+        assert result.exit_code == 3
+        error = json.loads(result.stderr.splitlines()[-1])
+        assert error["error"] == "runtime"
+        assert "pass the cap |t| <= 1000" in error["message"]
 
 
 class TestLiftCertify:
