@@ -159,6 +159,9 @@ class CertificationReport:
             "guard_failures": self.guard_failures,
             "conditions": [c.to_dict() for c in self.conditions],
             "verdict": self.verdict,
+            # what a PASS speaks for: integrability only when complete
+            "scope": ("integrability" if self.complete
+                      else "supplied conditions"),
             "caveat": CAVEAT,
         }
 

@@ -80,11 +80,12 @@ class RegionSamplingError(RuntimeError):
 class SmoothMap:
     """An evaluable diffeomorphism on a box-with-circle-flags phase space.
 
-    ``forward`` takes and returns a sequence and must accept jet entries,
-    which give its Jacobian; dyncert never reads ``inverse``, which is kept
-    only for callers that pass one.  ``phase_topology`` holds one entry per
-    coordinate: ``None`` for a line, or the circumference of a circle
-    coordinate.  All callables follow the column contract (module
+    ``forward`` takes and returns a sequence, must accept jet entries,
+    which give its Jacobian, and must not modify its argument, which
+    :func:`orbit_points` hands it uncopied; dyncert never reads ``inverse``,
+    which is kept only for callers that pass one.  ``phase_topology`` holds
+    one entry per coordinate: ``None`` for a line, or the circumference of
+    a circle coordinate.  All callables follow the column contract (module
     docstring).
     """
 
@@ -262,25 +263,27 @@ def iterate(f: SmoothMap, x0: Sequence, k: int) -> list:
 
 def orbit_points(f: SmoothMap, x0: Sequence) -> Iterator[list]:
     """x0, f(x0), f^2(x0), ... as lists, their circle coordinates reduced
-    and each point checked against the domain guard once, ``f.forward``
-    looked up once: the one walk of iterates, orbits, drifts and Lyapunov
-    stacks.  Reaching the k-th iterate raises :class:`DomainError` with
+    and each point checked against the domain guard once, as yielded: the
+    one walk of iterates, orbits, drifts and Lyapunov stacks.  ``forward``
+    takes the yielded list itself, uncopied, and only a point that fails
+    the guard goes through ``SmoothMap._check_guard``, for its message.
+    Reaching the k-th iterate raises :class:`DomainError` with
     ``step`` k when it violates the guard, or when ``forward`` raises one
     computing it."""
     circles = [(i, c) for i, c in enumerate(f.phase_topology or ())
                if c is not None]
-    guarded, forward = f.domain_guard is not None, f.forward
+    guard, forward = f.domain_guard, f.forward
     x = [float(v) for v in x0]
     k = 0
     while True:
         for i, c in circles:
             x[i] %= c
-        if guarded:
+        if guard is not None and not guard(x):
             f._check_guard(x, step=k)
         yield x
         k += 1
         try:
-            x = list(forward(list(x)))
+            x = list(forward(x))
         except DomainError as err:
             err.step = k
             raise

@@ -319,6 +319,7 @@ class TestCertifyStructure:
         assert d["caveat"] == CAVEAT
         assert d["structure"] == {"fields": 0, "integrals": 1,
                                   "complete": False}
+        assert d["scope"] == "supplied conditions"
         for cond in d["conditions"]:
             assert {"name", "kind", "count", "max_abs", "mean_abs", "p99_abs",
                     "worst_point", "scale", "tolerance", "pass"} <= set(cond)

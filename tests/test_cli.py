@@ -68,6 +68,28 @@ class TestCertify:
         assert "variant_search" in data
         assert len(data["variant_search"]) > 0
 
+    @pytest.mark.parametrize("args, exit_code, scope", [
+        (["certify", "--map", "twist"], 0, "integrability"),
+        (["certify", "--map", "lyness", "--param", "n=3"], 0,
+         "supplied conditions"),
+        (["certify", "--map", "lyness", "--param", "n=3", "--param",
+          "symmetry=1"], 1, "integrability"),
+        (["lift-certify", "--map", "linear", "--param", "blocks=2:3"], 0,
+         "integrability"),
+        (["lift-certify", "--map", "lyness", "--param", "n=4"], 0,
+         "supplied conditions"),
+    ])
+    def test_scope_follows_completeness(self, runner, tmp_path, args,
+                                        exit_code, scope):
+        # the scope says what a PASS speaks for; verdict and exit code
+        # follow the conditions alone
+        out = tmp_path / "r.json"
+        result = run(runner, [*args, "--samples", "60", "-o", str(out)])
+        assert result.exit_code == exit_code
+        report = json.loads(out.read_text())["report"]
+        assert report["scope"] == scope
+        assert report["structure"]["complete"] == (scope == "integrability")
+
     def test_unknown_map_exit_two(self, runner):
         result = run(runner, ["certify", "--map", "nope"])
         assert result.exit_code == 2
@@ -550,6 +572,55 @@ class TestLiftCertify:
         assert "poisson_bracket[G1,G2]" in names
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+class TestStrictJson:
+    # the reports of the byte-identity sweep, each parsed with a
+    # parse_constant that raises: no bare NaN or Infinity reaches one, nor
+    # the error line of a map without a catalog structure
+    @pytest.mark.parametrize("args", [
+        *(["certify", "--map", name, "--samples", "50"]
+          for name in catalog.CATALOG),
+        ["lift-certify", "--map", "linear", "--param", "blocks=2:3",
+         "--samples", "50"],
+        ["lift-certify", "--map", "lyness", "--param", "n=4",
+         "--samples", "50"],
+        ["orbit", "--map", "lyness", "--x0", "1,2", "-N", "50"],
+        # ends before its first point that is not finite
+        ["orbit", "--map", "linear", "--param", "blocks=2:3",
+         "--x0", "0.1,0.2,0.3", "-N", "1100"],
+        ["lyapunov", "--map", "cat_map", "--x0", "0.3,0.7", "-N", "2000"],
+        ["periodic", "--map", "cat_map", "-k", "2", "--seeds", "50"],
+        ["rotation", "--map", "rigid_rotation", "-N", "1000"],
+        ["drift", "--map", "lyness", "--x0", "1,2", "-N", "200"],
+        ["translation", "--map", "affine1d", "--x0", "1"],
+        ["list"],
+        "reproducer",
+    ], ids=lambda args: args if isinstance(args, str) else "-".join(
+        args[:3:2]))
+    def test_reports_parse_strictly(self, runner, tmp_path, args):
+        if args == "reproducer":  # x1*1e308*10 overflows: NaN residuals
+            struct = tmp_path / "s.json"
+            struct.write_text(json.dumps({
+                "dim": 2,
+                "integrals": ["x1*1e308*10 - x1*1e308*10 + x2"]}))
+            args = ["certify", "--map", "linear", "--param",
+                    "blocks=1:1,1:1", "--samples", "50",
+                    "--structure-file", str(struct)]
+        result = run(runner, args)
+        if result.exit_code == 2:  # no structure to certify
+            assert args[:2] == ["certify", "--map"]
+            error = json.loads(result.stderr.splitlines()[-1],
+                               parse_constant=_reject)
+            assert error["error"] == "config"
+            return
+        assert result.exit_code in (0, 1)
+        data = json.loads(result.stdout, parse_constant=_reject)
+        assert data["config"]["command"] == args[0]
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_column_budgets(
             self, runner, tmp_path, monkeypatch):
@@ -561,6 +632,9 @@ class TestDeterminism:
             ["lift-certify", "--map", "lyness", "--param", "n=4",
              "--samples", "300", "--seed", "42"],
             ["lyapunov", "--map", "cat_map", "--x0", "0.3,0.7", "-N", "2000"],
+            # three stacks of JACOBIAN_STACK steps or fewer, whose ends do
+            # not move with the budget
+            ["lyapunov", "--map", "cat_map", "--x0", "0.3,0.7", "-N", "9000"],
             ["periodic", "--map", "cat_map", "-k", "2", "--seeds", "300"],
         ]
         outputs = {}

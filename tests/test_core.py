@@ -11,7 +11,7 @@ from dyncert import catalog, core
 from dyncert.core import (DomainError, IntegrabilityStructure,
                           RegionSamplingError, SamplingRegion, ScalarField,
                           SmoothMap, VectorField, chunk_length, column_chunks,
-                          guarded_images, iterate, sample)
+                          guarded_images, iterate, orbit_points, sample)
 from helpers import reference_sample, squaring_past_5
 
 TWO_PI = 2.0 * math.pi
@@ -324,6 +324,51 @@ class TestIterate:
             iterate(f, [-0.5], 2)  # x0 itself fails the first application
         assert exc.value.step == 1
         assert iterate(f, [-0.5], 0) == [-0.5]
+
+
+class TestOrbitPoints:
+    @pytest.mark.parametrize("circle", [False, True])
+    def test_guard_once_per_point_and_forward_takes_the_yielded_list(
+            self, circle):
+        # the guard sees each point once, as plain floats, and forward is
+        # handed the very list the walk yielded, not a copy
+        lyness = catalog.build("lyness", n=2)[0]
+        # a circle so wide that reducing on it changes no point
+        f = replace(lyness, phase_topology=(None, 1e9) if circle else None)
+        guarded, forwarded = [], []
+
+        def guard(x):
+            guarded.append((id(x), [type(v) for v in x]))
+            return lyness.domain_guard(x)
+
+        def forward(x):
+            forwarded.append(id(x))
+            return lyness.forward(x)
+
+        walk = orbit_points(replace(f, domain_guard=guard, forward=forward),
+                            [1, 2])
+        points = [next(walk) for _ in range(50)]
+        assert [p for p, _ in guarded] == [id(x) for x in points]
+        assert all(types == [float, float] for _, types in guarded)
+        assert forwarded == [id(x) for x in points[:-1]]
+        x = [1.0, 2.0]
+        for point in points:  # the yielded points are the apply loop's
+            assert point == x
+            x = f.apply(x)
+
+    @pytest.mark.parametrize("x0, step", [([0.0], 3), ([2.5], 0)])
+    @pytest.mark.parametrize("name", ["", "stepper"])
+    def test_guard_exit_message_and_step(self, x0, step, name):
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] + 1.0],
+                      domain_guard=lambda x: x[0] < 2.5, name=name)
+        walk = orbit_points(f, x0)
+        assert [next(walk) for _ in range(step)] == [[float(k)]
+                                                      for k in range(step)]
+        with pytest.raises(DomainError) as err:
+            next(walk)
+        assert str(err.value) == (f"point [{float(step) + x0[0]}] violates "
+                                  f"the domain guard of {name or 'map'}")
+        assert err.value.step == step
 
 
 class TestGuardedImages:

@@ -420,7 +420,7 @@ class TestLyapunov:
     @pytest.mark.parametrize("name, params, x0", [
         ("cat_map", {}, [0.3, 0.7]), ("twist", {"n": 2}, [0.1, 0.2, 0.3, 0.4]),
         ("lyness", {"n": 3}, [1.0, 2.0, 1.5])])
-    @pytest.mark.parametrize("n_steps", [100, 129, 2000, 2049])
+    @pytest.mark.parametrize("n_steps", [100, 129, 2000, 2049, 4097, 8193])
     def test_jacobians_take_one_column_call_per_chunk(self, name, params, x0,
                                                       n_steps, monkeypatch):
         f = catalog.build(name, **params)[0]
@@ -433,12 +433,14 @@ class TestLyapunov:
 
         # the orbit applies f once per step; its Jacobians come from one
         # call per chunk of chunk_length((n, n)) steps of each stack of at
-        # most JACOBIAN_STACK: 2049 steps are three stacks of 683 steps.
-        # At the default budget (8192 steps of the cat map's Jacobian, 2048
-        # of the twist's, 3584 of Lyness n = 3) a stack is one chunk; a
-        # budget of 2 points of a 16 x 16 Jacobian (128 steps of the cat
-        # map's, 32 of the twist's, 56 of Lyness n = 3) cuts it into several
-        assert dynamics.JACOBIAN_STACK == 1024
+        # most JACOBIAN_STACK: 4097 steps are two stacks of 2048 and 2049
+        # steps, 8193 three of 2731.  At the default budget (8192 steps of
+        # the cat map's Jacobian, 2048 of the twist's, 3584 of Lyness
+        # n = 3) a stack is one chunk, but a twist stack of more than 2048
+        # steps is two; a budget of 2 points of a 16 x 16 Jacobian (128
+        # steps of the cat map's, 32 of the twist's, 56 of Lyness n = 3)
+        # cuts a stack into several
+        assert dynamics.JACOBIAN_STACK == 4096
         columns = []
         for column_chunk in (core.COLUMN_CHUNK, 2):
             monkeypatch.setattr(core, "COLUMN_CHUNK", column_chunk)
@@ -449,7 +451,11 @@ class TestLyapunov:
                 len(column_chunks(c.stop - c.start, length))
                 for c in column_chunks(n_steps, dynamics.JACOBIAN_STACK)))
             assert calls == {"points": n_steps, "columns": columns[-1]}
-        assert columns[0] == {100: 1, 129: 1, 2000: 2, 2049: 3}[n_steps]
+        stacks = {100: 1, 129: 1, 2000: 1, 2049: 1, 4097: 2, 8193: 3}
+        assert columns[0] == {
+            "cat_map": stacks, "lyness": stacks,
+            "twist": {100: 1, 129: 1, 2000: 1, 2049: 2, 4097: 3, 8193: 6},
+        }[name][n_steps]
 
     @pytest.mark.parametrize("scales", [(1e200,), (1e200, 1e-200)],
                              ids=["1-D", "2-D"])
@@ -527,12 +533,14 @@ class TestLyapunov:
     @pytest.mark.parametrize("x0, limit", [([0.0], 50.5), ([60.0], 50.5),
                                            ([0.0], 127.5), ([0.0], 128.5),
                                            ([0.0], 1e9), ([0.0], 1023.5),
-                                           ([0.0], 1024.5), ([0.0], 1025.5)])
+                                           ([0.0], 1024.5), ([0.0], 1025.5),
+                                           ([0.0], 4095.5), ([0.0], 4096.5),
+                                           ([0.0], 4097.5)])
     @pytest.mark.parametrize("raising", [False, True])
     def test_domain_errors_equal_the_apply_loop(self, x0, limit, raising):
         # the guard or forward itself stops the orbit x0, x0 + 1, ...:
         # before the first step, inside a stack, at the first stack's last
-        # image (step 1023 of two stacks of 1024), after it, or never
+        # image (step 4095 of two stacks of 4096), after it, or never
         def forward(x):
             value = getattr(x[0], "value", x[0]) + 1.0  # jets: their value
             if raising and np.any(value > limit):
@@ -541,27 +549,28 @@ class TestLyapunov:
 
         guard = None if raising else (lambda x: x[0] < limit)
         f = SmoothMap(dim=1, forward=forward, domain_guard=guard)
-        assert column_chunks(2048, dynamics.JACOBIAN_STACK)[1].start == 1024
+        assert column_chunks(8192, dynamics.JACOBIAN_STACK)[1].start == 4096
         try:
-            expected = _apply_loop_spectrum(f, x0, 2048)
+            expected = _apply_loop_spectrum(f, x0, 8192)
         except DomainError as err:
             with pytest.raises(DomainError) as got:
-                lyapunov_spectrum(f, x0, 2048)
+                lyapunov_spectrum(f, x0, 8192)
             assert (str(got.value), got.value.step) == (str(err), err.step)
         else:
-            assert np.array_equal(lyapunov_spectrum(f, x0, 2048), expected)
+            assert np.array_equal(lyapunov_spectrum(f, x0, 8192), expected)
 
-    @pytest.mark.parametrize("step", [1023, 1024, 1025])
+    @pytest.mark.parametrize("step", [1023, 1024, 1025, 4095, 4096, 4097])
     def test_first_non_finite_point_equals_the_apply_loop(self, step):
-        # 2^1024 overflows: the orbit of 2^(1024 - step) under x -> 2x is
-        # finite up to point step - 1; point 1024 is the first stack's
+        # 4096 * 2^1012 = 2^1024 overflows: the orbit of
+        # (4096 - step) * 2^1012 under x -> x + 2^1012, exact up to there,
+        # is finite up to point step - 1; point 4096 is the first stack's
         # last image
-        f = SmoothMap(dim=1, forward=lambda x: [2.0 * x[0]])
-        x0 = [2.0 ** (1024 - step)]
+        f = SmoothMap(dim=1, forward=lambda x: [x[0] + 2.0 ** 1012])
+        x0 = [(4096 - step) * 2.0 ** 1012]
         with pytest.raises(DomainError) as err:
-            _apply_loop_spectrum(f, x0, 2048)
+            _apply_loop_spectrum(f, x0, 8192)
         with pytest.raises(DomainError) as got:
-            lyapunov_spectrum(f, x0, 2048)
+            lyapunov_spectrum(f, x0, 8192)
         assert (str(got.value), got.value.step) == (
             f"orbit point {step} is not finite", step)
         assert (str(err.value), err.value.step) == (str(got.value), step)
@@ -570,7 +579,7 @@ class TestLyapunov:
     def test_forward_raising_past_a_non_finite_point(self, n_steps):
         # x -> 2x from 2^-100 overflows at point 1124, and forward raises
         # DomainError on that point: lyapunov and orbit both end the orbit
-        # at point 1124 as not finite, inside the second stack of 1000
+        # at point 1124 as not finite, inside the one stack
         def forward(x):
             if not math.isfinite(jets.float_of(x[0])):
                 raise DomainError("not finite")
@@ -589,8 +598,8 @@ class TestLyapunov:
             n_steps).value)
 
     def test_domain_error_reports_its_step(self):
-        # f' = 1 doubles the blocks up to 64 steps: step 50 lies inside
-        # the block of steps 31 to 62, where the orbit 0, 1, 2, ... leaves
+        # f' = 1 doubles the blocks: step 50 lies inside the block of
+        # steps 31 to 62, where the orbit 0, 1, 2, ... leaves
         # x < 50.5
         f = SmoothMap(dim=1, forward=lambda x: [x[0] + 1.0],
                       domain_guard=lambda x: x[0] < 50.5)
@@ -604,10 +613,13 @@ class TestLyapunov:
         (lambda x: [3.0 * x[0], x[1] / 3.0, x[2]], [0.0, 0.0, 0.0],
          [math.log(3.0), 0.0, -math.log(3.0)], 6),
         # one log besides the last, which comes from the determinants:
-        # only the logs' size, ln 3 per step, limits the block
+        # only the logs' size, ln 3 per step, limits the block, to
+        # ln(QR_GROWTH) / ln 3 steps (the ids name the cap of 64 steps
+        # that bounded these blocks before growth alone did)
         (lambda x: [3.0 * x[0], x[1] / 3.0], [0.0, 0.0],
-         [math.log(3.0), -math.log(3.0)], 64),
-        (lambda x: [2.0 * x[0]], [0.0], [math.log(2.0)], 64),
+         [math.log(3.0), -math.log(3.0)], 125),
+        # ln(QR_GROWTH) / ln 2 steps
+        (lambda x: [2.0 * x[0]], [0.0], [math.log(2.0)], 199),
     ], ids=["blocks_of_6", "blocks_of_64_in_2d", "blocks_up_to_64"])
     def test_every_step_counted_once(self, forward, x0, exponents, longest,
                                      n_steps, monkeypatch):
@@ -626,7 +638,9 @@ class TestLyapunov:
         spec = lyapunov_spectrum(f, x0, n_steps)
         assert list(spec) == pytest.approx(exponents, rel=0, abs=1e-12)
         assert sum(flushed) == n_steps
-        assert max(blocks) == longest
+        # a block at most doubles, so the bound is reached once the orbit
+        # is long enough for the doublings (from N = 257 on, all three)
+        assert max(blocks) == min(longest, 2 * max(flushed))
 
     @pytest.mark.parametrize("f, x0", [
         (catalog.build("cat_map")[0], [0.3, 0.7]),
@@ -651,9 +665,10 @@ class TestLyapunov:
         assert np.max(np.abs(spec - [lam, -lam])) <= 1e-5
         # det Df = 1: the last log is minus the first in every block
         assert spec[0] + spec[1] == 0.0
-        # blocks of up to 64 steps after the first doublings (1,568 QRs);
-        # with the spread to the last log they were about 7 (14,288)
-        assert flushes["qr"] <= 1600
+        # blocks of up to 143 steps, ln(QR_GROWTH) / lambda, after the
+        # first doublings (706 QRs); capped at 64 steps they were 1,568,
+        # and with the spread to the last log about 7 (14,288)
+        assert flushes["qr"] <= 720
 
     def test_cat_map_constant_jacobian(self):
         f, _, _ = catalog.build("cat_map")
