@@ -40,6 +40,7 @@ TRANSLATION_TOL = 1e-11  # shooting residual relative to 1 + |f(x)|
 TRANSLATION_FLOW_TOL = 1e-12  # integrator tolerance of the shooting flows
 QR_CONDITION = 1e6  # about the largest R_11 / R_{n-1,n-1} of a block
 QR_GROWTH = 1e60  # |R_ii| of a block product within this factor of 1
+QR_MAX_BLOCK = 256  # steps a block commits to before it sees them
 JACOBIAN_STACK = 4096  # orbit steps whose Jacobians form one stack
 
 
@@ -193,16 +194,18 @@ def _qr_block_length(logs, steps: int, rate: float) -> tuple[int, float]:
     product near QR_CONDITION (Q comes from its first n - 1 columns, the
     last log from determinants), the size of all n logs its entries within
     QR_GROWTH of 1.  Where the Jacobian varies, one block's rate can fall
-    far below the next one's, so the rate is the largest seen so far and a
-    block at most doubles, up to JACOBIAN_STACK.  A non-finite log (a
-    singular Jacobian) gives 1.
+    far below the next one's, so the rate is the largest seen so far, a
+    block at most doubles and it is at most QR_MAX_BLOCK long: a rate that
+    jumps inside a block goes unseen until its QR, and to overflow a block
+    of 256 steps it must jump past ln(1e308) / 256, about 2.8 per step (a
+    factor of 16).  A non-finite log (a singular Jacobian) gives 1.
     """
     if not all(map(math.isfinite, logs)):
         return 1, rate
     tracked = logs[:-1] or logs  # in 1-D the spread is 0
     rate = max(rate, (max(tracked) - min(tracked)) / _LOG_CONDITION / steps,
                max(-min(logs), max(logs)) / _LOG_GROWTH / steps)
-    longest = min(JACOBIAN_STACK, 2 * steps)
+    longest = min(QR_MAX_BLOCK, 2 * steps)
     if rate * longest <= 1.0:
         return longest, rate
     return max(1, int(1.0 / rate)), rate
@@ -252,8 +255,8 @@ def _qr_spectrum(stacks, dim: int, n_steps: int) -> np.ndarray:
     consecutive (steps, dim, dim) stacks.
 
     The parts of the blocks inside a stack (runs) are multiplied out
-    together: padded with identities to whole blocks (a block and its
-    padding are at most JACOBIAN_STACK long), the stack's factors
+    together: padded with identities to whole blocks (fewer than
+    QR_MAX_BLOCK of them per cut), the stack's factors
     are multiplied pairwise by batched ``@``, later steps on the left.
     One ``dot`` chains a run onto the running product, and one
     :func:`_givens_qr` follows each block's last run and step
@@ -262,7 +265,7 @@ def _qr_spectrum(stacks, dim: int, n_steps: int) -> np.ndarray:
     per stack, summed per run) less its other logs, as they sum to
     log|det(P Q)|: -inf when that sum or another log is.
     """
-    eyes = np.broadcast_to(np.eye(dim), (JACOBIAN_STACK, dim, dim))
+    eyes = np.broadcast_to(np.eye(dim), (QR_MAX_BLOCK, dim, dim))
     product = eyes[0]
     sums = [0.0] * dim
     chained, block, rate, left, logdet = 0, 1, 0.0, n_steps, 0.0
@@ -305,10 +308,11 @@ def _orbit_jacobians(f: SmoothMap, x0, n_steps: int):
     one ``point_stack`` per stack of ``column_chunks`` up to JACOBIAN_STACK
     long (a fixed length, not the column budget, so that the blocks' products
     and the exponents do not depend on that budget; 4096 n^2 floats, 8 MB at
-    n = 16); one ``np.fromiter`` reads its points and last image, guarded,
-    from the walk, and the first point not finite ends the orbit with its
-    step, also where the walk raises DomainError after it (as in
-    :func:`_walk`)."""
+    n = 16, and :func:`_qr_spectrum` copies a stack into whole blocks and
+    halves it pairwise, about 20 MB more at its peak there); one
+    ``np.fromiter`` reads its points and last image, guarded, from the walk,
+    and the first point not finite ends the orbit with its step, also where
+    the walk raises DomainError after it (as in :func:`_walk`)."""
     orbit, n = orbit_points(f, x0), f.dim
     ahead = islice(orbit, 1)  # x0, then each stack's last image
     for stack in column_chunks(n_steps, JACOBIAN_STACK):
@@ -344,8 +348,8 @@ def lyapunov_spectrum(f: SmoothMap, x0, n_steps: int) -> np.ndarray:
     (so with det Df = 1 the exponents sum to 0; in 1-D the exponent is the
     mean of log|f'|).  Each block's length follows from the logs of the
     blocks before it (:func:`_qr_block_length`), bounded by their growth
-    alone (143 steps and 706 QRs at N = 100000 on the cat map), and the
-    products of all blocks in a stack are formed at once
+    and at most QR_MAX_BLOCK (143 steps and 706 QRs at N = 100000 on the
+    cat map), and the products of all blocks in a stack are formed at once
     (:func:`_qr_spectrum`).  On the cat map the exponents agree with a QR
     at every step to 4.1e-14 at N = 2000, 3.1e-13 at 20000 and 1.75e-12
     at 100000.  The orbit (``core.orbit_points``) is read up to

@@ -575,27 +575,29 @@ class TestLyapunov:
             f"orbit point {step} is not finite", step)
         assert (str(err.value), err.value.step) == (str(got.value), step)
 
-    @pytest.mark.parametrize("n_steps", [2000, 1124, 1125])
-    def test_forward_raising_past_a_non_finite_point(self, n_steps):
-        # x -> 2x from 2^-100 overflows at point 1124, and forward raises
-        # DomainError on that point: lyapunov and orbit both end the orbit
-        # at point 1124 as not finite, inside the one stack
+    @pytest.mark.parametrize("past", [2000, 1124, 1125])
+    def test_forward_raising_past_a_non_finite_point(self, past):
+        # x -> x + 2^1012 from -1124 * 2^1012 overflows at point 5220,
+        # 1124 steps into the second stack, and forward raises DomainError
+        # on that point: lyapunov and orbit both end the orbit at point
+        # 5220 as not finite, also where lyapunov walks the second stack
+        # again to find it (the ids count the steps past the first stack)
         def forward(x):
             if not math.isfinite(jets.float_of(x[0])):
                 raise DomainError("not finite")
-            return [2.0 * x[0]]
+            return [x[0] + 2.0 ** 1012]
 
         f = SmoothMap(dim=1, forward=forward)
-        orbit = compute_orbit(f, [2.0 ** -100], n_steps)
+        x0, n_steps = [-1124 * 2.0 ** 1012], dynamics.JACOBIAN_STACK + past
+        orbit = compute_orbit(f, x0, n_steps)
         assert (len(orbit), orbit.non_finite, orbit.guard_failures) == (
-            1124, 1, 0)
+            5220, 1, 0)
         with pytest.raises(DomainError) as got:
-            lyapunov_spectrum(f, [2.0 ** -100], n_steps)
+            lyapunov_spectrum(f, x0, n_steps)
         assert (str(got.value), got.value.step) == (
-            "orbit point 1124 is not finite", 1124)
+            "orbit point 5220 is not finite", 5220)
         assert str(got.value) == str(pytest.raises(
-            DomainError, _apply_loop_spectrum, f, [2.0 ** -100],
-            n_steps).value)
+            DomainError, _apply_loop_spectrum, f, x0, n_steps).value)
 
     def test_domain_error_reports_its_step(self):
         # f' = 1 doubles the blocks: step 50 lies inside the block of
@@ -615,7 +617,7 @@ class TestLyapunov:
         # one log besides the last, which comes from the determinants:
         # only the logs' size, ln 3 per step, limits the block, to
         # ln(QR_GROWTH) / ln 3 steps (the ids name the cap of 64 steps
-        # that bounded these blocks before growth alone did)
+        # that bounded these blocks before QR_MAX_BLOCK rose to 256)
         (lambda x: [3.0 * x[0], x[1] / 3.0], [0.0, 0.0],
          [math.log(3.0), -math.log(3.0)], 125),
         # ln(QR_GROWTH) / ln 2 steps
@@ -669,6 +671,23 @@ class TestLyapunov:
         # first doublings (706 QRs); capped at 64 steps they were 1,568,
         # and with the spread to the last log about 7 (14,288)
         assert flushes["qr"] <= 720
+
+    def test_rate_rising_inside_a_block(self):
+        # (x, y) -> (x + 1, g(x) y) with g = 1 up to x = 3000 and 2 from
+        # there: the blocks double through the isometric stretch, and the
+        # one that spans x = 3000 grows by 2 per step unseen; QR_MAX_BLOCK
+        # keeps it at 256 steps, where blocks of 2048 overflowed and inf
+        # times the zeros off the diagonal gave NaN exponents
+        def forward(x):
+            gain = 2.0 if jets.float_of(x[0]) >= 3000.0 else 1.0
+            return [x[0] + 1.0, gain * x[1]]
+
+        f = SmoothMap(dim=2, forward=forward)
+        spec = lyapunov_spectrum(f, [0.0, 0.0], 8192)
+        assert list(spec) == pytest.approx(
+            [5192 / 8192 * math.log(2.0), 0.0], rel=0, abs=1e-12)
+        assert np.max(np.abs(spec - per_step_spectrum(f, [0.0, 0.0], 8192))
+                      ) <= 1e-9
 
     def test_cat_map_constant_jacobian(self):
         f, _, _ = catalog.build("cat_map")
