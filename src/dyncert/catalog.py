@@ -123,7 +123,7 @@ def parse_blocks(text: str) -> JordanBlockSpec:
 
 
 def _build_linear(blocks):
-    spec = blocks if isinstance(blocks, JordanBlockSpec) else parse_blocks(blocks)
+    spec = parse_blocks(blocks)
     f = linear_map(spec)
     s = linear_commutative_family(spec)
     region = SamplingRegion(box=tuple((-2.0, 2.0) for _ in range(spec.dim)))

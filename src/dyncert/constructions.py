@@ -23,9 +23,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JordanBlockSpec:
-    """Real block-form matrix: eigenvalue on the diagonal, ones on the
-    subdiagonal of each block.  Callers supply the block form directly;
-    no numerical Jordan decomposition is attempted."""
+    """Real block-form matrix: each block L I + N, eigenvalue L on the
+    diagonal and the shift N (ones on the subdiagonal) below it.  Callers
+    supply the block form directly; no numerical Jordan decomposition is
+    attempted."""
 
     blocks: tuple[tuple[float, int], ...]
 
@@ -43,14 +44,11 @@ class JordanBlockSpec:
         return sum(size for _, size in self.blocks)
 
     def matrix(self) -> np.ndarray:
-        n = self.dim
-        a = np.zeros((n, n))
+        a = np.zeros((self.dim, self.dim))
         offset = 0
         for lam, size in self.blocks:
-            for i in range(size):
-                a[offset + i, offset + i] = lam
-                if i > 0:
-                    a[offset + i, offset + i - 1] = 1.0
+            b = slice(offset, offset + size)
+            a[b, b] = np.diag([lam] * size) + np.eye(size, k=-1)
             offset += size
         return a
 
@@ -75,32 +73,22 @@ def linear_map(spec: JordanBlockSpec) -> SmoothMap:
 def linear_commutative_family(spec: JordanBlockSpec) -> IntegrabilityStructure:
     """n commuting linear fields for f(x) = Ax in block form.
 
-    Per block with eigenvalue L and size s: the block's own linear field
-    A_b x plus the nilpotent shift fields N^j x for j = 1..s-1 (N is the
-    subdiagonal shift inside the block).  A size-1 block contributes the
-    coordinate scaling field x_i e_i.  All powers of N commute with
-    A_b = L I + N, blocks have disjoint support, and the family has rank n
-    wherever the leading coordinate of every block is nonzero.
+    Per block L I + N of size s: the fields N^j x for j = 0..s-1, a basis
+    of the polynomials in N, which are the linear fields that commute with
+    the block.  Blocks have disjoint support, and the family has rank n
+    wherever the leading coordinate of every block is nonzero.  Where
+    L > 0 the block is the time-1 map of its log, ln L N^0 +
+    sum_j (-1)^(j+1) N^j / (j L^j), whose coefficients are the flow times.
     """
     n = spec.dim
-    a, shift = spec.matrix(), np.eye(n, k=-1)
     fields = []
     offset = 0
     for bi, (_, size) in enumerate(spec.blocks):
         b = slice(offset, offset + size)
-        ab = np.zeros((n, n))
-        if size == 1:
-            ab[b, b] = 1.0
-            fields.append(_linear_field(ab, f"scale[{bi + 1}]"))
-        else:
-            ab[b, b] = a[b, b]
-            fields.append(_linear_field(ab, f"block_linear[{bi + 1}]"))
-            nil = np.zeros((n, n))
-            nil[b, b] = shift[b, b]
-            power = np.eye(n)
-            for j in range(1, size):
-                power = power @ nil
-                fields.append(_linear_field(power, f"shift[{bi + 1},{j}]"))
+        for j in range(size):
+            power = np.zeros((n, n))
+            power[b, b] = np.eye(size, k=-j)
+            fields.append(_linear_field(power, f"N^{j}[{bi + 1}]"))
         offset += size
     return IntegrabilityStructure(dim=n, fields=tuple(fields), integrals=())
 

@@ -400,21 +400,22 @@ def rotation_number(f: SmoothMap, x0: float,
 
 def level_set_drift(f: SmoothMap, integrals, x0, n_steps: int):
     """Max |F(f^k(x0)) - F(x0)| per integral over the first n_steps
-    iterates, as far as :func:`_walk` goes.
+    iterates, as far as :func:`_walk` goes: one ``point_stack`` per
+    integral over the walk's points.  An integral that is NaN on the walk
+    (inf - inf, say) has drift NaN, which the builtin ``max`` would drop.
 
     Returns (drifts, steps_reached); an x0 outside the guard raises
     DomainError.
     """
-    integrals = list(integrals)
-    drifts = [0.0] * len(integrals)
-    reached = 0
-    walk = _walk(f, x0, n_steps)
-    x = next(walk)
-    ref = [float(g(x)) for g in integrals]
-    for reached, x in enumerate(walk, 1):
-        for i, g in enumerate(integrals):
-            drifts[i] = max(drifts[i], abs(float(g(x)) - ref[i]))
-    return drifts, reached
+    points = np.fromiter(chain.from_iterable(_walk(f, x0, n_steps)),
+                         float).reshape(-1, f.dim)
+    drifts = []
+    for g in integrals:
+        values = point_stack(g, points)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+            drifts.append(float(np.max(np.abs(values[1:] - values[0]),
+                                       initial=0.0)))
+    return drifts, len(points) - 1
 
 
 def estimate_translation_vector(f: SmoothMap, s: IntegrabilityStructure,

@@ -541,6 +541,16 @@ class TestPipeline:
         assert not [c for c in report.conditions
                     if c.condition_name.startswith("flow_commutation")]
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_linear_flows_commute_within_1e_10(self, seed):
+        # the fields N^j x grow like e^t at most, where A x grew like e^2t
+        f, s, region = build("linear", blocks="2:3")
+        report = certify_structure(f, s, region, seed=seed)
+        flows = [c for c in report.conditions
+                 if c.condition_name.startswith("flow_commutation")]
+        assert len(flows) == len(certify.FLOW_TIMES) * s.m
+        assert all(c.max_abs <= 1e-10 for c in flows)
+
     @pytest.mark.parametrize("name, params, structure, samples", [
         ("linear", {"blocks": "2:3"}, None, 60),
         ("twist", {"n": 2}, None, 60),

@@ -505,16 +505,15 @@ class TestDataCommands:
         assert data["t0"][0] == pytest.approx(math.log(2.0), abs=1e-8)
 
     def test_translation_three_fields(self, runner, tmp_path):
-        # fields A x, N x, N^2 x with A = 2I + N on one 3x3 Jordan block;
+        # fields x, N x, N^2 x with A = 2I + N on one 3x3 Jordan block;
         # log A = ln2 I + N/2 - N^2/8 gives the flow times
         out = tmp_path / "t.json"
         result = run(runner, ["translation", "--map", "linear",
                               "--param", "blocks=2:3", "--x0", "1,0.5,-0.3",
                               "-o", str(out)])
         assert result.exit_code == 0
-        ln2 = math.log(2.0)
         assert json.loads(out.read_text())["t0"] == pytest.approx(
-            [ln2 / 2, (1 - ln2) / 2, -1 / 8], abs=1e-9)
+            [math.log(2.0), 1 / 2, -1 / 8], abs=1e-9)
         # the Lyness candidate field does not commute with the map, and
         # N^2 x vanishes where x1 = 0, so t3 is not determined there
         for args in (["lyness", "--param", "n=3", "--param", "symmetry=1",

@@ -60,11 +60,36 @@ class TestLinearMap:
 
 class TestLinearFamily:
     def test_single_block_n2_fields(self):
-        # lambda=2: v1 = (2x1, x1+2x2), v2 = (0, x1)
+        # lambda=2: v1 = N^0 x = (x1, x2), v2 = N x = (0, x1)
         s = linear_commutative_family(JordanBlockSpec(blocks=((2.0, 2),)))
         assert s.m == 2 and s.complete
-        assert s.fields[0]([1.0, 1.0]) == [2.0, 3.0]
-        assert s.fields[1]([1.0, 1.0]) == [0.0, 1.0]
+        assert s.fields[0]([1.0, 3.0]) == [1.0, 3.0]
+        assert s.fields[1]([1.0, 3.0]) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("blocks", [
+        ((2.0, 3),),
+        ((0.5, 4),),
+        ((2.0, 2), (3.0, 1)),
+        ((1.5, 2), (-0.5, 1), (2.0, 3)),
+    ])
+    def test_fields_are_the_powers_of_the_shift(self, blocks):
+        # field j of a block, applied to the unit vectors, is N^j on the
+        # block's slice and zero elsewhere
+        spec = JordanBlockSpec(blocks=blocks)
+        s = linear_commutative_family(spec)
+        n = spec.dim
+        assert s.m == n
+        fields = iter(s.fields)
+        offset = 0
+        for _, size in blocks:
+            for j in range(size):
+                want = np.zeros((n, n))
+                want[offset:offset + size, offset:offset + size] = np.eye(
+                    size, k=-j)
+                field = next(fields)
+                got = np.column_stack([field(e) for e in np.eye(n)])
+                assert np.array_equal(got, want)
+            offset += size
 
     def test_one_dimensional(self):
         s = linear_commutative_family(JordanBlockSpec(blocks=((3.0, 1),)))

@@ -845,6 +845,19 @@ class TestLevelSetDrift:
         _, reached = level_set_drift(f, [g], [2.5], 10)
         assert reached == 2
 
+    def test_nan_integral_is_not_conserved(self):
+        # x1 * 1e308 * 10 overflows to inf, so the integral is inf - inf
+        # + x2 = NaN at every point; the builtin max reported drift 0.0
+        f = SmoothMap(dim=2, forward=lambda x: [x[0] + 1.0, x[1]])
+        g = ScalarField(dim=2, func=lambda x: (x[0] * 1e308 * 10
+                                               - x[0] * 1e308 * 10 + x[1]))
+        h = ScalarField(dim=2, func=lambda x: x[1])
+        for x0 in ([1.0, 2.0], [-3.0, 0.5]):
+            drifts, reached = level_set_drift(f, [g, h], x0, 20)
+            assert math.isnan(drifts[0])
+            assert drifts[1] == 0.0
+            assert reached == 20
+
 
 class TestTranslationVector:
     def test_affine_log_two(self):
@@ -864,6 +877,22 @@ class TestTranslationVector:
         est = estimate_translation_vector(f, s, q + p)
         # dq = C p with C = [[1, 1], [1, 0]]
         assert np.allclose(est.t0, [1.5, 1.0], atol=1e-8)
+
+    @pytest.mark.parametrize("blocks", ["2:3", "0.5:4", "2:2,3:1",
+                                        "1.5:2,0.7:1,3:3"])
+    def test_linear_log_of_each_block(self, blocks):
+        # f is the time-1 map of log A; on a block L I + N that is
+        # ln L N^0 + sum_j (-1)^(j+1) N^j / (j L^j), one time per field N^j x
+        f, s, _ = catalog.build("linear", blocks=blocks)
+        t0 = [math.log(lam) if j == 0 else (-1) ** (j + 1) / (j * lam ** j)
+              for lam, size in catalog.parse_blocks(blocks).blocks
+              for j in range(size)]
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x0 = rng.uniform(0.3, 1.5, f.dim) * rng.choice([-1.0, 1.0],
+                                                           f.dim)
+            est = estimate_translation_vector(f, s, x0)
+            assert est.t0 == pytest.approx(t0, abs=1e-9)
 
     def test_needs_fields(self):
         f, s, _ = catalog.build("lyness", n=2, a=1.0)
