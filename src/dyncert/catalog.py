@@ -12,8 +12,9 @@ import numpy as np
 
 from . import jets
 from .certify import commutation_residuals
-from .constructions import (JordanBlockSpec, affine1d_symmetry,
-                            linear_commutative_family, linear_map)
+from .constructions import (JordanBlockSpec, _linear_field,
+                            affine1d_symmetry, linear_commutative_family,
+                            linear_map)
 from .core import (SEED, IntegrabilityStructure, SamplingRegion,
                    ScalarField, SmoothMap, VectorField, guarded_images,
                    point_stack, sample)
@@ -326,27 +327,18 @@ def _build_lyness(n, a, symmetry):
 # -- twist map ----------------------------------------------------------------
 
 
-def _twist_gradient_matrix(n: int) -> np.ndarray:
-    # H(p) = sum p_j^2 / 2 + sum p_j p_{j+1}; grad H = C p
-    c = np.eye(n)
-    for j in range(n - 1):
-        c[j, j + 1] = 1.0
-        c[j + 1, j] = 1.0
-    c[n - 1, n - 1] = 0.0  # matches H(p) = p1^2/2 + p1 p2 at n = 2
-    return c
-
-
 def _build_twist(n):
     n = int(n)
     if n < 1:
         raise ParameterError("twist needs n >= 1")
-    rows = [list(r) for r in _twist_gradient_matrix(n)]
+    # H(p) = sum p_j^2 / 2 + sum p_j p_{j+1}; grad H = C p
+    c = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    c[n - 1, n - 1] = 0.0  # matches H(p) = p1^2/2 + p1 p2 at n = 2
+    grad_h = _linear_field(c, "grad_H").func
 
     def fwd(z):
         q, p = z[:n], z[n:]
-        dq = [left_sum(rij * pj for rij, pj in zip(row, p) if rij != 0.0)
-              for row in rows]
-        return [qi + di for qi, di in zip(q, dq)] + list(p)
+        return [qi + di for qi, di in zip(q, grad_h(p))] + list(p)
 
     f = SmoothMap(dim=2 * n, forward=fwd, name="twist")
     fields = []

@@ -366,6 +366,18 @@ def _stats(name: str, residuals, scales, points: np.ndarray, tol: float,
     )
 
 
+def _invariance_stats(letter: str, integrals, values, points: np.ndarray,
+                      images: np.ndarray, norms, tol: float) -> list:
+    """map_invariance[<letter>k] of each integral: |F(f(x)) - F(x)| over
+    1 + max(|x|, |f(x)|, |F(x)|), from its ``values`` at ``points`` and
+    the points' ``norms``."""
+    base = np.maximum(norms, row_norms(images))
+    return [_stats(f"map_invariance[{letter}{k + 1}]",
+                   np.abs(point_stack(g, images) - v),
+                   1.0 + np.maximum(base, np.abs(v)), points, tol)
+            for k, (g, v) in enumerate(zip(integrals, values))]
+
+
 def _rank_stats(name: str, columns, points: np.ndarray,
                 tol: Tolerances) -> ResidualStats:
     full = _full_rank(columns, tol.rank_threshold)
@@ -438,7 +450,7 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
     pairs = list(combinations(range(len(fields)), 2))
     dim = f.dim
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
-    nx, nfx = row_norms(points), row_norms(images)
+    nx = row_norms(points)
     v = [point_stack(x_fld, points, (dim,)) for x_fld in fields]
     nv = [row_norms(u) for u in v]
     brackets = _bracket_norms(fields, v, points, pairs)
@@ -472,12 +484,8 @@ def certify_structure(f: SmoothMap, s: IntegrabilityStructure,
         stats.append(_stats(f"infinitesimal_commutation[X{j + 1}]",
                             residuals, scales, points, tol.algebraic_tol))
         commutation.append((stats[-1].passed, scales))
-    for k, f_int in enumerate(integrals):
-        stats.append(_stats(
-            f"map_invariance[F{k + 1}]",
-            np.abs(point_stack(f_int, images) - val[k]),
-            1.0 + np.maximum(np.maximum(nx, nfx), np.abs(val[k])),
-            points, tol.algebraic_tol))
+    stats += _invariance_stats("F", integrals, val, points, images, nx,
+                               tol.algebraic_tol)
 
     # condition (iii), flow level: spot-check f . phi^t = phi^t . f, with
     # the scale of the infinitesimal check at the same point.  Fields that
@@ -528,7 +536,7 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
     integrals = tuple(integrals)
     pairs = list(combinations(range(len(integrals)), 2))
     points, images, guard_failures = _guard_pass(f, region, samples, seed)
-    nz, nfz = row_norms(points), row_norms(images)
+    nz = row_norms(points)
     val = [point_stack(g, points) for g in integrals]
     grad = [point_stack(g.gradient_at, points, (f.dim,)) for g in integrals]
     # one chunk at a time: a (points, 2n, 2n) stack of the lift's Jacobians
@@ -538,12 +546,8 @@ def certify_involution(f: SmoothMap, integrals, region: SamplingRegion,
         residuals[chunk] = _symplecticity(m)
     stats = [_stats("symplecticity", residuals, 1.0 + nz, points,
                     tol.algebraic_tol)]
-    for k, g in enumerate(integrals):
-        stats.append(_stats(
-            f"map_invariance[G{k + 1}]",
-            np.abs(point_stack(g, images) - val[k]),
-            1.0 + np.maximum(np.maximum(nz, nfz), np.abs(val[k])),
-            points, tol.algebraic_tol))
+    stats += _invariance_stats("G", integrals, val, points, images, nz,
+                               tol.algebraic_tol)
     for j, k in pairs:
         stats.append(_stats(
             f"poisson_bracket[G{j + 1},G{k + 1}]",

@@ -83,6 +83,16 @@ def _json_ready(obj):
     return obj
 
 
+def _write(text: str, output: str | None):
+    """``text`` to the file ``output``, or to stdout; LF newlines as they
+    are, untranslated."""
+    if output:
+        with open(output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_report(payload: dict, output: str | None, started: float):
     report = {
         "version": __version__,
@@ -96,11 +106,7 @@ def _write_report(payload: dict, output: str | None, started: float):
     except ValueError as err:
         _emit_error("runtime", f"report not written: {err}")
         sys.exit(EXIT_RUNTIME)
-    if output:
-        with open(output, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, output)
     sys.stderr.write(f"wall_time_ms={int((time.monotonic() - started) * 1000)}\n")
 
 
@@ -111,12 +117,7 @@ def _write_csv(header, rows, output: str | None):
     for row in rows:
         writer.writerow([_fmt_float(v) if isinstance(v, (int, float)) else v
                          for v in row])
-    text = buf.getvalue()
-    if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), output)
 
 
 def _parse_params(ctx, param, items) -> dict:

@@ -142,12 +142,7 @@ def lift_integral(v: VectorField, name: str = "") -> ScalarField:
     n = v.dim
 
     def ev(z):
-        x, p = list(z[:n]), list(z[n:])
-        vx = v(x)
-        acc = p[0] * vx[0]
-        for i in range(1, n):
-            acc = acc + p[i] * vx[i]
-        return acc
+        return left_sum(pi * vi for pi, vi in zip(z[n:], v(list(z[:n]))))
 
     return ScalarField(dim=2 * n, func=ev,
                        name=name or f"lifted[{v.name or '?'}]")

@@ -198,10 +198,14 @@ def log(x):
 
 
 def sin(x):
+    if math.isinf(float_of(x)):
+        raise DerivativeError("sin of an infinite value")
     return _lift(x, math.sin, lambda v: cos(v))
 
 
 def cos(x):
+    if math.isinf(float_of(x)):
+        raise DerivativeError("cos of an infinite value")
     return _lift(x, math.cos, lambda v: -sin(v))
 
 
@@ -300,7 +304,8 @@ def solve_linear(a_rows: list[list], b: list) -> list:
     a = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
     for col in range(n):
         size = [abs(_base(a[r][col])) for r in range(col, n)]
-        if not any(isinstance(v, np.ndarray) for v in size):  # one point
+        # one point, or a matrix that is constant over the columns
+        if not any(isinstance(v, np.ndarray) for v in size):
             pivot = col + max(range(n - col), key=size.__getitem__)
             if not size[pivot - col]:
                 raise DerivativeError("singular linear system")

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, chunk_length, column_chunks, on_columns
+from .core import DomainError, on_columns
 
 __all__ = [
     "IntegrationError",
@@ -64,12 +64,12 @@ def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD):
     G and det G moves q by about (rows + k^2) eps.  The screen gives rank
     k where q > SCREEN_MARGIN max(SCREEN_MARGIN threshold^2, that
     rounding): sigma_k / sigma_1 then lies far above the cut, farther
-    than rounding in q or in the SVD can move it.  G is formed one chunk
-    of matrices at a time.  Near underflow, det G and the right-hand side
-    round to the same subnormal step, which can flip the comparison only
-    for q within about a factor 2 of the bound; where G overflows, or an
-    entry is not finite, it fails.  The undecided finite matrices go to
-    the SVD, in their own orientation."""
+    than rounding in q or in the SVD can move it.  G is formed for the
+    whole stack in one batched product.  Near underflow, det G and the
+    right-hand side round to the same subnormal step, which can flip the
+    comparison only for q within about a factor 2 of the bound; where G
+    overflows, or an entry is not finite, it fails.  The undecided finite
+    matrices go to the SVD, in their own orientation."""
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or 0 in a.shape[-2:]:
         raise ValueError("numerical_rank needs a non-empty matrix")
@@ -82,14 +82,11 @@ def numerical_rank(m, threshold: float = DEFAULT_RANK_THRESHOLD):
     rounding = (rows + k * k) * np.finfo(float).eps
     bound = SCREEN_MARGIN * max(SCREEN_MARGIN * threshold ** 2, rounding) \
         / (k - 1) ** (k - 1)
-    full = np.zeros(len(stack), dtype=bool)
     with np.errstate(all="ignore"):
-        for chunk in column_chunks(len(stack), chunk_length((k, k))):
-            columns = vectors[chunk]
-            # a contiguous left factor lets @ take the BLAS path
-            gram = columns.transpose(0, 2, 1).copy() @ columns
-            floor = bound * np.trace(gram, axis1=1, axis2=2) ** k
-            full[chunk] = np.linalg.det(gram) > floor
+        # a contiguous left factor lets @ take the BLAS path
+        gram = vectors.transpose(0, 2, 1).copy() @ vectors
+        floor = bound * np.trace(gram, axis1=1, axis2=2) ** k
+        full = np.linalg.det(gram) > floor
     rank = np.where(full, k, 0)
     rest = np.flatnonzero(~full & np.isfinite(stack).all(axis=(1, 2)))
     if len(rest):
@@ -278,16 +275,10 @@ def integrate_flow(field, x0, t: float | np.ndarray,
         err[e5 == 0.0] = 0.0
         err[~np.isfinite(scale).all(axis=0)] = np.nan
         ok = err <= 1.0
-        if ok.all():  # no row rejected its step: plain copies
-            y[...] = new
-            k[0] = k[12]
-            np.add(elapsed, h, out=elapsed)
-            np.copyto(elapsed, t_abs, where=last)
-        else:
-            np.copyto(y, new, where=ok)
-            np.copyto(k[0], k[12], where=ok)
-            np.add(elapsed, h, out=elapsed, where=ok)
-            np.copyto(elapsed, t_abs, where=ok & last)
+        np.copyto(y, new, where=ok)
+        np.copyto(k[0], k[12], where=ok)
+        np.add(elapsed, h, out=elapsed, where=ok)
+        np.copyto(elapsed, t_abs, where=ok & last)
         # Python's **: np.power rounds some errors otherwise.  A zero or
         # subnormal error gives inf (the step grows 5 times), fmax takes
         # NaN to 0.2

@@ -205,6 +205,13 @@ class TestCertify:
                      id="pow(x1, 1.5) + x2"),
         pytest.param(("linear", "blocks=2:2"), {"fields": [["x2^0.5", "0"]]},
                      id="field x2^0.5"),
+        # an infinite argument of sin or cos
+        pytest.param(("linear", "blocks=1:1,1:1"),
+                     {"integrals": ["sin(x1*1e308*10) + x2"]},
+                     id="sin(x1*1e308*10) + x2"),
+        pytest.param(("linear", "blocks=1:1,1:1"),
+                     {"fields": [["cos(x1*1e308*10)", "0"]]},
+                     id="field cos(x1*1e308*10)"),
     ])
     def test_expression_pole_exit_three(self, runner, tmp_path, entry,
                                         structure):
@@ -332,6 +339,19 @@ def test_config_error_exit_two(runner, args):
     assert json.loads(result.stderr.splitlines()[-1])["error"] == "config"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["rotation", "--map", "cat_map", "--x0", "0.1,0.2"],
+     "map cat_map is not a 1-D circle map"),
+    (["translation", "--map", "cat_map", "--x0", "0.1,0.2"],
+     "map cat_map has no catalog symmetry fields"),
+], ids=["rotation", "translation"])
+def test_map_without_what_the_command_needs_exit_two(runner, args, message):
+    result = run(runner, args)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr.splitlines()[-1]) == {
+        "error": "config", "message": message}
+
+
 class TestConfig:
     def write(self, tmp_path, data):
         cfg = tmp_path / "cfg.json"
@@ -358,6 +378,19 @@ class TestConfig:
         result = run(runner, ["certify", "--config", cfg])
         assert result.exit_code == 2
         assert "unknown keys map" in result.stderr
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"), ("[1, 2]", "must hold a JSON object")],
+        ids=["missing", "array"])
+    def test_unreadable_config_exit_two(self, runner, tmp_path, content,
+                                        message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        result = run(runner, ["orbit", "--map", "cat_map", "--x0", "0.1,0.2",
+                              "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert message in result.stderr
 
     def test_rank_threshold_reaches_report(self, runner, tmp_path):
         cfg = self.write(tmp_path, {"map_name": "affine1d", "samples": 20,
@@ -409,6 +442,20 @@ class TestDataCommands:
         data = json.loads(out.read_text())
         lam = math.log((3 + math.sqrt(5)) / 2)
         assert data["exponents"][0] == pytest.approx(lam, abs=5e-3)
+
+    def test_lyapunov_csv(self, runner, tmp_path):
+        args = ["lyapunov", "--map", "cat_map", "--x0", "0.3,0.7",
+                "-N", "2000"]
+        out = tmp_path / "lyap.csv"
+        result = run(runner, [*args, "--format", "csv", "-o", str(out)])
+        assert result.exit_code == 0
+        assert b"\r" not in out.read_bytes()
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["index", "exponent"]
+        exponents = json.loads(run(runner, args).stdout)["exponents"]
+        assert rows[1:] == [[str(i + 1), format(v, ".17g")]
+                            for i, v in enumerate(exponents)]
 
     def test_lyapunov_orbit_overflow_exit_three(self, runner):
         # 2^k k^2 outgrows the floats: orbit point 1011 is the first inf
@@ -557,6 +604,17 @@ class TestLiftCertify:
         sizes = [(c.stop - c.start,)
                  for c in column_chunks(1000, chunk_length())]
         assert calls == sizes * 2
+
+    def test_lift_without_structure_checks_symplecticity(self, runner,
+                                                          tmp_path):
+        out = tmp_path / "lift.json"
+        result = run(runner, ["lift-certify", "--map", "cat_map",
+                              "--samples", "80", "-o", str(out)])
+        assert result.exit_code == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "PASS"
+        assert [c["name"] for c in data["report"]["conditions"]] == [
+            "symplecticity"]
 
     def test_linear_lift_passes(self, runner, tmp_path):
         out = tmp_path / "lift.json"

@@ -78,6 +78,11 @@ class TestComputeOrbit:
             assert drifts == [max(abs(float(g(p)) - float(g(points[0])))
                                   for p in points) for g in s.integrals]
 
+    def test_no_steps_rejected(self):
+        f, _, _ = catalog.build("cat_map")
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            compute_orbit(f, [0.1, 0.2], 0)
+
     def test_guard_violating_start(self):
         f = SmoothMap(dim=1, forward=lambda x: [x[0] - 1.0],
                       domain_guard=lambda x: x[0] > 0.0)
@@ -127,6 +132,12 @@ class TestPeriodicPoints:
         pts = find_periodic_points(squaring_past_5(), 1, region,
                                    seed_count=20, seed=1)
         assert len(pts) == 1 and pts[0].x[0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("moduli, kind", [
+        ((2.0, 0.5), "hyperbolic"), ((1.0, 1.0), "elliptic"),
+        ((1.0, 2.0), "parabolic-tolerance")])
+    def test_classify(self, moduli, kind):
+        assert dynamics._classify(moduli) == kind
 
     def test_bad_k(self):
         f, _, region = catalog.build("cat_map")

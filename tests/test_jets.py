@@ -101,6 +101,16 @@ class TestElementaryFunctions:
         assert s.partials[0] == pytest.approx(math.cos(0.7), rel=1e-14)
         assert c.partials[0] == pytest.approx(-math.sin(0.7), rel=1e-14)
 
+    @pytest.mark.parametrize("fun", [jets.sin, jets.cos])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_trig_of_infinity(self, fun, value):
+        # math.sin(inf) raises a ValueError the CLI does not map
+        for x in (value, scalar_jet(value)):
+            with pytest.raises(DerivativeError):
+                fun(x)
+        assert math.isnan(fun(math.nan))
+        assert math.isnan(float_of(fun(scalar_jet(math.nan))))
+
     def test_plain_floats_pass_through(self):
         assert jets.exp(0.0) == 1.0
         assert jets.sin(0.0) == 0.0
