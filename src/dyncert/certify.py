@@ -226,8 +226,16 @@ def _bracket_norms(fields, values, points: np.ndarray, pairs) -> np.ndarray:
 
 
 def _full_rank(columns, threshold: float) -> np.ndarray:
-    """Per point, whether the (points, n) column stacks have full rank."""
-    return numerical_rank(np.stack(columns, axis=-1), threshold) == len(columns)
+    """Per point, whether the (points, n) column stacks have full rank.  The
+    (n, columns) matrices are stacked and ranked one ``chunk_length`` of
+    them at a time, so neither their stack nor its Gram matrices outgrow a
+    chunk; each matrix is ranked on its own, whatever its chunk."""
+    full = np.empty(len(columns[0]), dtype=bool)
+    shape = (columns[0].shape[1], len(columns))
+    for chunk in column_chunks(len(full), chunk_length(shape)):
+        full[chunk] = numerical_rank(np.stack(
+            [c[chunk] for c in columns], axis=-1), threshold) == len(columns)
+    return full
 
 
 # -- pointwise residuals -------------------------------------------------

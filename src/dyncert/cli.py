@@ -83,14 +83,16 @@ def _json_ready(obj):
     return obj
 
 
-def _write(text: str, output: str | None):
-    """``text`` to the file ``output``, or to stdout; LF newlines as they
-    are, untranslated."""
+def _write(text: str, output: str | None, started: float):
+    """``text`` to the file ``output``, or to stdout, with LF newlines as
+    they are, untranslated; then the wall time since ``started`` (a
+    ``time.monotonic`` reading) to stderr."""
     if output:
         with open(output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    sys.stderr.write(f"wall_time_ms={int((time.monotonic() - started) * 1000)}\n")
 
 
 def _write_report(payload: dict, output: str | None, started: float):
@@ -106,18 +108,17 @@ def _write_report(payload: dict, output: str | None, started: float):
     except ValueError as err:
         _emit_error("runtime", f"report not written: {err}")
         sys.exit(EXIT_RUNTIME)
-    _write(text, output)
-    sys.stderr.write(f"wall_time_ms={int((time.monotonic() - started) * 1000)}\n")
+    _write(text, output, started)
 
 
-def _write_csv(header, rows, output: str | None):
+def _write_csv(header, rows, output: str | None, started: float):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt_float(v) if isinstance(v, (int, float)) else v
                          for v in row])
-    _write(buf.getvalue(), output)
+    _write(buf.getvalue(), output, started)
 
 
 def _parse_params(ctx, param, items) -> dict:
@@ -193,10 +194,17 @@ def _build_target(map_name, params, structure_file=None, x0=None):
             raise ConfigError(
                 f"structure dimension {s.dim} does not match map "
                 f"dimension {f.dim}")
-    if x0 is not None and len(x0) != f.dim:
+    if x0 is not None:
+        _check_start(f, x0)
+    return f, s, region
+
+
+def _check_start(f, x0):
+    """A start point of another dimension than ``f`` is a configuration
+    error."""
+    if len(x0) != f.dim:
         raise ConfigError(f"--x0 has dimension {len(x0)}, map needs "
                           f"{f.dim}")
-    return f, s, region
 
 
 def _config_dict(command: str, **kwargs) -> dict:
@@ -265,7 +273,7 @@ def _reporting(body):
             _emit_error("runtime", str(err))
             sys.exit(EXIT_RUNTIME)
         if isinstance(payload, tuple):
-            _write_csv(*payload, output)
+            _write_csv(*payload, output, started)
             sys.exit(EXIT_OK)
         payload.setdefault("verdict", None)
         payload.setdefault("caveat", CAVEAT)
@@ -418,9 +426,10 @@ def lyapunov(map_name, params, x0, n_steps, fmt):
 @_reporting
 def rotation(map_name, params, x0, n_steps):
     """Rotation number of a 1-D circle map (weighted Birkhoff average)."""
-    f, _, _ = _build_target(map_name, params, x0=x0)
+    f, _, _ = _build_target(map_name, params)
     if f.dim != 1 or f.phase_topology is None or f.phase_topology[0] is None:
         raise ConfigError(f"map {map_name} is not a 1-D circle map")
+    _check_start(f, x0)
     est = rotation_number(f, x0[0], n_steps)
     return {
         "config": _config_dict("rotation", map=map_name, params=params, x0=x0,

@@ -8,16 +8,19 @@ full rank, exactly where the SVD would, to every matrix whose smallest
 singular value lies well above the cut; one SVD call ranks the rest.
 
 ``integrate_flow`` is DOP853, the Dormand-Prince 8(5,3) pair, with one
-tolerance, used as both the absolute and the relative error bound.  Each
-step ends with the derivative at its new point, which an accepted step
-reuses as the next step's first stage, so a step costs 12 field
+tolerance, used as both the absolute and the relative error bound, and
+the step control of its reference codes (Hairer's starting step, growth
+up to 10 times, a last step within 1% of the time left stretched to it).
+Each step ends with the derivative at its new point, which an accepted
+step reuses as the next step's first stage, so a step costs 12 field
 evaluations.  On a stack of points each stage is one field call on the
 coordinate columns of all running rows; each row keeps its own flow time
 and step size and ends bit for bit where it would alone, so the flows of
 one field for several times are one call.  The state is kept coordinate
 by coordinate, so the field gets contiguous columns, and the 13 stages of
-a step are one (13, n, rows) stack; each stage is added to every later
-stage sum as soon as it is known, one product and one sum per stage.
+a step are one (13, n, rows) stack; each stage is added to the run of
+later sums that weight it as soon as it is known, one product and one sum
+per stage.
 """
 
 from __future__ import annotations
@@ -142,12 +145,31 @@ _E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
 _E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
        1.8915178993145003, -5.801203960010585, -0.4226823213237919,
        -0.1521609496625161, 0.20136540080403034, 0.02265179219836082]
-# the 14 sums a step builds, stages 1..11, B, E5 and E3, as rows; column j
-# holds each later sum's weight of stage j, as a (sums, 1, 1) array over
-# the (n, rows) stage j
+# the 14 sums a step builds, stages 1..11, B, E5 and E3, as rows.  The
+# sums that weight stage j form one run, start..stop - 1 (stage 1 only sum
+# 1, stage 2 sums 2-3, stage 3 sums 3-10, ...: 74 of the 102 later sums);
+# _RUNS[j] holds start, stop and their weights of stage j, as a (stop -
+# start, 1, 1) array over the (n, rows) stage j
 _SUMS = [*_A[1:], _B, _E5, _E3]
-_COLUMNS = [np.reshape([row[j] for row in _SUMS[j:]], (-1, 1, 1))
-            for j in range(12)]
+_RUNS = []
+for _j in range(12):
+    _used = [r for r in range(_j, 14) if _SUMS[r][_j]]
+    _RUNS.append((_used[0], _used[-1] + 1,
+                  np.reshape([_SUMS[r][_j] for r in _used], (-1, 1, 1))))
+
+
+def _square_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares in an (..., n, rows) array: squared into
+    (..., rows, n) C order, so a row's n entries are summed as
+    np.add.reduce sums one point's (pairwise from n = 8 on)."""
+    return np.add.reduce(np.square(np.swapaxes(values, -1, -2), order="C"),
+                         axis=-1)
+
+
+def _eighth_root(values: np.ndarray) -> np.ndarray:
+    """values^(1/8) by Python's ``**``, one entry at a time: np.power rounds
+    some roots otherwise."""
+    return np.array([u ** 0.125 for u in values.tolist()])
 
 
 def integrate_flow(field, x0, t: float | np.ndarray,
@@ -157,24 +179,31 @@ def integrate_flow(field, x0, t: float | np.ndarray,
     number, or one time per row.
 
     Negative ``t`` integrates backwards; ``tol`` is both the absolute and
-    the relative error tolerance per step.  A step costs 12 field calls,
-    11 stages and the derivative at the new point, which is the next
-    step's first stage.  Its error is Hairer's, h |e5|^2 / sqrt((|e5|^2 +
-    0.01 |e3|^2) n) over the scaled fifth- and third-order error terms, and
-    the step size changes by 0.9 err^(-1/8), clipped to [0.2, 5], with the
-    root taken by Python's ``**`` one row at a time.  The rows of a stack
-    advance in lockstep, each with its own time and step size: every stage
-    is one call of ``field`` on the n coordinate columns of all running
-    rows (``core.on_columns``).  A field that fails on columns, for the rest of
+    the relative error tolerance per step.  The step control is that of
+    the reference codes (Hairer's ``dop853.f``, scipy's ``DOP853``).  The
+    first step is Hairer's starting step, on the scale tol (1 + |x0|) of
+    the error, from the derivative at x0 and at one Euler probe (one more
+    field call), kept within [|t| / 100, |t|].  A step costs 12 field
+    calls, 11 stages and the derivative at the new point, which is the
+    next step's first stage.  Its error is Hairer's, h |e5|^2 / sqrt((|e5|^2
+    + 0.01 |e3|^2) n) over the scaled fifth- and third-order error terms,
+    and the step size changes by 0.9 err^(-1/8), clipped to [0.2, 10], with
+    the root taken by Python's ``**`` one row at a time; a step within 1%
+    of the time left takes all of it.  A step whose stages or new state
+    are not finite is rejected.  The rows of a stack advance in
+    lockstep, each with its own time and step size: every stage is one
+    call of ``field`` on the n coordinate columns of all running rows
+    (``core.on_columns``).  A field that fails on columns, for the rest of
     the integration, and a single running row get one list of floats per
     row.  A row whose time is 0 is returned as it is.
 
     A row fails when its step falls below the rounding of its time (a
     finite-time blow-up, or a non-finite state, whose steps are all
-    rejected), after ``MAX_STEPS`` steps, or when ``field`` raises
-    :class:`DomainError` at one of its points.  A stack returns a failed
-    row as NaN; a point raises the error instead, :class:`IntegrationError`
-    for the first two.
+    rejected), when a step no longer than its last accepted one leaves the
+    doubles (the state overflows), after ``MAX_STEPS`` steps, or when
+    ``field`` raises :class:`DomainError` at one of its points.  A stack
+    returns a failed row as NaN; a point raises the error instead,
+    :class:`IntegrationError` for all but the last.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -206,28 +235,44 @@ def integrate_flow(field, x0, t: float | np.ndarray,
                 values[:, r] = np.nan
         return values
 
-    def fail(mask, message):
+    def fail(mask, message):  # a row keeps the first error that ended it
         for i, e in zip(rows[mask], (direction * elapsed)[mask]):
-            errors[i] = IntegrationError(f"{message} t={e:g}")
+            errors.setdefault(i, IntegrationError(f"{message} t={e:g}"))
 
     # the rows still running: their state y and stages k (k[0] is the
     # first stage, the derivative at y; k[12] the derivative at the new
     # point), coordinate by coordinate, as one (14, n, rows) stack; and
-    # their time, direction, step size and elapsed time as one (4, rows)
-    # stack, so the rows that end are dropped by two takes once every
-    # state is written out.  Every running row has attempted ``steps``
-    # steps
+    # their time, direction, step size, elapsed time and last accepted
+    # step (0 before the first) as one (5, rows) stack, so the rows that
+    # end are dropped by two takes once every state is written out.  Every
+    # running row has attempted ``steps`` steps
     times = np.broadcast_to(times, out.shape[:1])
     rows = np.flatnonzero(times)
     stack = np.empty((14, out.shape[1], len(rows)))
     stack[0] = out[rows].T
-    t_abs = np.abs(times[rows])
-    per_row = np.array([t_abs, np.sign(times[rows]), t_abs / 100.0,
-                        np.zeros(len(rows))])
+    per_row = np.zeros((5, len(rows)))
+    per_row[:2] = np.abs(times[rows]), np.sign(times[rows])
     y, k = stack[0], stack[1:]
-    t_abs, direction, h, elapsed = per_row
+    t_abs, direction, h, elapsed, accepted = per_row
     steps = 0
     k[0] = rhs(y, rows)
+    # the starting step (Hairer's HINIT, scipy's select_initial_step): the
+    # norms d0 of y and d1 of its derivative give an Euler probe of length
+    # h0, whose change of derivative d2 gives h1; fmin and fmax pass over
+    # the NaN of a non-finite derivative
+    scale = tol + tol * np.abs(y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d0, d1 = (np.sqrt(_square_sums(v / scale) / len(y))
+                  for v in (y, k[0]))
+        h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
+                              0.01 * d0 / d1), t_abs)
+        probe = y + direction * h0 * k[0]
+    probe = rhs(probe, rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d2 = np.sqrt(_square_sums((probe - k[0]) / scale) / len(y)) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.fmax(1e-6, 1e-3 * h0),
+                      _eighth_root(0.01 / np.fmax(d1, d2)))
+    h[:] = np.fmax(np.fmin(np.fmin(100.0 * h0, h1), t_abs), t_abs / 100.0)
     while True:
         running = elapsed < t_abs
         if errors:
@@ -246,45 +291,51 @@ def integrate_flow(field, x0, t: float | np.ndarray,
             kept, stack = stack[:2], np.empty((14, len(y), len(rows)))
             kept.take(keep, 2, out=stack[:2])
             y, k = stack[0], stack[1:]
-            t_abs, direction, h, elapsed = per_row
+            t_abs, direction, h, elapsed, accepted = per_row
         if not rows.size:
             break
         steps += 1
         left = t_abs - elapsed
-        last = h >= left
+        last = 1.01 * h >= left
         np.copyto(h, left, where=last)
         hd = direction * h
         # sums[r] gathers the weighted stages of the r-th sum, each stage
-        # added to all the sums that use it as soon as it is known, so
-        # every sum adds its stages left to right, whatever the shape
-        sums = _COLUMNS[0] * k[0]
+        # added to the run of sums that weight it as soon as it is known,
+        # so every sum adds its stages left to right, whatever the shape
+        sums = _RUNS[0][2] * k[0]
         for j in range(1, 12):
             k[j] = rhs(y + hd * sums[j - 1], rows)
-            sums[j:] += _COLUMNS[j] * k[j]
+            start, stop, weights = _RUNS[j]
+            sums[start:stop] += weights * k[j]
         new = y + hd * sums[11]
         k[12] = rhs(new, rows)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(new))
-        # squared into (2, rows, n) C order: a row's n entries are then
-        # summed as np.add.reduce sums one point's
-        e5, e3 = np.add.reduce(np.square((sums[12:] / scale).transpose(
-            0, 2, 1), order="C"), axis=2)
+        e5, e3 = _square_sums(sums[12:] / scale)
         with np.errstate(invalid="ignore"):
             err = h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y))
-        # no error where both error terms vanish (0/0); a new state that
-        # is not finite reads NaN, so its step is rejected and shrinks
+        # no error where both error terms vanish (0/0).  A step whose new
+        # state or one of its stages is not finite reads NaN, so it is
+        # rejected and shrinks: B weights all stages but 1-4, so a stage
+        # that is not finite reaches the new state, or is one of those
+        # four.  A new state that is not finite from a step no longer than
+        # the last accepted one has reached the edge of the doubles
         err[e5 == 0.0] = 0.0
-        err[~np.isfinite(scale).all(axis=0)] = np.nan
+        state = np.isfinite(scale).all(axis=0)
+        err[~(state & np.isfinite(k[1:5]).all(axis=(0, 1)))] = np.nan
+        edge = ~state & (h <= accepted)
+        if edge.any():
+            fail(edge, "state overflow near")
         ok = err <= 1.0
         np.copyto(y, new, where=ok)
         np.copyto(k[0], k[12], where=ok)
+        np.copyto(accepted, h, where=ok)
         np.add(elapsed, h, out=elapsed, where=ok)
         np.copyto(elapsed, t_abs, where=ok & last)
-        # Python's **: np.power rounds some errors otherwise.  A zero or
-        # subnormal error gives inf (the step grows 5 times), fmax takes
-        # NaN to 0.2
+        # a zero or subnormal error gives inf (the step grows 10 times),
+        # fmax takes NaN to 0.2
         with np.errstate(divide="ignore", over="ignore"):
-            growth = [u ** 0.125 for u in (1.0 / err).tolist()]
-        h *= np.fmin(5.0, np.fmax(0.2, 0.9 * np.array(growth)))
+            growth = _eighth_root(1.0 / err)
+        h *= np.fmin(10.0, np.fmax(0.2, 0.9 * growth))
     if single and errors:
         raise errors[0]
     out[list(errors)] = np.nan

@@ -531,6 +531,31 @@ class TestPipeline:
             * passing
         assert report.verdict == "PASS"
 
+    @pytest.mark.parametrize("name, params, expected", [
+        ("linear", {"blocks": "2:3"}, [50, 38, 38]),
+        ("twist", {"n": 2}, [38, 38]),
+    ])
+    def test_flow_phase_field_calls(self, monkeypatch, name, params,
+                                    expected):
+        # field calls of each field's one stacked integration at the
+        # default samples and seed: the seed evaluation, the Euler probe
+        # of the starting step and 12 per step, the steps of the slowest
+        # row.  Linear 2:3's first field takes 4 steps, its other two
+        # and twist's fields 3
+        calls = []
+
+        def counted(field, x0, t, *args):
+            def fld(x):
+                calls[-1] += 1
+                return field(x)
+            calls.append(0)
+            return integrate_flow(fld, x0, t, *args)
+
+        monkeypatch.setattr(certify, "integrate_flow", counted)
+        f, s, region = build(name, **params)
+        assert certify_structure(f, s, region).verdict == "PASS"
+        assert calls == expected
+
     def test_no_flow_times_make_no_integration(self, monkeypatch):
         calls = []
         monkeypatch.setattr(certify, "integrate_flow",

@@ -342,9 +342,10 @@ def test_config_error_exit_two(runner, args):
 @pytest.mark.parametrize("args, message", [
     (["rotation", "--map", "cat_map", "--x0", "0.1,0.2"],
      "map cat_map is not a 1-D circle map"),
+    (["rotation", "--map", "cat_map"], "map cat_map is not a 1-D circle map"),
     (["translation", "--map", "cat_map", "--x0", "0.1,0.2"],
      "map cat_map has no catalog symmetry fields"),
-], ids=["rotation", "translation"])
+], ids=["rotation", "rotation-default-x0", "translation"])
 def test_map_without_what_the_command_needs_exit_two(runner, args, message):
     result = run(runner, args)
     assert result.exit_code == 2
@@ -417,6 +418,16 @@ class TestOrbit:
         assert len(rows) == 7
         assert [float(v) for v in rows[1][1:]] == [1.0, 2.0]
         assert [float(v) for v in rows[6][1:]] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_wall_time_on_stderr(self, runner, fmt):
+        # both report formats time the command on stderr, not in stdout
+        result = run(runner, ["orbit", "--map", "cat_map", "--x0", "0.1,0.2",
+                              "-N", "3", "--format", fmt])
+        assert result.exit_code == 0
+        assert result.stderr.startswith("wall_time_ms=")
+        assert result.stderr.count("\n") == 1
+        assert "wall_time_ms=" not in result.stdout
 
     def test_json_orbit(self, runner, tmp_path):
         out = tmp_path / "orbit.json"

@@ -29,6 +29,7 @@ from dyncert.core import (IntegrabilityStructure, SamplingRegion, SmoothMap,
                           point_stack, sample)
 from dyncert.expressions import structure_from_dict
 from dyncert.jets import DerivativeError, Jet, jet_jacobian, solve_linear
+from dyncert.numerics import numerical_rank
 
 # every catalog entry that ships a structure
 STRUCTURES = [
@@ -445,9 +446,29 @@ def _peak(run):
         tracemalloc.stop()
 
 
+def test_full_rank_chunks_equal_one_stack():
+    # 16 columns of dimension 16 at 1000 points are ranked in 8 chunks of
+    # 125 matrices, each matrix on its own: the same ranks as one stack,
+    # over full-rank, rank-deficient, ill-conditioned and NaN matrices
+    rng = np.random.default_rng(4)
+    mats = rng.standard_normal((1000, 16, 16))
+    mats[::7, :, 3] = mats[::7, :, 5]
+    mats[1::7, :, 0] *= 1e-9
+    mats[2::97, 4, 4] = np.nan
+    columns = [mats[:, :, j].copy() for j in range(16)]
+    assert len(column_chunks(1000, chunk_length((16, 16)))) == 8
+    full = certify._full_rank(columns, numerics.DEFAULT_RANK_THRESHOLD)
+    assert np.array_equal(full, numerical_rank(mats) == 16)
+    assert 0 < np.count_nonzero(~full) < 1000
+
+
 def test_chunked_jacobians_bound_memory():
     # 16 fields of dimension 16: all their Jacobians at 1000 points would
-    # take 33 MB; one chunk at a time they stay well inside the bound
+    # take 33 MB; one chunk at a time they stay well inside the bound.
+    # The rank of the fields is taken a chunk at a time too: one stack of
+    # them, its transposed copy and its Gram matrices took 6 MB, and with
+    # the modules numpy imports on a first call the peak passed 10 MB in a
+    # fresh process
     f, s, region = build("linear",
                          blocks=",".join(f"{lam}:2" for lam in range(2, 10)))
     assert s.m == 16

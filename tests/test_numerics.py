@@ -25,8 +25,9 @@ def counting(fld):
 
 def _reference_flow(field, x0, t, tol=numerics.FLOW_TOL):
     """One point at a time: a scalar DOP853 loop over the tableau of
-    ``numerics``, with the field called on lists of floats and each stage
-    sum added left to right from its first term."""
+    ``numerics``, with the field called on lists of floats, each stage sum
+    added left to right from its first term over its nonzero weights, and
+    Hairer's starting step from numpy scalars."""
     a, b, e5, e3 = numerics._A, numerics._B, numerics._E5, numerics._E3
     y = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if t == 0.0:
@@ -38,15 +39,32 @@ def _reference_flow(field, x0, t, tol=numerics.FLOW_TOL):
     def weighted(w, count):
         total = w[0] * k[0]
         for j in range(1, count):
-            total = total + w[j] * k[j]
+            if w[j]:
+                total = total + w[j] * k[j]
         return total
+
+    def rms(v):
+        return np.sqrt(np.add.reduce(v * v) / len(v))
 
     direction = 1.0 if t > 0 else -1.0
     t_abs = abs(t)
-    h = t_abs / 100.0
-    elapsed = 0.0
+    elapsed = accepted = 0.0
     steps = 0
     k = [rhs(y)] + [None] * 11
+    with np.errstate(all="ignore"):
+        sc = tol + tol * np.abs(y)
+        d0, d1 = rms(y / sc), rms(k[0] / sc)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = np.fmin(h0, t_abs)
+        probe = y + direction * h0 * k[0]
+    probe = rhs(probe)
+    with np.errstate(all="ignore"):
+        d2 = rms((probe - k[0]) / sc) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, 1e-3 * h0)
+        else:
+            h1 = float(0.01 / np.fmax(d1, d2)) ** 0.125
+    h = float(np.fmax(np.fmin(np.fmin(100.0 * h0, h1), t_abs), t_abs / 100.0))
     while elapsed < t_abs:
         if steps >= numerics.MAX_STEPS:
             raise IntegrationError(f"step limit {numerics.MAX_STEPS} "
@@ -55,7 +73,7 @@ def _reference_flow(field, x0, t, tol=numerics.FLOW_TOL):
         if t_abs + h == t_abs:
             raise IntegrationError(
                 f"step size underflow near t={direction * elapsed:g}")
-        last = h >= t_abs - elapsed
+        last = 1.01 * h >= t_abs - elapsed
         if last:
             h = t_abs - elapsed
         hd = direction * h
@@ -67,6 +85,11 @@ def _reference_flow(field, x0, t, tol=numerics.FLOW_TOL):
         s5, s3 = (float(np.add.reduce((weighted(e, 12) / scale) ** 2))
                   for e in (e5, e3))
         if not np.all(np.isfinite(scale)):
+            if h <= accepted:
+                raise IntegrationError(
+                    f"state overflow near t={direction * elapsed:g}")
+            err = math.nan
+        elif not all(np.all(np.isfinite(ki)) for ki in k[1:]):
             err = math.nan
         elif s5 == 0.0:
             err = 0.0
@@ -75,12 +98,13 @@ def _reference_flow(field, x0, t, tol=numerics.FLOW_TOL):
         if err <= 1.0:
             y = new
             k[0] = k_new
+            accepted = h
             elapsed = t_abs if last else elapsed + h
         if err > 0.0:
             factor = 0.9 * (1.0 / err) ** 0.125
         else:
-            factor = 5.0 if err == 0.0 else 0.2
-        h *= min(5.0, max(0.2, factor))
+            factor = 10.0 if err == 0.0 else 0.2
+        h *= min(10.0, max(0.2, factor))
     return y
 
 
@@ -381,29 +405,52 @@ class TestIntegrateFlow:
         with pytest.raises(IntegrationError):
             integrate_flow(capped, [x0], t)
 
-    def test_overflowing_state_is_never_accepted(self, monkeypatch):
-        # x' = 1e307 from 1.7e308 leaves the doubles before t = 1.  The
-        # weighted stages stay finite, but the new state overflows, and the
-        # error terms divided by its infinite scale read 0.  Such a step is
-        # rejected, so the row fails (at the step limit: each shrunken step
-        # lands just short of the overflow) instead of ending at inf
-        monkeypatch.setattr(numerics, "MAX_STEPS", 50)
-        fld = lambda x: [1e307]
+    def test_overflowing_state_is_never_accepted(self):
+        # x' = 1e307 from 1.7e308 leaves the doubles before t = 1.  Steps
+        # that overflow the new state are rejected and shrink, and the
+        # shrunken ones land ever closer to the overflow; one that
+        # overflows from no longer than the last accepted step ends the
+        # row, in a few hundred field calls (the crawl to the old step
+        # limit of 10^6 took 12M calls), instead of ending at inf
+        fld = counting(lambda x: [1e307])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(IntegrationError, match="step limit"):
+            with pytest.raises(IntegrationError,
+                               match=r"state overflow near t=0\.97"):
                 integrate_flow(fld, [1.7e308], 1.0)
+            assert fld.calls < 1000
             ends = integrate_flow(fld, [[1.7e308], [0.0]], 1.0)
         assert np.isnan(ends[0, 0]) and ends[1, 0] == pytest.approx(1e307)
 
+    @pytest.mark.parametrize("stage", range(1, 12))
+    def test_non_finite_stage_rejects_its_step(self, stage):
+        # a constant field that reads inf at one stage of the first step:
+        # stages 1-4 have no weight in the new state, and a later stage
+        # evaluated at their infinite point reads the constant again, yet
+        # the step is rejected, so the next step starts again from 0,
+        # 5 times shorter
+        points = []
+
+        def poisoned(x):
+            points.append(x[0])
+            return [math.inf if len(points) == 2 + stage else 1.0]
+
+        with np.errstate(invalid="ignore"):
+            end = integrate_flow(poisoned, [0.0], 1.0)
+        first, second = points[2], points[14]  # stage 1 of steps 1 and 2
+        assert second == pytest.approx(0.2 * first, rel=1e-12)
+        assert end[0] == pytest.approx(1.0, abs=1e-14)
+
     def test_first_stage_reuses_the_last(self):
-        # 4 steps of a constant field, 10 attempted steps of a rotation:
-        # one seed evaluation plus 12 per step, not 13
+        # 4 steps of a constant field (Hairer's start gives |t| / 100 from
+        # 0, growth 9 a step; the fourth takes the last 0.09), 10 attempted
+        # steps of a rotation: one seed evaluation, one Euler probe of the
+        # starting step, plus 12 per step, not 13
         const = counting(lambda x: [1.0])
         integrate_flow(const, [0.0], 1.0)
-        assert const.calls == 49
+        assert const.calls == 50
         rot = counting(lambda x: [-x[1], x[0]])
         integrate_flow(rot, [1.0, 0.5], 3.0)
-        assert rot.calls == 121
+        assert rot.calls == 122
 
     def test_tableau_transcription(self):
         # DOP853's nodes c (the row sums of A, since the tableau is written
@@ -424,6 +471,16 @@ class TestIntegrateFlow:
         for e in (numerics._E5, numerics._E3):
             assert len(e) == 12
             assert abs(math.fsum(e)) <= 1e-14
+        # the run of sums each stage is added to holds all its nonzero
+        # weights and no zero one; B weights all stages but 1-4, the ones
+        # a step checks for finite values itself
+        sums = [*a[1:], b, numerics._E5, numerics._E3]
+        for j, (start, stop, weights) in enumerate(numerics._RUNS):
+            assert weights.ravel().tolist() == [row[j]
+                                                for row in sums[start:stop]]
+            assert 0.0 not in weights
+            assert not any(row[j] for row in sums[j:start] + sums[stop:])
+        assert [j for j, w in enumerate(b) if not w] == [1, 2, 3, 4]
 
     def test_jordan_flow_closed_form(self):
         # X(x) = (2I + N) x on one 3x3 Jordan block has the flow
@@ -447,7 +504,7 @@ class TestIntegrateFlow:
         # each stage is one call on the columns of every running row
         rot = counting(lambda x: [-x[1], x[0]])
         ends = integrate_flow(rot, [[1.0, 0.5]] * 5, 3.0)
-        assert rot.calls == 121
+        assert rot.calls == 122
         assert np.array_equal(ends, [integrate_flow(lambda x: [-x[1], x[0]],
                                                     [1.0, 0.5], 3.0)] * 5)
 
@@ -478,13 +535,15 @@ class TestIntegrateFlow:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step_control_rows_equal_alone_in_a_long_stack(self):
-        # every branch of the step update, in one stack of 135 rows (the
-        # integrator takes all rows in each call): [0, 0] has zero error (the step grows 5 times), x' = e^x
-        # from 700 blows up with NaN errors (it shrinks 5 times), x' = x^2
-        # from 3 blows up with finite errors, and x' = -x decays.  Each row
-        # ends where it ends alone, and alone it takes the steps and ends
-        # where the scalar loop does, whose step update takes Python's **
-        # (np.power rounds otherwise)
+        # every branch of the step control, in one stack of 135 rows (the
+        # integrator takes all rows in each call): [0, 0] has a zero
+        # derivative (the starting step's fallbacks) and zero error (the
+        # step grows 10 times), x' = e^x from 700 has an infinite scaled
+        # derivative and blows up with NaN errors (it shrinks 5 times),
+        # x' = x^2 from 3 blows up with finite errors, and x' = -x decays.
+        # Each row ends where it ends alone, and alone it takes the steps
+        # and ends where the scalar loop does, whose step update takes
+        # Python's ** (np.power rounds otherwise)
         rows = 135
         starts = np.column_stack([np.zeros(rows), np.random.default_rng(
             3).uniform(-2.0, 2.0, rows)])
