@@ -52,7 +52,6 @@ class CatalogEntry:
 
 
 def _build_affine1d(a, b):
-    a, b = float(a), float(b)
     if a == 0.0:
         raise ParameterError("affine1d needs a != 0")
 
@@ -69,8 +68,6 @@ def _build_affine1d(a, b):
 
 
 def _build_rigid_rotation(a):
-    a = float(a)
-
     def fwd(x):
         return [x[0] + a]
 
@@ -86,8 +83,6 @@ def _build_rigid_rotation(a):
 
 
 def _build_warned_circle(k, eps):
-    k = int(k)
-    eps = float(eps)
     if k < 1:
         raise ParameterError("warned_circle needs k >= 1")
     if not 0.0 < eps < 1.0 / k:
@@ -148,8 +143,6 @@ def _build_cat_map():
 
 
 def lyness_map(n: int, a: float) -> SmoothMap:
-    n = int(n)
-    a = float(a)
     if n < 2:
         raise ParameterError("lyness needs n >= 2")
     if a <= 0:
@@ -182,8 +175,6 @@ def lyness_integrals(n: int, a: float) -> tuple[ScalarField, ...]:
     so their gradients have rank 2; the catalog structure therefore ships
     the independent pair (F1, F3), while this function still returns all
     three."""
-    n = int(n)
-    a = float(a)
     out = []
 
     def f1(x):
@@ -250,7 +241,6 @@ def lyness_symmetry_field(n: int, a: float) -> VectorField:
     does not vanish for this formulation (see the variant search), so the
     certifier records the outcome instead of asserting it.
     """
-    n = int(n)
     if n < 3:
         raise ParameterError("the candidate symmetry field needs n >= 3")
     return VectorField(dim=n, func=_lyness_v1_components(n),
@@ -303,14 +293,12 @@ def lyness_symmetry_variants(f: SmoothMap, points: int = 50,
 
 
 def _build_lyness(n, a, symmetry):
-    n = int(n)
-    a = float(a)
     f = lyness_map(n, a)
     integrals = lyness_integrals(n, a)
     if n == 3:
         # F2 = F1 + F3 + (2 - a) identically: ship the independent pair
         integrals = (integrals[0], integrals[2])
-    if int(symmetry):
+    if symmetry:
         if n < 3:
             raise ParameterError("symmetry formulas are only printed for n >= 3")
         fields = (lyness_symmetry_field(n, a),)
@@ -328,7 +316,6 @@ def _build_lyness(n, a, symmetry):
 
 
 def _build_twist(n):
-    n = int(n)
     if n < 1:
         raise ParameterError("twist needs n >= 1")
     # H(p) = sum p_j^2 / 2 + sum p_j p_{j+1}; grad H = C p
@@ -424,7 +411,9 @@ CATALOG: dict[str, CatalogEntry] = {
 
 def build(name: str, **params):
     """Instantiate a catalog entry: (map, structure or None, region), from
-    the entry's declared defaults overridden by ``params``."""
+    the entry's declared defaults overridden by ``params``, parsed here
+    only: a string becomes the type of its default and a float must be
+    finite; any other value, a ``Fraction`` say, is passed on as given."""
     if name not in CATALOG:
         raise ParameterError(f"unknown catalog map '{name}'; "
                              f"known: {', '.join(sorted(CATALOG))}")
@@ -433,8 +422,15 @@ def build(name: str, **params):
     if unknown:
         raise ParameterError(f"unknown parameters for {name}: "
                              f"{', '.join(sorted(unknown))}")
-    defaults = {k: spec["default"] for k, spec in entry.parameters.items()}
-    return entry.builder(**defaults | params)
+    values = {}
+    for key, spec in entry.parameters.items():
+        value = params.get(key, spec["default"])
+        if isinstance(value, str):
+            value = type(spec["default"])(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{name} needs a finite {key}, got {value}")
+        values[key] = value
+    return entry.builder(**values)
 
 
 def list_entries() -> list[dict]:

@@ -26,7 +26,7 @@ tolerances", never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -150,12 +150,7 @@ class CertificationReport:
             "structure": {"fields": self.m, "integrals": self.n_integrals,
                           "complete": self.complete},
             "seed": self.seed,
-            "tolerances": {
-                "algebraic_tol": self.tolerances.algebraic_tol,
-                "flow_tol": self.tolerances.flow_tol,
-                "rank_threshold": self.tolerances.rank_threshold,
-                "ae_fraction": self.tolerances.ae_fraction,
-            },
+            "tolerances": asdict(self.tolerances),
             "guard_failures": self.guard_failures,
             "conditions": [c.to_dict() for c in self.conditions],
             "verdict": self.verdict,
@@ -355,19 +350,16 @@ def _stats(name: str, residuals, scales, points: np.ndarray, tol: float,
                              non_finite=non_finite)
     kept = arr[finite]
     worst = finite[np.argmax(kept)]
-    mean = float(np.mean(kept))
-    p99 = float(np.percentile(kept, 99))
-    p99 = min(max(p99, mean), float(kept.max()))
+    max_abs = float(arr[worst])
     return ResidualStats(
         condition_name=name,
         count=len(arr),
-        max_abs=float(kept.max()),
-        mean_abs=mean,
-        p99_abs=p99,
+        max_abs=max_abs,
+        mean_abs=float(np.mean(kept)),
+        p99_abs=float(np.percentile(kept, 99)),
         worst_point=tuple(points[worst].tolist()),
         scale=float(scales[worst]),
-        passed=(float(kept.max()) <= tol and not non_finite
-                and not skip_fail),
+        passed=max_abs <= tol and not non_finite and not skip_fail,
         tolerance=tol,
         skipped=skipped,
         non_finite=non_finite,

@@ -21,7 +21,6 @@ import sys
 import time
 
 import click
-import numpy as np
 
 from . import __version__, catalog
 from .certify import (CAVEAT, FLOW_TIMES, Tolerances, certify_involution,
@@ -71,18 +70,6 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _write(text: str, output: str | None, started: float):
     """``text`` to the file ``output``, or to stdout, with LF newlines as
     they are, untranslated; then the wall time since ``started`` (a
@@ -102,10 +89,9 @@ def _write_report(payload: dict, output: str | None, started: float):
         **payload,
         "wall_time_ms": None,  # timing on stderr keeps reports byte-stable
     }
-    try:  # strict JSON: a value that is not finite is a runtime failure
-        text = json.dumps(_json_ready(report), indent=2,
-                          allow_nan=False) + "\n"
-    except ValueError as err:
+    try:  # strict JSON: a value JSON cannot write is a runtime failure
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as err:
         _emit_error("runtime", f"report not written: {err}")
         sys.exit(EXIT_RUNTIME)
     _write(text, output, started)
@@ -208,13 +194,8 @@ def _check_start(f, x0):
 
 
 def _config_dict(command: str, **kwargs) -> dict:
-    cfg = {"command": command}
-    for key in sorted(kwargs):
-        value = kwargs[key]
-        if value is None:
-            continue
-        cfg[key] = _json_ready(value)
-    return cfg
+    return {"command": command, **{key: kwargs[key] for key in sorted(kwargs)
+                                   if kwargs[key] is not None}}
 
 
 @click.group(context_settings={"show_default": True})

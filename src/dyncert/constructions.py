@@ -3,6 +3,7 @@ symmetries, cotangent lifts and lifted first integrals."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class JordanBlockSpec:
                 raise ValueError("block sizes must be >= 1")
             if lam == 0.0:
                 raise ValueError("zero eigenvalue: not a diffeomorphism")
+            if not math.isfinite(lam):
+                raise ValueError(f"eigenvalue {lam} is not finite")
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,7 +74,42 @@ def test_build_takes_the_listed_defaults(name):
             == _fingerprint(*build(name, **defaults)))
 
 
+def test_string_parameters_parse_to_the_defaults_types():
+    # --param gives strings; build parses them once, into what a Python
+    # caller passes
+    assert (_fingerprint(*build("lyness", n="3", a="1.5"))
+            == _fingerprint(*build("lyness", n=3, a=1.5)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exact_parameters_reach_the_lyness_map(n):
+    # a Fraction parameter is passed on as given: on rational points the
+    # map and its integrals stay rational, and invariance holds exactly
+    f, s, _ = build("lyness", n=n, a=Fraction(3, 2))
+    rng = random.Random(n)
+    for _ in range(20):
+        x = [Fraction(rng.randint(1, 50), rng.randint(1, 20))
+             for _ in range(n)]
+        fx = f.forward(x)
+        assert all(isinstance(v, Fraction) for v in fx)
+        for g in s.integrals:
+            gx = g(x)
+            assert isinstance(gx, Fraction)
+            assert g(fx) - gx == 0
+
+
 class TestParameterValidation:
+    @pytest.mark.parametrize("name, params", [
+        ("affine1d", {"a": "nan"}),
+        ("affine1d", {"b": math.inf}),
+        ("lyness", {"n": "3", "a": "inf"}),
+        ("rigid_rotation", {"a": "-inf"}),
+        ("warned_circle", {"eps": "nan"}),
+    ])
+    def test_non_finite_float_parameter(self, name, params):
+        with pytest.raises(ParameterError, match="finite"):
+            build(name, **params)
+
     def test_affine_zero_slope(self):
         with pytest.raises(ParameterError):
             build("affine1d", a=0.0)

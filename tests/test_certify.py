@@ -343,6 +343,14 @@ class TestCertifyStructure:
                                 points[:1], 1e-9)
         assert finite.passed and "non_finite" not in finite.to_dict()
 
+    def test_p99_is_the_percentile_below_the_mean(self):
+        # 995 zeros and 5 ones: the 99th percentile is 0, under the mean
+        residuals = np.repeat([0.0, 1.0], [995, 5])
+        stats = certify._stats("c", residuals, np.ones(1000),
+                               np.zeros((1000, 1)), 2.0)
+        assert (stats.p99_abs, stats.mean_abs, stats.max_abs) == (
+            0.0, 0.005, 1.0)
+
     def test_corrupted_integral_fails_with_worst_point(self):
         f, _, region = self._lyness2()
         bad = ScalarField(dim=2, func=lambda x: x[0] + x[1], name="bogus")

@@ -192,6 +192,18 @@ class TestCertify:
         assert out == ""
         assert json.loads(err.splitlines()[-1])["error"] == "runtime"
 
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}],
+                             ids=["numpy-int", "set"])
+    def test_unwritable_report_value_exit_three(self, capsys, value):
+        # a value that JSON has no form for is a runtime error, not a
+        # traceback
+        with pytest.raises(SystemExit) as stop:
+            cli._write_report({"config": {}, "value": value}, None, 0.0)
+        assert stop.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["error"] == "runtime"
+
     @pytest.mark.parametrize("entry, structure", [
         pytest.param(("lyness", "n=2"), {"integrals": ["log(x1 - 5)"]},
                      id="log(x1 - 5)"),
@@ -328,6 +340,12 @@ CONFIG_ERRORS = [
     ["translation", "--map", "affine1d", "--x0", "1,2"],
     ["rotation", "--map", "rigid_rotation", "--x0", ","],
     ["rotation", "--map", "cat_map"],
+    # --param values are strings, parsed by catalog.build: not by click's
+    # finite float types
+    ["certify", "--map", "affine1d", "--param", "a=nan"],
+    ["certify", "--map", "lyness", "--param", "n=3", "--param", "a=inf"],
+    ["certify", "--map", "linear", "--param", "blocks=nan:2"],
+    ["certify", "--map", "rigid_rotation", "--param", "a=inf"],
 ]
 
 

@@ -31,6 +31,11 @@ class TestJordanBlockSpec:
         with pytest.raises(ValueError):
             JordanBlockSpec(blocks=((0.0, 2),))
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eigenvalue_rejected(self, lam):
+        with pytest.raises(ValueError, match="not finite"):
+            JordanBlockSpec(blocks=((2.0, 1), (lam, 2)))
+
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             JordanBlockSpec(blocks=((1.0, 0),))

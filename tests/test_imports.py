@@ -3,8 +3,9 @@ defines a private (leading ``_``) module-level name that it never reads,
 no module names a hand-written derivative (``HAND_WRITTEN``, then an
 underscore): jets are the only source of derivatives, no module imports
 anything beyond the standard library, the package itself and the declared
-dependencies (``RUNTIME_DEPENDENCIES``), and only ``GUARD_READERS`` read a
-map's ``domain_guard``.
+dependencies (``RUNTIME_DEPENDENCIES``), only ``GUARD_READERS`` read a
+map's ``domain_guard``, and only ``catalog.build`` calls ``float`` or
+``int`` on a catalog parameter.
 
 Stdlib only.  ``symtable`` tells which scopes read a name from the module
 namespace, so a local binding of the same name (a parameter, say) does not
@@ -216,3 +217,53 @@ def test_guard_read_detector():
               "guard = f.domain_guard or (lambda x: True)\n"
               "region.guard(x)\n")
     assert guard_reads(source) == 2
+
+
+# catalog.build parses every catalog parameter, once; a builder or a public
+# Lyness function that converts one again would turn a Fraction into a float
+PARAMETER_PARSER = "build"
+
+
+def parameter_conversions(source: str) -> list:
+    """``function: float(param)`` for each call of ``float`` or ``int`` on
+    a parameter of the function it sits in (nested functions included),
+    outside ``PARAMETER_PARSER``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name == PARAMETER_PARSER):
+            continue
+        args = node.args
+        params = {a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None}
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in ("float", "int") and call.args
+                    and isinstance(call.args[0], ast.Name)
+                    and call.args[0].id in params):
+                found.add(f"{node.name}: {call.func.id}({call.args[0].id})")
+    return sorted(found)
+
+
+def test_only_build_converts_catalog_parameters():
+    path = PACKAGE / "catalog.py"
+    assert parameter_conversions(path.read_text()) == []
+
+
+def test_parameter_conversion_detector():
+    source = ("def build(name, **params):\n"
+              "    return {k: float(v) for k, v in params.items()}, int(name)\n"
+              "def _build_a(a, b):\n"
+              "    a, b = float(a), float(b)\n"
+              "def lyness(n, *, a):\n"
+              "    if int(n):\n"
+              "        def fwd(x):\n"
+              "            return float(a) * x[0]\n"
+              "        return fwd\n"
+              "def blocks(text):\n"
+              "    lam = text.split(':')[0]\n"
+              "    return float(lam), int(text[0]), str(text)\n")
+    assert parameter_conversions(source) == [
+        "_build_a: float(a)", "_build_a: float(b)", "lyness: float(a)",
+        "lyness: int(n)"]
